@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands construct witnesses (quaternion solutions, matrix
-realizations, trace and power-gap style probes) or run verification
-sweeps (telescoping identity, norm bounds, sphere averages, empirical
-constants).  Output is canonical JSON (sorted keys, fixed indent) or CSV,
-so a fixed argument list produces byte-identical output.
+realizations, nonzero-trace pairs, algebraic degree probes) or run
+verification sweeps (telescoping identity, norm bounds, sphere averages,
+empirical constants).  Output is canonical JSON (sorted keys, fixed indent)
+or CSV, so a fixed argument list produces byte-identical output.
+
+Each subcommand is declared once, by _subcommand on the builder of its
+report document.  main() alone adds the schema/command envelope, writes
+JSON or CSV and turns the document's verdict into the exit code.
 
 Exit codes: 0 success, 2 rejected input, 3 a verification failed.
 """
@@ -17,6 +21,8 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional
 
 from . import norms
 from .matrix import CC, GenericMatrix, telescoping_expand
@@ -65,24 +71,14 @@ def _load_json(text_or_path: str):
         return json.load(fh)
 
 
-def _emit_json(doc: dict) -> None:
-    sys.stdout.write(dumps_canonical(doc))
-
-
-def _emit_csv(fieldnames, rows) -> None:
+def _write_csv(columns, rows) -> None:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        out = {}
-        for key in fieldnames:
-            value = row.get(key)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif value is None:
-                value = ""
-            out[key] = value
-        writer.writerow(out)
+        # booleans spelled as in JSON; csv writes None as an empty cell
+        bools = {k: json.dumps(v) for k, v in row.items() if isinstance(v, bool)}
+        writer.writerow({**row, **bools})
     sys.stdout.write(buf.getvalue())
 
 
@@ -97,53 +93,112 @@ def _require_exact(p: Polynomial, what: str) -> None:
         raise DecodeError(f"{what} needs exact integer or rational coefficients")
 
 
-def _cmd_solve_quat(args) -> int:
+def _at_least(minimum: int):
+    """argparse type: an integer count no smaller than minimum."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    count.__name__ = "int"  # argparse names the type in "invalid int value"
+    return count
+
+
+# argparse keywords of each option, shared by every subcommand that takes
+# it; a subcommand adds the default and help not given here.  "attempts" is
+# the --trials of trace-witness: random tries after its fixed candidates,
+# so zero is allowed there.
+_OPTIONS = {
+    "poly": (
+        "--poly",
+        {
+            "required": True,
+            "help": "coefficients, constant first, comma separated (e.g. 0,1,2)",
+        },
+    ),
+    "input": (
+        "--input",
+        {"required": True, "help": "inline JSON or a path to a JSON file"},
+    ),
+    "ring": ("--ring", {"choices": ("rational", "complex", "quaternion")}),
+    "n": ("--n", {"type": int}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "trials": ("--trials", {"type": _at_least(1)}),
+    "attempts": ("--trials", {"type": _at_least(0)}),
+    "samples": ("--samples", {"type": int}),
+    "tolerance": ("--tolerance", {"type": float}),
+}
+
+
+@dataclass(frozen=True)
+class _Command:
+    build: Callable  # parsed arguments -> report document; its docstring is the help
+    options: tuple  # (option, default, help), trailing parts optional, in --help order
+    verdict: Optional[str]  # document key whose truth gives exit 0, else 3
+    csv_rows: Optional[tuple]  # (document key of the rows, CSV columns); adds --format
+
+
+_COMMANDS = {}
+
+
+def _subcommand(name: str, *options, verdict="verified", csv_rows=None):
+    """Declare the decorated builder as subcommand name (in --help order)."""
+
+    def register(build):
+        _COMMANDS[name] = _Command(build, options, verdict, csv_rows)
+        return build
+
+    return register
+
+
+@_subcommand("solve-quat", ("poly",), ("input",), ("tolerance", 1e-8))
+def _solve_quat(args) -> dict:
+    """solve p(ab) - p(ba) = v for an imaginary quaternion v"""
     p = polynomial_from_text(args.poly)
     v = decode_quaternion(_load_json(args.input), exact=False)
     sol = solve_poly_commutator(p, v, tol=args.tolerance)
     target = v.to_float().im()
     residual = (quat_poly_commutator(p, sol.a, sol.b) - target).norm()
-    verified = residual <= args.tolerance * (1.0 + target.norm())
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "command": "solve-quat",
-            "polynomial": encode_polynomial(p),
-            "target": encode_quaternion(v.to_float()),
-            "a": encode_quaternion(sol.a),
-            "b": encode_quaternion(sol.b),
-            "t": sol.t,
-            "residual": residual,
-            "verified": verified,
-        }
-    )
-    return 0 if verified else 3
+    return {
+        "polynomial": encode_polynomial(p),
+        "target": encode_quaternion(v.to_float()),
+        "a": encode_quaternion(sol.a),
+        "b": encode_quaternion(sol.b),
+        "t": sol.t,
+        "residual": residual,
+        "verified": residual <= args.tolerance * (1.0 + target.norm()),
+    }
 
 
-def _cmd_factor_quat(args) -> int:
+@_subcommand("factor-quat", ("poly",), ("input",), ("tolerance", 1e-8))
+def _factor_quat(args) -> dict:
+    """write any quaternion as a product of two p-differences"""
     p = polynomial_from_text(args.poly)
     alpha = decode_quaternion(_load_json(args.input), exact=False).to_float()
     pairs = factor_into_two_commutators(p, alpha, tol=args.tolerance)
     d1 = quat_poly_commutator(p, *pairs[0])
     d2 = quat_poly_commutator(p, *pairs[1])
     residual = (d1 * d2 - alpha).norm()
-    verified = residual <= args.tolerance * (1.0 + alpha.norm())
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "command": "factor-quat",
-            "polynomial": encode_polynomial(p),
-            "target": encode_quaternion(alpha),
-            "pairs": [[encode_quaternion(a), encode_quaternion(b)] for a, b in pairs],
-            "factors": [encode_quaternion(d1), encode_quaternion(d2)],
-            "residual": residual,
-            "verified": verified,
-        }
-    )
-    return 0 if verified else 3
+    return {
+        "polynomial": encode_polynomial(p),
+        "target": encode_quaternion(alpha),
+        "pairs": [[encode_quaternion(a), encode_quaternion(b)] for a, b in pairs],
+        "factors": [encode_quaternion(d1), encode_quaternion(d2)],
+        "residual": residual,
+        "verified": residual <= args.tolerance * (1.0 + alpha.norm()),
+    }
 
 
-def _cmd_realize_matrix(args) -> int:
+def _witness_report(witness) -> dict:
+    verified = witness.verify()
+    return {"witness": encode_witness(witness), "verified": verified}
+
+
+@_subcommand("realize-matrix", ("poly",), ("input",))
+def _realize_matrix(args) -> dict:
+    """realize a zero-diagonal exact matrix as p(AB) - p(BA)"""
     p = polynomial_from_text(args.poly)
     _require_exact(p, "matrix realization")
     data = _load_json(args.input)
@@ -154,59 +209,45 @@ def _cmd_realize_matrix(args) -> int:
             g = decode_matrix(data["conjugator"])
     else:
         a = decode_matrix(data)
-    witness = realize_zero_diagonal(p, a, g=g)
-    verified = witness.verify()
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "command": "realize-matrix",
-            "witness": encode_witness(witness),
-            "verified": verified,
-        }
-    )
-    return 0 if verified else 3
+    return _witness_report(realize_zero_diagonal(p, a, g=g))
 
 
-def _cmd_realize_traceless(args) -> int:
+@_subcommand("realize-traceless", ("poly",), ("input",))
+def _realize_traceless(args) -> dict:
+    """realize a traceless rational matrix as p(AB) - p(BA)"""
     p = polynomial_from_text(args.poly)
     _require_exact(p, "matrix realization")
     a = decode_matrix(_load_json(args.input))
-    witness = realize_traceless(p, a)
-    verified = witness.verify()
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "command": "realize-traceless",
-            "witness": encode_witness(witness),
-            "verified": verified,
-        }
-    )
-    return 0 if verified else 3
+    return _witness_report(realize_traceless(p, a))
 
 
-def _cmd_trace_witness(args) -> int:
+@_subcommand(
+    "trace-witness",
+    ("poly",), ("n", 2), ("seed",), ("attempts", 200, "random attempts"),
+)
+def _trace_witness(args) -> dict:
+    """quaternion matrices where p(AB) - p(BA) has nonzero trace"""
     p = polynomial_from_text(args.poly)
     _require_exact(p, "the trace witness search")
     a, b = nonzero_trace_witness(p, args.n, seed=args.seed, attempts=args.trials)
     tr = matrix_poly_commutator(p, a, b).trace()
-    verified = not tr.is_zero()
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "command": "trace-witness",
-            "polynomial": encode_polynomial(p),
-            "n": args.n,
-            "seed": args.seed,
-            "a": encode_matrix(a),
-            "b": encode_matrix(b),
-            "trace": encode_quaternion(tr),
-            "verified": verified,
-        }
-    )
-    return 0 if verified else 3
+    return {
+        "polynomial": encode_polynomial(p),
+        "n": args.n,
+        "seed": args.seed,
+        "a": encode_matrix(a),
+        "b": encode_matrix(b),
+        "trace": encode_quaternion(tr),
+        "verified": not tr.is_zero(),
+    }
 
 
-def _cmd_probe_degree(args) -> int:
+@_subcommand(
+    "probe-degree",
+    ("input",), ("seed",), ("trials", 8, "trials per degree level"),
+)
+def _probe_degree(args) -> dict:
+    """estimate the algebraic degree of a quaternion or exact matrix"""
     data = _load_json(args.input)
     if isinstance(data, list):
         element = decode_quaternion(data, exact=True)
@@ -217,28 +258,34 @@ def _cmd_probe_degree(args) -> int:
     else:
         raise DecodeError("input must be a quaternion array or a matrix object")
     result = algebraic_degree_probe(element, trials=args.trials, seed=args.seed)
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "command": "probe-degree",
-            "seed": args.seed,
-            "trials_per_degree": result.trials_per_degree,
-            "estimated_degree": result.estimated_degree,
-            "vanish_pattern": {str(m): v for m, v in result.vanish_pattern.items()},
-            "verified": True,
-        }
-    )
-    return 0
+    return {
+        "seed": args.seed,
+        "trials_per_degree": result.trials_per_degree,
+        "estimated_degree": result.estimated_degree,
+        "vanish_pattern": {str(m): v for m, v in result.vanish_pattern.items()},
+        "verified": True,
+    }
 
 
 _CHECK_NAMES = ("bottcher-wenzel", "frobenius", "numerical-radius", "sphere-average")
 
 
-def _cmd_verify_bounds(args) -> int:
+@_subcommand(
+    "verify-bounds",
+    ("poly",), ("n", 4), ("seed",), ("trials", 3),
+    ("samples", 4000, "Monte Carlo samples"),
+    verdict="all_satisfied",
+    csv_rows=(
+        "checks",
+        ("check", "trial", "seed", "n", "degree", "lhs", "rhs", "ratio", "mc_margin",
+         "satisfied"),
+    ),
+)
+def _verify_bounds(args) -> dict:
+    """check the norm bounds on random complex matrices"""
     p = polynomial_from_text(args.poly)
     gen = np_stream(args.seed, "verify-bounds")
     rows = []
-    all_ok = True
     for trial in range(args.trials):
         a = complex_gaussian_matrix(gen, args.n)
         b = complex_gaussian_matrix(gen, args.n)
@@ -249,52 +296,18 @@ def _cmd_verify_bounds(args) -> int:
             norms.check_average_bound(p, a, b, samples=args.samples, seed=args.seed),
         )
         for name, rep in zip(_CHECK_NAMES, reports):
-            all_ok = all_ok and rep.satisfied
-            rows.append(
-                {
-                    "check": name,
-                    "trial": trial,
-                    "seed": args.seed,
-                    "n": rep.n,
-                    "degree": rep.degree,
-                    "lhs": rep.lhs,
-                    "rhs": rep.rhs,
-                    "ratio": _finite(rep.ratio),
-                    "mc_margin": rep.mc_margin,
-                    "satisfied": rep.satisfied,
-                }
-            )
-    if args.format == "csv":
-        _emit_csv(
-            [
-                "check",
-                "trial",
-                "seed",
-                "n",
-                "degree",
-                "lhs",
-                "rhs",
-                "ratio",
-                "mc_margin",
-                "satisfied",
-            ],
-            rows,
-        )
-    else:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "verify-bounds",
-                "polynomial": encode_polynomial(p),
-                "n": args.n,
-                "seed": args.seed,
-                "trials": args.trials,
-                "samples": args.samples,
-                "checks": rows,
-                "all_satisfied": all_ok,
-            }
-        )
-    return 0 if all_ok else 3
+            row = {"check": name, "trial": trial, **asdict(rep)}
+            row["ratio"] = _finite(rep.ratio)
+            rows.append(row)
+    return {
+        "polynomial": encode_polynomial(p),
+        "n": args.n,
+        "seed": args.seed,
+        "trials": args.trials,
+        "samples": args.samples,
+        "checks": rows,
+        "all_satisfied": all(row["satisfied"] for row in rows),
+    }
 
 
 def _decode_sphere_input(data):
@@ -315,71 +328,51 @@ def _decode_sphere_input(data):
     raise DecodeError("input must be a matrix object or a square number array")
 
 
-def _cmd_sphere_avg(args) -> int:
+@_subcommand("sphere-avg", ("input",), ("seed",), ("samples", 20000))
+def _sphere_avg(args) -> dict:
+    """Monte Carlo check of the sphere-average identity for ||A||_F^2"""
     arr = _decode_sphere_input(_load_json(args.input))
     est = norms.spherical_average(arr, args.samples, args.seed)
     deviation = abs(est.mean - est.exact_value)
-    verified = deviation <= 4.0 * est.std_error + 1e-12 * (1.0 + est.exact_value)
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "command": "sphere-avg",
-            "n": int(arr.shape[0]),
-            "seed": args.seed,
-            "samples": est.samples,
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "exact_value": est.exact_value,
-            "deviation": deviation,
-            "verified": verified,
-        }
-    )
-    return 0 if verified else 3
+    return {
+        "n": int(arr.shape[0]),
+        "seed": args.seed,
+        "samples": est.samples,
+        "mean": est.mean,
+        "std_error": est.std_error,
+        "exact_value": est.exact_value,
+        "deviation": deviation,
+        "verified": deviation <= 4.0 * est.std_error + 1e-12 * (1.0 + est.exact_value),
+    }
 
 
-def _cmd_sweep_constants(args) -> int:
+@_subcommand(
+    "sweep-constants",
+    ("poly",), ("n", 3), ("seed",), ("trials", 100),
+    verdict=None,
+    csv_rows=(
+        "rows",
+        ("trial", "seed", "n", "degree", "lhs", "rhs", "ratio", "commutator_norm",
+         "ratio_commutator"),
+    ),
+)
+def _sweep_constants(args) -> dict:
+    """empirical max of ||p(AB)-p(BA)||_F against two reference scales"""
+    # JSON gets the summary; CSV the per-trial rows behind it
     p = polynomial_from_text(args.poly)
-    rows = []
-    best_product = 0.0
-    best_commutator = 0.0
-    skipped = 0
-    for row in norms.constant_sweep_rows(p, args.n, args.trials, args.seed):
-        best_product = max(best_product, row["ratio"])
-        if row["ratio_commutator"] is None:
-            skipped += 1
-        else:
-            best_commutator = max(best_commutator, row["ratio_commutator"])
-        rows.append({"seed": args.seed, **row})
     if args.format == "csv":
-        _emit_csv(
-            [
-                "trial",
-                "seed",
-                "n",
-                "degree",
-                "lhs",
-                "rhs",
-                "ratio",
-                "commutator_norm",
-                "ratio_commutator",
-            ],
-            rows,
-        )
-    else:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "sweep-constants",
-                "polynomial": encode_polynomial(p),
-                "n": args.n,
-                "seed": args.seed,
-                "trials": args.trials,
-                "ratio_norm_product": best_product,
-                "ratio_commutator": best_commutator,
-                "skipped_near_commuting": skipped,
-            }
-        )
-    return 0
+        rows = norms.constant_sweep_rows(p, args.n, args.trials, args.seed)
+        return {"rows": [{"seed": args.seed, **row} for row in rows]}
+    est = norms.empirical_constant(p, args.n, args.trials, args.seed)
+    return {
+        "polynomial": encode_polynomial(p),
+        "n": args.n,
+        "seed": args.seed,
+        "trials": args.trials,
+        "ratio_norm_product": est.ratio_norm_product,
+        "ratio_commutator": est.ratio_commutator,
+        "skipped_near_commuting": est.skipped_near_commuting,
+    }
 
 
 def _telescope_pairs(ring: str, n: int, trials: int, seed: int):
@@ -401,18 +394,23 @@ def _telescope_pairs(ring: str, n: int, trials: int, seed: int):
             yield quaternion_matrix(rng, n), quaternion_matrix(rng, n)
 
 
-def _cmd_verify_telescope(args) -> int:
+@_subcommand(
+    "verify-telescope",
+    ("poly",), ("ring", "rational"), ("n", 3), ("seed",), ("trials", 20),
+    ("tolerance", 1e-10),
+    verdict="all_equal",
+)
+def _verify_telescope(args) -> dict:
+    """check the telescoped commutator expansion on random pairs"""
     p = polynomial_from_text(args.poly)
     if args.ring in ("rational", "quaternion"):
         _require_exact(p, f"the {args.ring} backend")
     detail = []
-    all_equal = True
     worst = 0.0
     for trial, (a, b) in enumerate(
         _telescope_pairs(args.ring, args.n, args.trials, args.seed)
     ):
         report = telescoping_expand(p, a, b, tol=args.tolerance)
-        all_equal = all_equal and report.equal
         worst = max(worst, report.max_entry_deviation)
         detail.append(
             {
@@ -421,36 +419,16 @@ def _cmd_verify_telescope(args) -> int:
                 "max_entry_deviation": report.max_entry_deviation,
             }
         )
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "command": "verify-telescope",
-            "polynomial": encode_polynomial(p),
-            "ring": args.ring,
-            "n": args.n,
-            "seed": args.seed,
-            "trials": args.trials,
-            "all_equal": all_equal,
-            "max_entry_deviation": worst,
-            "detail": detail,
-        }
-    )
-    return 0 if all_equal else 3
-
-
-def _add_common(sp, *, poly=False, inp=False, tolerance=None):
-    if poly:
-        sp.add_argument(
-            "--poly",
-            required=True,
-            help="coefficients, constant first, comma separated (e.g. 0,1,2)",
-        )
-    if inp:
-        sp.add_argument(
-            "--input", required=True, help="inline JSON or a path to a JSON file"
-        )
-    if tolerance is not None:
-        sp.add_argument("--tolerance", type=float, default=tolerance)
+    return {
+        "polynomial": encode_polynomial(p),
+        "ring": args.ring,
+        "n": args.n,
+        "seed": args.seed,
+        "trials": args.trials,
+        "all_equal": all(row["equal"] for row in detail),
+        "max_entry_deviation": worst,
+        "detail": detail,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,98 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
         "p(ab) - p(ba) over quaternions and matrices.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser(
-        "solve-quat", help="solve p(ab) - p(ba) = v for an imaginary quaternion v"
-    )
-    _add_common(sp, poly=True, inp=True, tolerance=1e-8)
-    sp.set_defaults(func=_cmd_solve_quat)
-
-    sp = sub.add_parser(
-        "factor-quat",
-        help="write any quaternion as a product of two p-differences",
-    )
-    _add_common(sp, poly=True, inp=True, tolerance=1e-8)
-    sp.set_defaults(func=_cmd_factor_quat)
-
-    sp = sub.add_parser(
-        "realize-matrix",
-        help="realize a zero-diagonal exact matrix as p(AB) - p(BA)",
-    )
-    _add_common(sp, poly=True, inp=True)
-    sp.set_defaults(func=_cmd_realize_matrix)
-
-    sp = sub.add_parser(
-        "realize-traceless",
-        help="realize a traceless rational matrix as p(AB) - p(BA)",
-    )
-    _add_common(sp, poly=True, inp=True)
-    sp.set_defaults(func=_cmd_realize_traceless)
-
-    sp = sub.add_parser(
-        "trace-witness",
-        help="quaternion matrices where p(AB) - p(BA) has nonzero trace",
-    )
-    _add_common(sp, poly=True)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=200, help="random attempts")
-    sp.set_defaults(func=_cmd_trace_witness)
-
-    sp = sub.add_parser(
-        "probe-degree",
-        help="estimate the algebraic degree of a quaternion or exact matrix",
-    )
-    _add_common(sp, inp=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=8, help="trials per degree level")
-    sp.set_defaults(func=_cmd_probe_degree)
-
-    sp = sub.add_parser(
-        "verify-bounds", help="check the norm bounds on random complex matrices"
-    )
-    _add_common(sp, poly=True)
-    sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=3)
-    sp.add_argument("--samples", type=int, default=4000, help="Monte Carlo samples")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(func=_cmd_verify_bounds)
-
-    sp = sub.add_parser(
-        "sphere-avg",
-        help="Monte Carlo check of the sphere-average identity for ||A||_F^2",
-    )
-    _add_common(sp, inp=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=20000)
-    sp.set_defaults(func=_cmd_sphere_avg)
-
-    sp = sub.add_parser(
-        "sweep-constants",
-        help="empirical max of ||p(AB)-p(BA)||_F against two reference scales",
-    )
-    _add_common(sp, poly=True)
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(func=_cmd_sweep_constants)
-
-    sp = sub.add_parser(
-        "verify-telescope",
-        help="check the telescoped commutator expansion on random pairs",
-    )
-    _add_common(sp, poly=True)
-    sp.add_argument(
-        "--ring", choices=("rational", "complex", "quaternion"), default="rational"
-    )
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--tolerance", type=float, default=1e-10)
-    sp.set_defaults(func=_cmd_verify_telescope)
-
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.build.__doc__)
+        for option, *spec in command.options:
+            flag, keywords = _OPTIONS[option]
+            sp.add_argument(flag, **keywords, **dict(zip(("default", "help"), spec)))
+        if command.csv_rows:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
     return ap
 
 
@@ -561,14 +454,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    command = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        doc = command.build(args)
+        if command.csv_rows and args.format == "csv":
+            rows_key, columns = command.csv_rows
+            _write_csv(columns, doc[rows_key])
+        else:
+            sys.stdout.write(
+                dumps_canonical({"schema": SCHEMA, "command": args.command, **doc})
+            )
     except (VerificationError, DegreeNotBoundedError, norms.ConvergenceError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if command.verdict is None or doc[command.verdict] else 3
 
 
 if __name__ == "__main__":

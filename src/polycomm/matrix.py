@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import Polynomial
+from .poly import _EXACT_TYPES, Polynomial
 from .quat import Quaternion
-
-_EXACT_TYPES = (int, Fraction)
 
 
 class SingularMatrixError(ValueError):

@@ -13,9 +13,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import OddCase, Polynomial, derive_odd_factor, eval_poly, solve_odd_equation
-
-_EXACT_TYPES = (int, Fraction)
+from .poly import (
+    _EXACT_TYPES,
+    OddCase,
+    Polynomial,
+    derive_odd_factor,
+    eval_poly,
+    solve_odd_equation,
+)
 
 
 class VerificationError(ArithmeticError):

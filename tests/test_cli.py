@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -184,6 +185,10 @@ def test_trace_witness(capsys):
     assert code == 0
     assert doc["trace"] == ["0", "0", "0", "2"]
     assert doc["verified"] is True
+    # --trials counts random attempts after the fixed candidates, so 0 is valid
+    code, doc = run_json(capsys, "trace-witness", "--poly", "0,1", "--trials", "0")
+    assert code == 0
+    assert doc["trace"] == ["0", "0", "0", "2"]
     code, doc = run_json(capsys, "trace-witness", "--poly", "0,0,1", "--n", "3")
     assert code == 0
     assert doc["n"] == 3
@@ -367,6 +372,60 @@ def test_output_is_byte_identical_across_runs(capsys):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("probe-degree", "--input", "[0,0,1,0]", "--trials", "0"),
+        ("verify-bounds", "--poly", "0,1", "--trials", "0"),
+        ("verify-bounds", "--poly", "0,1", "--trials", "0", "--format", "csv"),
+        ("sweep-constants", "--poly", "0,1", "--trials", "-3"),
+        ("verify-telescope", "--poly", "0,1", "--trials", "-1"),
+        ("trace-witness", "--poly", "0,1", "--trials", "-1"),
+    ],
+    ids=[
+        "probe-degree", "verify-bounds", "verify-bounds-csv", "sweep-constants",
+        "verify-telescope", "trace-witness",
+    ],
+)
+def test_bad_trials_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "argument --trials: must be at least" in err
+
+
+# stdout sha256 of exact-ring calls (and the README solver example, whose
+# floats are exact), recorded before the subcommands were declared in one
+# table; any byte change in these documents fails here.
+PINNED_OUTPUTS = [
+    ("25888569031ea4e3fb1bc705cbaeca873b0001006f08d77ecf96bc1337461b7e",
+     "solve-quat", "--poly", "0,1", "--input", "[0,0,0,2]"),
+    ("c9dc37d61570eb1d25ab022057b06da4ab905d6c5d7c1c1b3bb527c9ce8b6d3f",
+     "probe-degree", "--input", "[0,0,1,0]"),
+    ("f933c624265f8207c40f9a5783e99d156311ef3064040829d8b4b2f1a352bbdd",
+     "realize-matrix", "--poly", "0,0,1",
+     "--input", '{"ring": "rational", "entries": [[0, 1], [0, 0]]}'),
+    ("8e36eb3b700f63af472684bd6aded1eb17972bf39077e32cb52fcb790881923e",
+     "realize-traceless", "--poly", "0,1,1",
+     "--input",
+     '{"ring": "rational", "entries": [[1, 2, 0], ["1/2", -3, 1], [4, 0, 2]]}'),
+    ("681e13c51f7090be33b982543723a3d1f04b27dc51f122f72133e414aa5863eb",
+     "trace-witness", "--poly", "0,1"),
+    ("0aae3d9c6b598055948c5ee29adac7f2ea9aea8eec15bb62c0c4aa4e883623c8",
+     "verify-telescope", "--poly", "0,1", "--ring", "quaternion"),
+]
+
+
+@pytest.mark.parametrize(
+    "digest,argv",
+    [pytest.param(d, argv, id=argv[0]) for d, *argv in PINNED_OUTPUTS],
+)
+def test_exact_output_is_pinned(capsys, digest, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_argparse_failures_exit_two(capsys):
