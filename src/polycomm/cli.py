@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -67,6 +68,11 @@ def _load_json(text_or_path: str):
     s = text_or_path.strip()
     if s.startswith(("{", "[")):
         return json.loads(s)
+    if not os.path.isfile(text_or_path):
+        raise DecodeError(
+            f"--input {text_or_path!r} is neither inline JSON (an object or an"
+            " array) nor a readable file"
+        )
     with open(text_or_path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -91,6 +97,17 @@ def _finite(x):
 def _require_exact(p: Polynomial, what: str) -> None:
     if not p.is_exact():
         raise DecodeError(f"{what} needs exact integer or rational coefficients")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float (nan and inf are input errors)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite input: {text!r}")
+    return value
+
+
+_finite_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 def _at_least(minimum: int):
@@ -128,7 +145,7 @@ _OPTIONS = {
     "trials": ("--trials", {"type": _at_least(1)}),
     "attempts": ("--trials", {"type": _at_least(0)}),
     "samples": ("--samples", {"type": int}),
-    "tolerance": ("--tolerance", {"type": float}),
+    "tolerance": ("--tolerance", {"type": _finite_float}),
 }
 
 

@@ -31,7 +31,7 @@ MatrixLike = Union[GenericMatrix, np.ndarray, Sequence[Sequence]]
 
 
 def as_complex_array(a: MatrixLike) -> np.ndarray:
-    """Square complex ndarray from a GenericMatrix, ndarray, or nested list."""
+    """Finite square complex ndarray from a GenericMatrix, ndarray, or nested list."""
     if isinstance(a, GenericMatrix):
         if a.ring.name.startswith("quaternion"):
             raise ValueError("norm computations need a complex or rational backend")
@@ -42,6 +42,8 @@ def as_complex_array(a: MatrixLike) -> np.ndarray:
         arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite input: matrix entries must be finite numbers")
     return arr
 
 
@@ -270,7 +272,9 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
     Unit vectors are normalized standard complex Gaussians; the estimate
     converges to ||A||_F^2, reported as exact_value.  The per-sample value
     uses ||A z||^2 / ||z||^2, so A = identity gives exactly n at every
-    sample and a zero standard error.
+    sample and a zero standard error.  Entries large enough that the
+    samples or their variance leave the double range (from about 1e77) are
+    a ValueError, not a NaN answer.
     """
     arr = as_complex_array(a)
     if samples < 1000:
@@ -278,12 +282,19 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
     n = arr.shape[0]
     gen = np_stream(seed, "sphere-average")
     z = gen.standard_normal((samples, n)) + 1j * gen.standard_normal((samples, n))
-    num = (np.abs(z @ arr.T) ** 2).sum(axis=1)
-    den = (np.abs(z) ** 2).sum(axis=1)
-    vals = n * (num / den)
-    mean = float(vals.mean())
-    std_error = float(vals.std(ddof=1) / math.sqrt(samples))
-    return SphereEstimate(samples, mean, std_error, float((np.abs(arr) ** 2).sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = (np.abs(z @ arr.T) ** 2).sum(axis=1)
+        den = (np.abs(z) ** 2).sum(axis=1)
+        vals = n * (num / den)
+        mean = float(vals.mean())
+        std_error = float(vals.std(ddof=1) / math.sqrt(samples))
+        exact_value = float((np.abs(arr) ** 2).sum())
+    if not all(map(math.isfinite, (mean, std_error, exact_value))):
+        raise ValueError(
+            "sphere average out of range: ||A v||^2 samples or their variance"
+            " exceed the double range (entries from about 1e77 overflow)"
+        )
+    return SphereEstimate(samples, mean, std_error, exact_value)
 
 
 def check_average_bound(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Sequence
 
 from .matrix import QQ, HQ, GenericMatrix, poly_eval_matrix, poly_commutator
@@ -392,15 +391,6 @@ def _is_zero_element(x) -> bool:
     return x == 0
 
 
-def _parity(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def algebraicity_polynomial(y0, probes: Sequence):
     """Alternating permutation sum detecting algebraicity.
 
@@ -408,6 +398,13 @@ def algebraicity_polynomial(y0, probes: Sequence):
     {0..m}: sign(d) y0^d(0) r_1 y0^d(1) ... r_m y0^d(m).  It vanishes for
     every probe choice exactly when y0 is algebraic of degree <= m over
     the centre, so a single nonzero evaluation certifies degree > m.
+
+    Evaluated by dynamic programming over subsets (Nisan's construction
+    for the noncommutative determinant): partial[S] is the signed sum over
+    the orderings of the exponent set S placed in positions 0..|S|-1.
+    Appending exponent e after S multiplies by r_|S| and y0^e, and flips
+    the sign once per element of S greater than e.  That costs about
+    2^(m+1) (m+1) products instead of (m+1)! (2m+1).
     """
     m = len(probes)
     if m < 1:
@@ -417,23 +414,21 @@ def algebraicity_polynomial(y0, probes: Sequence):
     powers = [_one_like(y0)]
     for _ in range(m):
         powers.append(powers[-1] * y0)
-    total = None
-    for perm in permutations(range(m + 1)):
-        factors = []
-        if perm[0] != 0:
-            factors.append(powers[perm[0]])
-        for idx in range(1, m + 1):
-            factors.append(probes[idx - 1])
-            if perm[idx] != 0:
-                factors.append(powers[perm[idx]])
-        term = factors[0]
-        for f in factors[1:]:
-            term = term * f
-        if _parity(perm) > 0:
-            total = term if total is None else total + term
-        else:
-            total = -term if total is None else total - term
-    return total
+    full = (1 << (m + 1)) - 1
+    partial = {1 << e: powers[e] for e in range(m + 1)}
+    # every subset is larger than those it extends, so counting up finishes
+    # each partial[S] before it is extended
+    for subset in range(1, full):
+        prefix = partial.pop(subset) * probes[subset.bit_count() - 1]
+        for e in range(m + 1):
+            if subset >> e & 1:
+                continue
+            term = prefix * powers[e] if e else prefix
+            if (subset >> (e + 1)).bit_count() % 2:
+                term = -term
+            grown = subset | 1 << e
+            partial[grown] = partial[grown] + term if grown in partial else term
+    return partial[full]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ indent so identical objects serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -53,9 +54,14 @@ def decode_rational(v) -> Fraction:
 
 
 def decode_float(v) -> float:
+    """A finite float; NaN, infinities and JSON numbers past the double
+    range (json reads 1e400 as inf) are rejected."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DecodeError(f"expected a number, got {v!r}")
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise DecodeError(f"non-finite input: {v!r}")
+    return x
 
 
 def decode_complex(v) -> complex:
@@ -92,9 +98,10 @@ def polynomial_from_text(text: str) -> Polynomial:
     if all(_RATIONAL_RE.match(t) for t in tokens):
         return Polynomial([Fraction(t) for t in tokens])
     try:
-        return Polynomial([float(t) for t in tokens])
+        coeffs = [float(t) for t in tokens]
     except ValueError as exc:
         raise DecodeError(f"bad coefficient list {text!r}") from exc
+    return Polynomial([decode_float(c) for c in coeffs])
 
 
 def encode_quaternion(q: Quaternion) -> list:

@@ -396,6 +396,71 @@ def test_bad_trials_rejected(capsys, argv):
     assert "argument --trials: must be at least" in err
 
 
+NON_FINITE_INPUTS = [
+    ("solve-quat", "--poly", "0,1", "--input", "[0,NaN,0,1]"),
+    ("solve-quat", "--poly", "0,1", "--input", "[0,1e400,0,1]"),
+    ("factor-quat", "--poly", "0,1", "--input", "[-Infinity,0,0,1]"),
+    ("solve-quat", "--poly", "0,nan", "--input", "[0,1,0,0]"),
+    ("verify-bounds", "--poly=0,inf", "--n", "2", "--trials", "1"),
+    ("verify-telescope", "--poly", "0,1e400", "--ring", "complex", "--trials", "1"),
+    ("sphere-avg", "--input", "[[NaN,0],[0,1]]", "--samples", "1000"),
+    ("sphere-avg", "--samples", "1000",
+     "--input", '{"ring": "complex", "entries": [[[1, Infinity], 0], [0, 1]]}'),
+]
+
+
+def assert_one_error_line(code, out, err, recwarn, phrase):
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and phrase in errors[0], err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(argv, id=f"{argv[0]}-{i}") for i, argv in enumerate(NON_FINITE_INPUTS)],
+)
+def test_non_finite_input_rejected(capsys, recwarn, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err, recwarn, "non-finite input")
+
+
+def test_non_finite_tolerance_rejected(capsys):
+    for value in ("inf", "nan", "-inf"):
+        code, out, err = run_cli(
+            capsys, "solve-quat", "--poly", "0,1", "--input", "[0,1,0,0]",
+            f"--tolerance={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "argument --tolerance: non-finite input" in err
+
+
+def test_sphere_avg_overflow_is_an_input_error(capsys, recwarn):
+    code, out, err = run_cli(
+        capsys, "sphere-avg", "--input", "[[1e200,0],[0,1]]", "--samples", "1000"
+    )
+    assert_one_error_line(code, out, err, recwarn, "double")
+    # large but in range: still answered
+    code, out, err = run_cli(
+        capsys, "sphere-avg", "--input", "[[1e70,0],[0,1]]", "--samples", "1000"
+    )
+    assert code == 0, err
+
+
+def test_input_neither_json_nor_file(capsys, recwarn, tmp_path):
+    code, out, err = run_cli(capsys, "probe-degree", "--input", "3")
+    assert_one_error_line(code, out, err, recwarn, "neither inline JSON")
+    assert "'3'" in err
+    path = tmp_path / "quaternion.json"
+    path.write_text("[0,0,1,0]", encoding="utf-8")
+    code, doc = run_json(capsys, "probe-degree", "--input", str(path))
+    assert code == 0
+    assert doc["estimated_degree"] == 2
+
+
 # stdout sha256 of exact-ring calls (and the README solver example, whose
 # floats are exact), recorded before the subcommands were declared in one
 # table; any byte change in these documents fails here.

@@ -59,6 +59,15 @@ def test_as_complex_array_rejections():
         as_complex_array(np.zeros(4))
 
 
+def test_as_complex_array_rejects_non_finite():
+    assert as_complex_array([[1e300, 0], [0, 1e-300]])[0, 0] == 1e300
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="non-finite input"):
+            as_complex_array([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite input"):
+        as_complex_array(GenericMatrix.from_rows(CC, [[1, 0], [0, math.nan]]))
+
+
 def test_frobenius_norm_frozen():
     assert frobenius_norm(np.eye(2)) == math.sqrt(2.0)
     assert frobenius_norm(E12) == 1.0
@@ -267,6 +276,14 @@ def test_spherical_average_zero_matrix():
 def test_spherical_average_needs_enough_samples():
     with pytest.raises(ValueError):
         spherical_average(np.eye(2), 999)
+
+
+def test_spherical_average_overflow_is_a_value_error():
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="double"):
+            spherical_average(np.diag([1e200, 1.0]), 1000, seed=SEED)
+        est = spherical_average(np.diag([1e70, 1.0]), 1000, seed=SEED)
+    assert est.exact_value == 1e140 + 1.0
 
 
 def test_spherical_average_concentrates_on_frobenius_norm():

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -344,6 +345,70 @@ def test_algebraicity_conjugation_invariance():
         conj = lambda m: g * m * g.inverse()
         rhs = algebraicity_polynomial(conj(y), [conj(q) for q in probes])
         assert lhs == rhs
+
+
+def brute_force_algebraicity(y, probes, one):
+    """The literal sum over permutations d of {0..m} of
+    sign(d) y^d(0) r_1 y^d(1) ... r_m y^d(m), sign by inversion count."""
+    m = len(probes)
+    powers = [one]
+    for _ in range(m):
+        powers.append(powers[-1] * y)
+    total = None
+    for perm in permutations(range(m + 1)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(m + 1), 2))
+        term = powers[perm[0]]
+        for r, e in zip(probes, perm[1:]):
+            term = term * r * powers[e]
+        term = -term if inversions % 2 else term
+        total = term if total is None else total + term
+    return total
+
+
+def _draw_fraction(r):
+    return Fraction(r.randint(-9, 9), r.choice([1, 2, 3]))
+
+
+ALGEBRAICITY_RINGS = {
+    "fraction": (_draw_fraction, Fraction(1)),
+    "quaternion": (exact_quaternion, Quaternion.exact(1)),
+    "qq2": (lambda r: rational_matrix(r, 2), GenericMatrix.identity(QQ, 2)),
+    "qq3": (lambda r: rational_matrix(r, 3), GenericMatrix.identity(QQ, 3)),
+    "hq2": (lambda r: quaternion_matrix(r, 2), GenericMatrix.identity(HQ, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ALGEBRAICITY_RINGS))
+def test_algebraicity_matches_permutation_sum(kind):
+    draw, one = ALGEBRAICITY_RINGS[kind]
+    r = stream(SEED, f"alg-brute-{kind}")
+    for m in range(1, 5):
+        for _ in range(2):
+            y = draw(r)
+            probes = [draw(r) for _ in range(m)]
+            assert algebraicity_polynomial(y, probes) == brute_force_algebraicity(
+                y, probes, one
+            )
+
+
+def test_algebraicity_product_count(monkeypatch):
+    """The subset recursion needs at most 2^(m+1) (m+1) matrix products;
+    the permutation sum took about (m+1)! (2m+1)."""
+    calls = 0
+    multiply = GenericMatrix.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(GenericMatrix, "__mul__", counting)
+    r = stream(SEED, "alg-cost")
+    m = 6
+    y = rational_matrix(r, 2)
+    probes = [rational_matrix(r, 2) for _ in range(m)]
+    algebraicity_polynomial(y, probes)
+    assert m < calls <= 2 ** (m + 1) * (m + 1)
 
 
 def test_algebraicity_guards():

@@ -10,6 +10,7 @@ from polycomm.realize import realize_zero_diagonal
 from polycomm.serialize import (
     DecodeError,
     decode_complex,
+    decode_float,
     decode_matrix,
     decode_polynomial,
     decode_quaternion,
@@ -61,6 +62,20 @@ def test_decode_complex():
         decode_complex("1+2j")
 
 
+def test_decode_float_rejects_non_finite():
+    assert decode_float(-1e300) == -1e300
+    assert decode_float(5e-324) == 5e-324
+    for bad in (float("nan"), float("inf"), float("-inf"), json.loads("1e400")):
+        with pytest.raises(DecodeError, match="non-finite input"):
+            decode_float(bad)
+    with pytest.raises(DecodeError, match="non-finite input"):
+        decode_complex([0.0, json.loads("NaN")])
+    with pytest.raises(DecodeError, match="non-finite input"):
+        decode_quaternion(json.loads("[0, Infinity, 0, 1]"))
+    with pytest.raises(DecodeError, match="non-finite input"):
+        decode_polynomial([0.5, float("nan")])
+
+
 def test_polynomial_roundtrip_exact():
     p = Polynomial([Fraction(1, 2), 0, 3])
     encoded = encode_polynomial(p)
@@ -97,6 +112,9 @@ def test_polynomial_from_text():
     assert not p.is_exact()
     for bad in ("", "1,", "a,b", "1//2"):
         with pytest.raises(DecodeError):
+            polynomial_from_text(bad)
+    for bad in ("0,nan", "inf,1", "0,-Infinity", "0,1e400"):
+        with pytest.raises(DecodeError, match="non-finite input"):
             polynomial_from_text(bad)
 
 
