@@ -209,8 +209,9 @@ def _factor_quat(args) -> dict:
 
 
 def _witness_report(witness) -> dict:
-    verified = witness.verify()
-    return {"witness": encode_witness(witness), "verified": verified}
+    # realize_zero_diagonal ran witness.verify() and raises VerificationError
+    # unless it held, so a returned witness is a verified one
+    return {"witness": encode_witness(witness), "verified": True}
 
 
 @_subcommand("realize-matrix", ("poly",), ("input",))

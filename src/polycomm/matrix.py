@@ -3,6 +3,10 @@
 Backends: exact rationals, complex floats, and quaternions (exact or
 float).  Row reduction only ever multiplies rows by entry inverses from
 the left, so inversion is valid over the noncommutative backends too.
+
+Exact products and the rational inverse are fraction-free: entries are
+scaled to integer numerators over one common denominator, the integer
+work runs without any gcd, and each result entry is normalized once.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .poly import _EXACT_TYPES, Polynomial
 from .quat import Quaternion
@@ -24,11 +30,24 @@ class SingularMatrixError(ValueError):
         super().__init__(f"matrix is singular (no pivot in column {column})")
 
 
+# Multiplication table of the basis components: table[p][q] = (r, sign)
+# means e_p e_q = sign * e_r.  The scalar rings have one component; the
+# quaternions have the basis (1, i, j, k).
+_SCALAR_TABLE = (((0, 1),),)
+_HAMILTON_TABLE = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, -1), (0, -1), (1, 1)),
+    ((3, 1), (2, 1), (1, -1), (0, -1)),
+)
+
+
 class ScalarRing:
     """Scalar operations a GenericMatrix needs from its backend."""
 
     name: str
     exact: bool
+    table = _SCALAR_TABLE
 
     def zero(self):
         raise NotImplementedError
@@ -121,6 +140,8 @@ class ComplexField(ScalarRing):
 
 
 class QuaternionAlgebra(ScalarRing):
+    table = _HAMILTON_TABLE
+
     def __init__(self, exact: bool):
         self.exact = exact
         self.name = "quaternion" if exact else "quaternion-float"
@@ -258,7 +279,8 @@ class GenericMatrix:
         if not isinstance(other, GenericMatrix):
             return NotImplemented
         o = self._same_shape(other)
-        n = self.n
+        if self.ring.exact:
+            return GenericMatrix(self.ring, _exact_product(self, o))
         cols = list(zip(*o.rows))
         out = []
         for row in self.rows:
@@ -282,6 +304,12 @@ class GenericMatrix:
     def scale(self, c) -> "GenericMatrix":
         """Multiply by a central base-field scalar."""
         s = self.ring.embed(c)
+        if self.ring is HQ:
+            # s is real: scale the components, not a full quaternion product
+            return GenericMatrix(self.ring, [
+                [Quaternion(*(s.w * x for x in a.components())) for a in row]
+                for row in self.rows
+            ])
         return GenericMatrix(self.ring, [[s * a for a in row] for row in self.rows])
 
     def transpose(self) -> "GenericMatrix":
@@ -316,9 +344,13 @@ class GenericMatrix:
 
         Exact backends take the first nonzero pivot; float backends the
         largest by magnitude.  Valid over the quaternions because rows are
-        only ever left-multiplied by scalar inverses.
+        only ever left-multiplied by scalar inverses.  The rational ring
+        eliminates fraction-free instead (_bareiss_inverse), with the same
+        pivots.
         """
         ring, n = self.ring, self.n
+        if ring is QQ:
+            return GenericMatrix(ring, _bareiss_inverse(self))
         zero, one = ring.zero(), ring.one()
         work = [list(row) + [one if i == j else zero for j in range(n)]
                 for i, row in enumerate(self.rows)]
@@ -350,6 +382,78 @@ class GenericMatrix:
                     continue
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
         return GenericMatrix(ring, [row[n:] for row in work])
+
+
+def _integer_components(m: GenericMatrix, count: int):
+    """Integer numerators of m's entries over one common denominator.
+
+    Returns (parts, den): parts[k] is the row-major list of the numerators
+    of component k (count is 1 for rationals, 4 for quaternions), and
+    entry component k equals parts[k][i * n + j] / den.
+    """
+    entries = [x.components() if count > 1 else (x,) for row in m.rows for x in row]
+    den = math.lcm(*(c.denominator for e in entries for c in e))
+    parts = [[e[k].numerator * (den // e[k].denominator) for e in entries]
+             for k in range(count)]
+    return parts, den
+
+
+def _exact_product(a: GenericMatrix, b: GenericMatrix) -> list:
+    """Rows of a * b over an exact ring, by integer matrix products.
+
+    Component p of a times component q of b adds, with the sign the ring's
+    table gives, into component r of the product: one integer matmul for
+    the rationals, sixteen for the quaternions.  Python ints in numpy
+    object arrays keep the sums exact; the only gcd is the one that
+    normalizes each output component over the product of denominators.
+    """
+    table = a.ring.table
+    n, count = a.n, len(table)
+    a_parts, a_den = _integer_components(a, count)
+    b_parts, b_den = _integer_components(b, count)
+    a_arrays = [np.array(x, dtype=object).reshape(n, n) for x in a_parts]
+    b_arrays = [np.array(x, dtype=object).reshape(n, n) for x in b_parts]
+    acc = [0] * count
+    for p, row in enumerate(table):
+        for q, (r, sign) in enumerate(row):
+            prod = a_arrays[p] @ b_arrays[q]
+            acc[r] = acc[r] + prod if sign > 0 else acc[r] - prod
+    den = a_den * b_den
+    flat = [[Fraction(v, den) for v in c.ravel().tolist()] for c in acc]
+    entries = flat[0] if count == 1 else [Quaternion(*c) for c in zip(*flat)]
+    return [entries[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _bareiss_inverse(m: GenericMatrix) -> list:
+    """Rows of m^-1 over the rationals by fraction-free Gauss-Jordan.
+
+    Bareiss elimination (Math. Comp. 22, 1968) on the integer numerators
+    of [den * m | I]: each step replaces every other row by (pivot * row -
+    factor * pivot row) / previous pivot, an exact integer division.  The
+    left block ends as det * I with det the last pivot, so den / det times
+    the right block is m^-1.  Pivots are the first nonzero entry of each
+    column; the entries below a pivot are nonzero multiples of the plain
+    Gauss-Jordan ones, so SingularMatrixError names the same column.
+    """
+    n = m.n
+    (numerators,), den = _integer_components(m, 1)
+    work = [numerators[i * n:(i + 1) * n] + [int(i == j) for j in range(n)]
+            for i in range(n)]
+    prev = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrixError(col)
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot_line = work[col]
+        pivot = pivot_line[col]
+        for r in range(n):
+            if r != col:
+                factor = work[r][col]
+                work[r] = [(pivot * x - factor * y) // prev
+                           for x, y in zip(work[r], pivot_line)]
+        prev = pivot
+    return [[Fraction(den * x, prev) for x in line[n:]] for line in work]
 
 
 def commutator(a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:

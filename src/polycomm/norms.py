@@ -10,6 +10,7 @@ reports the full comparison, not just a verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -206,6 +207,32 @@ def _report(lhs, rhs, n, degree, seed=None, mc_margin=0.0) -> BoundReport:
     return BoundReport(lhs, rhs, satisfied, ratio, n, degree, seed, mc_margin)
 
 
+def _in_double_range(check):
+    """Run a bound checker with numpy overflow warnings off.  A float
+    OverflowError, or a side of the bound that is not finite, becomes a
+    ValueError naming the double range instead of a warning and an
+    unprintable report."""
+
+    @functools.wraps(check)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = check(*args, **kwargs)
+        except OverflowError:
+            report = None
+        if report is None or not all(
+            map(math.isfinite, (report.lhs, report.rhs, report.mc_margin))
+        ):
+            raise ValueError(
+                f"{check.__name__}: a norm in the bound exceeds the double range"
+                " (about 1.8e308); scale the polynomial or the matrices down"
+            )
+        return report
+
+    return checked
+
+
+@_in_double_range
 def check_bottcher_wenzel(a: MatrixLike, b: MatrixLike, seed=None) -> BoundReport:
     """||AB - BA||_F^2 <= 2 ||A||_F^2 ||B||_F^2.
 
@@ -219,9 +246,6 @@ def check_bottcher_wenzel(a: MatrixLike, b: MatrixLike, seed=None) -> BoundRepor
     return _report(lhs, rhs, x.shape[0], 1, seed)
 
 
-check_bw = check_bottcher_wenzel
-
-
 def _weight_sum(p, fa: float, fb: float) -> float:
     cs = _coeffs(p)
     total = 0.0
@@ -230,6 +254,7 @@ def _weight_sum(p, fa: float, fb: float) -> float:
     return total
 
 
+@_in_double_range
 def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundReport:
     """||p(AB)-p(BA)||_F <= ||[A,B]||_F * sum |c_k| k ||A||_F^(k-1) ||B||_F^(k-1).
 
@@ -244,6 +269,7 @@ def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundRe
     return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
 
 
+@_in_double_range
 def check_numrad_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundReport:
     """Numerical-radius analogue with the power-inequality growth factor:
     h(p(AB)-p(BA)) <= h([A,B]) * sum |c_k| k 4^k / 2 * h(A)^(k-1) h(B)^(k-1)."""
@@ -297,6 +323,7 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
     return SphereEstimate(samples, mean, std_error, exact_value)
 
 
+@_in_double_range
 def check_average_bound(
     p, a: MatrixLike, b: MatrixLike, samples: int = 4000, seed: int = 0
 ) -> BoundReport:

@@ -251,15 +251,6 @@ def negating_conjugator(w: Quaternion) -> Quaternion:
     return b
 
 
-def axis_angle_normalize(alpha: Quaternion):
-    """Split alpha into (real part, imaginary norm, unit axis or None)."""
-    im = alpha.im()
-    n2 = im.norm2()
-    if n2 == 0:
-        return alpha.re(), 0.0, None
-    return alpha.re(), math.sqrt(float(n2)), im / im.norm()
-
-
 def complexifying_conjugator(alpha: Quaternion) -> Quaternion:
     """gamma with gamma^-1 alpha gamma = Re(alpha) + |Im(alpha)| i.
 

@@ -79,17 +79,13 @@ def _check_triangular(t: GenericMatrix, shape: str):
                 raise ValueError(f"diagonal entries {i} and {j} coincide")
 
 
-def triangular_diagonalize(t: GenericMatrix, shape: str) -> GenericMatrix:
-    """Unitriangular P (same shape as t) with P^-1 t P = diag(t).
+def _substitute(t: GenericMatrix, shape: str) -> GenericMatrix:
+    """Unitriangular P (same shape as t) solving t P = P diag(t).
 
-    Needs central, pairwise distinct diagonal entries; each P entry then
-    solves (t_ii - t_jj) P_ij = -(sum of already known products), a
-    forward substitution since the stricter entries only reference rows
-    between j and i.
+    Each strict entry solves (t_ii - t_jj) P_ij = -(sum of already known
+    products), a forward substitution since the stricter entries only
+    reference rows between j and i.
     """
-    if shape not in ("lower", "upper"):
-        raise ValueError("shape must be 'lower' or 'upper'")
-    _check_triangular(t, shape)
     ring, n = t.ring, t.n
     zero, one = ring.zero(), ring.one()
     diag = t.diagonal_entries()
@@ -108,8 +104,21 @@ def triangular_diagonalize(t: GenericMatrix, shape: str) -> GenericMatrix:
                 for k in range(i + 1, j + 1):
                     s = s + t.rows[i][k] * p_rows[k][j]
                 p_rows[i][j] = ring.inv(diag[j] - diag[i]) * s
-    p = GenericMatrix(ring, p_rows)
-    if p.inverse() * t * p != GenericMatrix.diagonal(ring, diag):
+    return GenericMatrix(ring, p_rows)
+
+
+def triangular_diagonalize(t: GenericMatrix, shape: str) -> GenericMatrix:
+    """Unitriangular P (same shape as t) with P^-1 t P = diag(t).
+
+    Needs central, pairwise distinct diagonal entries.  P comes from a
+    forward substitution and is checked as t P = P diag(t), which for the
+    invertible (unitriangular) P is the same identity without an inverse.
+    """
+    if shape not in ("lower", "upper"):
+        raise ValueError("shape must be 'lower' or 'upper'")
+    _check_triangular(t, shape)
+    p = _substitute(t, shape)
+    if t * p != p * GenericMatrix.diagonal(t.ring, t.diagonal_entries()):
         raise VerificationError("triangular diagonalization failed to verify")
     return p
 
@@ -144,22 +153,26 @@ class RealizationWitness:
         g_inv = self.g.inverse()
         g1_inv = self.g1.inverse()
         g2_inv = self.g2.inverse()
-        if self.a1 != self.g * self.g1 * g2_inv * g_inv:
+        # the outer factors every identity below shares, each built once
+        gg1, gg2 = self.g * self.g1, self.g * self.g2
+        gg2d = gg2 * self.d
+        g1_out, g2_out = g1_inv * g_inv, g2_inv * g_inv
+        if self.a1 != gg1 * g2_out:
             return False
-        if self.b1 != self.g * self.g2 * self.d * g1_inv * g_inv:
+        if self.b1 != gg2d * g1_out:
             return False
         ab = self.a1 * self.b1
         ba = self.b1 * self.a1
-        if ab != self.g * (self.g1 * self.d * g1_inv) * g_inv:
+        if ab != gg1 * self.d * g1_out:
             return False
-        if ba != self.g * (self.g2 * self.d * g2_inv) * g_inv:
+        if ba != gg2d * g2_out:
             return False
         p_d = poly_eval_matrix(self.p, self.d)
         p_ab = poly_eval_matrix(self.p, ab)
         p_ba = poly_eval_matrix(self.p, ba)
-        if p_ab != self.g * (self.g1 * p_d * g1_inv) * g_inv:
+        if p_ab != gg1 * p_d * g1_out:
             return False
-        if p_ba != self.g * (self.g2 * p_d * g2_inv) * g_inv:
+        if p_ba != gg2 * p_d * g2_out:
             return False
         vals = p_d.diagonal_entries()
         for i in range(len(vals)):

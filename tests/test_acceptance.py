@@ -27,7 +27,7 @@ from polycomm import (
     Quaternion,
     algebraic_degree_probe,
     algebraicity_polynomial,
-    check_bw,
+    check_bottcher_wenzel,
     check_frobenius_bound,
     check_numrad_bound,
     factor_into_two_commutators,
@@ -462,7 +462,7 @@ def test_criterion_10_norm_bounds():
     for _ in range(500):
         n = rng.randint(2, 8)
         a, b = rand_complex_array(rng, n), rand_complex_array(rng, n)
-        assert check_bw(a, b).satisfied
+        assert check_bottcher_wenzel(a, b).satisfied
         counts["bw"] += 1
     for _ in range(500):
         n = rng.randint(2, 8)
@@ -489,7 +489,7 @@ def test_criterion_10_norm_bounds():
     collapse_ok = abs(collapse.ratio - 1.0) <= 1e-12
     shift = [[0, 1], [0, 0]]
     shift_t = [[0, 0], [1, 0]]
-    eq = check_bw(shift, shift_t)
+    eq = check_bottcher_wenzel(shift, shift_t)
     equality_ok = eq.lhs == 2.0 and eq.rhs == 2.0 and eq.ratio == 1.0
     report(
         10,

@@ -10,7 +10,7 @@ import pytest
 from polycomm.cli import main
 from polycomm.matrix import QQ, GenericMatrix
 from polycomm.poly import Polynomial
-from polycomm.realize import realize_zero_diagonal
+from polycomm.realize import RealizationWitness, realize_zero_diagonal
 from polycomm.serialize import encode_witness
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -448,6 +448,51 @@ def test_sphere_avg_overflow_is_an_input_error(capsys, recwarn):
         capsys, "sphere-avg", "--input", "[[1e70,0],[0,1]]", "--samples", "1000"
     )
     assert code == 0, err
+
+
+def test_bound_overflow_is_an_input_error(capsys, recwarn):
+    code, out, err = run_cli(
+        capsys, "verify-bounds", "--poly", "0,0,0,1e300", "--n", "4", "--trials", "1"
+    )
+    assert_one_error_line(code, out, err, recwarn, "double range")
+    # a large coefficient whose norms stay in range is still checked
+    code, doc = run_json(
+        capsys, "verify-bounds", "--poly", "0,0,0,1e100", "--n", "4", "--trials", "1"
+    )
+    assert code == 0 and doc["all_satisfied"] is True
+
+
+REALIZE_CALLS = [
+    ("realize-matrix", "--poly", "0,0,1",
+     "--input", '{"ring": "rational", "entries": [[0, 1, 2], [3, 0, 4], [5, 6, 0]]}'),
+    ("realize-traceless", "--poly", "0,1,1",
+     "--input", '{"ring": "rational", "entries": [[1, 2], [3, -1]]}'),
+]
+
+
+@pytest.mark.parametrize("argv", REALIZE_CALLS, ids=lambda argv: argv[0])
+def test_realization_is_verified_once(capsys, monkeypatch, argv):
+    calls = []
+    verify = RealizationWitness.verify
+
+    def counted(self):
+        calls.append(self)
+        return verify(self)
+
+    monkeypatch.setattr(RealizationWitness, "verify", counted)
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["verified"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", REALIZE_CALLS, ids=lambda argv: argv[0])
+def test_failed_realization_verification_exits_three(capsys, monkeypatch, argv):
+    monkeypatch.setattr(RealizationWitness, "verify", lambda self: False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    failures = [line for line in err.splitlines() if line.startswith("verification failed:")]
+    assert len(failures) == 1, err
 
 
 def test_input_neither_json_nor_file(capsys, recwarn, tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -296,3 +297,110 @@ def test_mixed_ring_arithmetic_rejected():
     b = GenericMatrix.identity(CC, 2)
     with pytest.raises(ValueError):
         a + b
+
+
+# Reference arithmetic for the fraction-free exact product and rational
+# inverse: the plain per-entry loop and a Fraction Gauss-Jordan elimination
+# with the first nonzero pivot of each column.
+def reference_product(a, b):
+    n = a.n
+    return GenericMatrix(a.ring, [
+        [sum((a[i, k] * b[k, j] for k in range(1, n)), start=a[i, 0] * b[0, j])
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def reference_inverse(m):
+    n = m.n
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m.rows)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError(col)
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        inv_p = 1 / work[col][col]
+        work[col] = [inv_p * v for v in work[col]]
+        for r in range(n):
+            factor = work[r][col]
+            if r != col and factor != 0:
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return GenericMatrix(QQ, [row[n:] for row in work])
+
+
+def random_rational(r, big=False):
+    """An int or a Fraction, with numerators near 2^200 when big."""
+    num = r.randint(-3, 3)
+    if big:
+        num = r.choice((-1, 1)) * (2**200 + r.randint(-1000, 1000))
+    if r.random() < 0.4:
+        return num
+    return Fraction(num, r.choice((1, 2, 3, 7, 12, 2**61 - 1)))
+
+
+def random_qq(r, n, big=False):
+    return GenericMatrix.from_rows(QQ, [[random_rational(r, big) for _ in range(n)]
+                                        for _ in range(n)])
+
+
+def random_hq(r, n, big=False):
+    return GenericMatrix.from_rows(
+        HQ,
+        [[Quaternion(*(random_rational(r, big) for _ in range(4))) for _ in range(n)]
+         for _ in range(n)],
+    )
+
+
+def assert_exact_entries(m):
+    for row in m.rows:
+        for x in row:
+            parts = x.components() if isinstance(x, Quaternion) else (x,)
+            assert all(isinstance(c, (int, Fraction)) for c in parts), m
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exact_product_matches_entry_loop(n):
+    r = random.Random(SEED + n)
+    for ring, make in ((QQ, random_qq), (HQ, random_hq)):
+        for big in (False, True):
+            a, b = make(r, n, big), make(r, n, not big)
+            product = a * b
+            assert product == reference_product(a, b)
+            assert_exact_entries(product)
+        zero = GenericMatrix.zeros(ring, n)
+        a = make(r, n)
+        assert a * zero == zero and zero * a == zero
+        assert (zero * zero).is_zero()
+        eye = GenericMatrix.identity(ring, n)
+        assert a * eye == a and eye * a == a
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rational_inverse_matches_fraction_gauss_jordan(n):
+    r = random.Random(SEED * 3 + n)
+    singular_columns = set()
+    for trial in range(12):
+        m = random_qq(r, n, big=trial % 3 == 2)
+        if trial % 4 == 3:
+            # column c a combination of the earlier ones (zero when c = 0)
+            c = r.randrange(n)
+            rows = [list(row) for row in m.rows]
+            for row in rows:
+                row[c] = sum((k * row[j] for k, j in enumerate(range(c), 2)), start=0)
+            m = GenericMatrix.from_rows(QQ, rows)
+        try:
+            expected = reference_inverse(m)
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as info:
+                m.inverse()
+            assert info.value.column == exc.column
+            singular_columns.add(exc.column)
+            continue
+        inverse = m.inverse()
+        assert inverse == expected
+        assert_exact_entries(inverse)
+    assert singular_columns  # the singular branch ran
+    with pytest.raises(SingularMatrixError) as info:
+        GenericMatrix.zeros(QQ, n).inverse()
+    assert info.value.column == 0

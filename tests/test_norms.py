@@ -11,7 +11,6 @@ from polycomm.norms import (
     as_complex_array,
     check_average_bound,
     check_bottcher_wenzel,
-    check_bw,
     check_frobenius_bound,
     check_numrad_bound,
     commutator_array,
@@ -187,10 +186,6 @@ def test_bw_commuting_pair():
     assert report.lhs == 0.0
     assert report.satisfied
     assert report.ratio == 0.0
-
-
-def test_bw_alias():
-    assert check_bw is check_bottcher_wenzel
 
 
 def test_bw_sweep():

@@ -11,7 +11,6 @@ from polycomm.quat import (
     QK,
     Quaternion,
     VerificationError,
-    axis_angle_normalize,
     complexifying_conjugator,
     conjugate_by,
     factor_into_two_commutators,
@@ -161,15 +160,6 @@ def test_negating_conjugator_rejects_bad_input():
         negating_conjugator(ONE + QI)
     with pytest.raises(ValueError):
         negating_conjugator(Quaternion.exact())
-
-
-def test_axis_angle_normalize():
-    re, n, axis = axis_angle_normalize(Quaternion.exact(1, 2, 0, 0))
-    assert re == 1
-    assert n == 2.0
-    assert axis.approx_eq(QI.to_float(), 1e-15) or axis == QI
-    re, n, axis = axis_angle_normalize(Quaternion.exact(3))
-    assert (re, n, axis) == (3, 0.0, None)
 
 
 def test_complexifying_conjugator_frozen_exact():

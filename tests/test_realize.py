@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from polycomm import realize
 from polycomm.matrix import CC, HQ, QQ, GenericMatrix, poly_commutator, poly_eval_matrix
 from polycomm.poly import Polynomial
 from polycomm.quat import QI, QJ, QK, Quaternion, VerificationError
@@ -120,6 +121,26 @@ def test_triangular_diagonalize_random_sweep():
         t = qq(rows)
         p = triangular_diagonalize(t, "lower")
         assert p.inverse() * t * p == GenericMatrix.diagonal(QQ, diag)
+
+
+def test_triangular_diagonalize_rejects_a_wrong_substitution(monkeypatch):
+    substitute = realize._substitute
+
+    def off_by_one(t, shape):
+        rows = [list(row) for row in substitute(t, shape).rows]
+        i, j = (2, 0) if shape == "lower" else (0, 2)
+        rows[i][j] = rows[i][j] + 1
+        return GenericMatrix(t.ring, rows)
+
+    lower = qq([[0, 0, 0], [1, 1, 0], [2, 3, 2]])
+    assert triangular_diagonalize(lower, "lower")  # the true P passes
+    monkeypatch.setattr(realize, "_substitute", off_by_one)
+    with pytest.raises(VerificationError):
+        triangular_diagonalize(lower, "lower")
+    with pytest.raises(VerificationError):
+        triangular_diagonalize(lower.transpose(), "upper")
+    with pytest.raises(VerificationError):
+        realize_zero_diagonal(X2, qq([[0, 1, 2], [3, 0, 4], [5, 6, 0]]))
 
 
 def test_realization_worked_example():
