@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -262,7 +263,8 @@ def _trace_witness(args) -> dict:
 
 @_subcommand(
     "probe-degree",
-    ("input",), ("seed",), ("trials", 8, "trials per degree level"),
+    ("input",), ("seed",),
+    ("trials", 8, "random draws for the lower witness at degree - 1"),
 )
 def _probe_degree(args) -> dict:
     """estimate the algebraic degree of a quaternion or exact matrix"""
@@ -281,6 +283,8 @@ def _probe_degree(args) -> dict:
         "trials_per_degree": result.trials_per_degree,
         "estimated_degree": result.estimated_degree,
         "vanish_pattern": {str(m): v for m, v in result.vanish_pattern.items()},
+        # algebraic_degree_probe raises VerificationError unless both the
+        # annihilator and the lower witness held
         "verified": True,
     }
 
@@ -449,7 +453,10 @@ def _verify_telescope(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: formatting the ten subparsers costs more than a
+    # small request, and no option has a mutable default, so sharing is safe
     ap = argparse.ArgumentParser(
         prog="polycomm",
         description="Witness constructions and verification sweeps for "

@@ -84,7 +84,14 @@ def poly_commutator_array(p, a: MatrixLike, b: MatrixLike) -> np.ndarray:
             acc = acc @ m + c * np.eye(m.shape[0], dtype=np.complex128)
         return acc
 
-    return horner(x @ y) - horner(y @ x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = horner(x @ y) - horner(y @ x)
+    if not np.isfinite(out).all():
+        raise ValueError(
+            "p(AB) - p(BA) exceeds the double range (about 1.8e308); scale the"
+            " polynomial or the matrices down"
+        )
+    return out
 
 
 def operator_norm(a: MatrixLike, max_iter: int = 100_000) -> float:

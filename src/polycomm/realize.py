@@ -17,6 +17,7 @@ builds diagonal quaternion pairs whose p-commutator has nonzero trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -446,35 +447,125 @@ def algebraicity_polynomial(y0, probes: Sequence):
 
 @dataclass(frozen=True)
 class DegreeProbeResult:
+    """Exact algebraic degree of an element over the centre (the rationals).
+
+    vanish_pattern[m] says whether the algebraicity sum with m probes
+    vanishes identically: true only at m = estimated_degree.  annihilator
+    is the monic q of that degree with q(a) = 0, which proves vanishing
+    there; lower_probes are probes whose sum at level estimated_degree - 1
+    is nonzero, which refutes it at every lower level (empty at degree 1).
+    """
+
     estimated_degree: int
     trials_per_degree: int
     vanish_pattern: dict
+    annihilator: Polynomial | None = None
+    lower_probes: tuple = ()
+
+
+def _coordinates(x) -> list:
+    """x's coordinates over a basis of its algebra as a rational vector space.
+
+    An int or Fraction is its own coordinate and an exact quaternion has its
+    four components; a matrix lists its entries' coordinates row by row
+    (n^2 of them over the rationals, 4 n^2 over the exact quaternions).
+    """
+    if isinstance(x, GenericMatrix):
+        if not x.ring.exact:
+            raise ValueError(
+                f"the degree probe needs an exact backend, not {x.ring.name}"
+            )
+        return [c for row in x.rows for entry in row for c in _coordinates(entry)]
+    if isinstance(x, Quaternion) and x.is_exact():
+        return list(x.components())
+    if isinstance(x, (int, Fraction)):
+        return [x]
+    raise ValueError(
+        "the degree probe needs an exact element: an int, a Fraction, an exact "
+        "quaternion or a rational or exact-quaternion matrix"
+    )
+
+
+def _annihilator(a, m_max: int):
+    """Powers a^0..a^d and the coefficients of the monic q of least degree d
+    with q(a) = 0, constant first.
+
+    Each power's coordinates, scaled to integers, are reduced against the
+    rows kept from the earlier powers by fraction-free elimination (cross
+    multiplication, then division by the content).  Every kept row carries
+    the integer combination of the powers' coordinates it equals, so the
+    first power that reduces to zero gives the dependence, and thus q,
+    directly.  Raises DegreeNotBoundedError when a^0..a^m_max are
+    independent.
+    """
+    powers = [_one_like(a)]
+    rows: list = []  # (pivot, integer row, its combination of the powers)
+    for k in range(m_max + 1):
+        if k:
+            powers.append(powers[-1] * a)
+        coords = _coordinates(powers[k])
+        den = math.lcm(*(c.denominator for c in coords))
+        work = [c.numerator * (den // c.denominator) for c in coords]
+        combo = [0] * (m_max + 1)
+        combo[k] = den
+        for pivot, row, row_combo in rows:
+            f = work[pivot]
+            if f:
+                g = row[pivot]
+                work = [g * w - f * r for w, r in zip(work, row)]
+                combo = [g * c - f * rc for c, rc in zip(combo, row_combo)]
+        pivot = next((idx for idx, w in enumerate(work) if w), None)
+        if pivot is None:
+            # sum combo[j] a^j = 0, and combo[k] is den times nonzero pivots
+            return powers, [Fraction(c, combo[k]) for c in combo[: k + 1]]
+        content = math.gcd(*work, *combo)
+        rows.append((pivot, [w // content for w in work], [c // content for c in combo]))
+    raise DegreeNotBoundedError(m_max, {m: False for m in range(1, m_max + 1)})
+
+
+def _scaled(x, c):
+    return x.scale(c) if isinstance(x, GenericMatrix) else c * x
 
 
 def algebraic_degree_probe(
     a, m_max: int = 7, trials: int = 8, seed: int = 0
 ) -> DegreeProbeResult:
-    """Least m whose algebraicity sum vanishes on every random trial.
+    """Exact algebraic degree d <= m_max of an exact element over the centre.
 
-    Vanishing at the true degree is an identity, so only the nonvanishing
-    checks below it are probabilistic; with integer probes a false
-    all-vanish at a smaller m has negligible probability, and the result
-    records the per-level outcomes.
+    The algebraicity sum with m probes vanishes identically exactly when the
+    degree is at most m.  The upper side is exact: the first linear
+    dependence among a^0, a^1, .. gives the monic annihilator q of least
+    degree d, rechecked as q(a) == 0 from the powers.  The lower side is one
+    random witness: probes whose sum at level d - 1 is nonzero, drawn for
+    at most `trials` trials; if every trial vanishes the two sides disagree
+    and VerificationError names the level.
     """
     if m_max < 1 or m_max > 7:
         raise ValueError("m_max must be between 1 and 7")
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = stream(seed, "degree-probe")
-    pattern: dict = {}
-    for m in range(1, m_max + 1):
-        all_vanish = True
+    powers, q = _annihilator(a, m_max)
+    d = len(q) - 1
+    residue = powers[d]
+    for c, power in zip(q[:d], powers):
+        if c:
+            residue = residue + _scaled(power, c)
+    if not _is_zero_element(residue):
+        raise VerificationError(
+            f"the annihilating polynomial of degree {d} does not vanish on the input"
+        )
+    lower: tuple = ()
+    if d >= 2:
+        rng = stream(seed, "degree-probe")
         for _ in range(trials):
-            probes = [probe_like(rng, a) for _ in range(m)]
+            probes = tuple(probe_like(rng, a) for _ in range(d - 1))
             if not _is_zero_element(algebraicity_polynomial(a, probes)):
-                all_vanish = False
+                lower = probes
                 break
-        pattern[m] = all_vanish
-        if all_vanish:
-            return DegreeProbeResult(m, trials, dict(pattern))
-    raise DegreeNotBoundedError(m_max, pattern)
+        else:
+            raise VerificationError(
+                f"the algebraicity sum at level {d - 1} vanished on all {trials} "
+                f"trials, but the least annihilating polynomial has degree {d}"
+            )
+    pattern = {m: m == d for m in range(1, d + 1)}
+    return DegreeProbeResult(d, trials, pattern, Polynomial(q), lower)

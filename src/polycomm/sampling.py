@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import CC, HQ, QQ, GenericMatrix
+from .matrix import HQ, QQ, GenericMatrix
 from .poly import Polynomial
 from .quat import Quaternion
 
@@ -59,15 +59,6 @@ def exact_quaternion(rng, bound: int = 3) -> Quaternion:
     return Quaternion.exact(*(rng.randint(-bound, bound) for _ in range(4)))
 
 
-def imaginary_quaternion(rng, norm: float) -> Quaternion:
-    """Float purely imaginary quaternion with the given norm."""
-    while True:
-        parts = [rng.gauss(0.0, 1.0) for _ in range(3)]
-        length = (parts[0] ** 2 + parts[1] ** 2 + parts[2] ** 2) ** 0.5
-        if length > 1e-12:
-            return Quaternion.of_floats(0.0, *(norm * c / length for c in parts))
-
-
 def quaternion_matrix(rng, n: int, bound: int = 2) -> GenericMatrix:
     return GenericMatrix(
         HQ, [[exact_quaternion(rng, bound) for _ in range(n)] for _ in range(n)]
@@ -80,40 +71,22 @@ def exact_polynomial(rng, degree: int, bound: int = 3) -> Polynomial:
     return Polynomial(coeffs + [lead])
 
 
-def float_polynomial(rng, degree: int) -> Polynomial:
-    coeffs = [rng.uniform(-2.0, 2.0) for _ in range(degree)]
-    lead = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-    return Polynomial(coeffs + [lead])
-
-
 def complex_gaussian_matrix(gen: np.random.Generator, n: int) -> np.ndarray:
     return (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))) / np.sqrt(2.0)
 
 
 def probe_like(rng, template):
-    """Random element shaped like the template (used by the degree probe)."""
+    """Random exact element shaped like the template (used by the degree probe)."""
     if isinstance(template, GenericMatrix):
         ring = template.ring
         n = template.n
-        if ring.name == QQ.name:
+        if ring is QQ:
             return rational_matrix(rng, n)
-        if ring.name.startswith("quaternion"):
-            entries = [
-                [exact_quaternion(rng, 2) for _ in range(n)] for _ in range(n)
-            ]
-            return GenericMatrix.from_rows(ring, entries)
-        if ring.name == CC.name:
-            return GenericMatrix.from_rows(
-                ring,
-                [
-                    [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-                    for _ in range(n)
-                ],
-            )
+        if ring is HQ:
+            return quaternion_matrix(rng, n)
         raise ValueError(f"no probe sampler for ring {ring.name}")
-    if isinstance(template, Quaternion):
-        q = exact_quaternion(rng)
-        return q if template.is_exact() else q.to_float()
+    if isinstance(template, Quaternion) and template.is_exact():
+        return exact_quaternion(rng)
     if isinstance(template, (int, Fraction)):
         return Fraction(rng.randint(-9, 9))
-    return rng.gauss(0.0, 1.0)
+    raise ValueError(f"no exact probe sampler for {type(template).__name__}")

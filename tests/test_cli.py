@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from polycomm.cli import main
+from polycomm import norms, realize
+from polycomm.cli import build_parser, main
 from polycomm.matrix import QQ, GenericMatrix
 from polycomm.poly import Polynomial
 from polycomm.realize import RealizationWitness, realize_zero_diagonal
@@ -214,6 +215,15 @@ def test_probe_degree_matrix(capsys):
     )
     assert code == 0
     assert doc["estimated_degree"] == 3
+
+
+def test_probe_degree_exits_three_when_the_lower_witness_fails(capsys, monkeypatch):
+    monkeypatch.setattr(realize, "algebraicity_polynomial", lambda y0, probes: 0)
+    code, out, err = run_cli(capsys, "probe-degree", "--input", "[0,0,1,0]")
+    assert code == 3
+    assert out == ""
+    failures = [line for line in err.splitlines() if line.startswith("verification failed:")]
+    assert len(failures) == 1 and "level 1" in failures[0], err
 
 
 def test_probe_degree_rejects_float_ring(capsys):
@@ -462,6 +472,25 @@ def test_bound_overflow_is_an_input_error(capsys, recwarn):
     assert code == 0 and doc["all_satisfied"] is True
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_overflow_is_an_input_error(capsys, recwarn, fmt):
+    code, out, err = run_cli(
+        capsys, "sweep-constants", "--poly", "0,0,0,1e308", "--n", "4", "--trials", "2",
+        "--format", fmt,
+    )
+    assert_one_error_line(code, out, err, recwarn, "double range")
+
+
+def test_poly_commutator_overflow_names_the_double_range(recwarn):
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    big = [[1e200, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="double range"):
+        norms.poly_commutator_array([0, 0, 0, 1], big, [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="double range"):
+        norms.check_numrad_bound([0, 0, 0, 1e308], big, eye)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 REALIZE_CALLS = [
     ("realize-matrix", "--poly", "0,0,1",
      "--input", '{"ring": "rational", "entries": [[0, 1, 2], [3, 0, 4], [5, 6, 0]]}'),
@@ -551,6 +580,32 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "solve-quat" in out and "verify-telescope" in out
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+# different subcommands in one process, with argparse errors between them
+SHARED_PARSER_CALLS = [
+    ("probe-degree", "--input", "[0,0,1,0]"),
+    ("solve-quat", "--poly", "0,1"),
+    ("trace-witness", "--poly", "0,1", "--n", "3"),
+    ("probe-degree", "--input", "[0,0,1,0]", "--trials", "0"),
+    ("sweep-constants", "--poly", "0,1", "--trials", "3", "--format", "csv"),
+    ("--help",),
+    ("verify-telescope", "--poly", "0,1", "--ring", "quaternion", "--trials", "2"),
+]
+
+
+def test_shared_parser_answers_like_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    for argv in SHARED_PARSER_CALLS:
+        code, out, err = run_cli(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polycomm.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 def polycomm_command():

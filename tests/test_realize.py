@@ -3,10 +3,12 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycomm import realize
-from polycomm.matrix import CC, HQ, QQ, GenericMatrix, poly_commutator, poly_eval_matrix
-from polycomm.poly import Polynomial
+from polycomm.matrix import CC, HF, HQ, QQ, GenericMatrix, poly_commutator, poly_eval_matrix
+from polycomm.poly import Polynomial, eval_poly
 from polycomm.quat import QI, QJ, QK, Quaternion, VerificationError
 from polycomm.realize import (
     DegreeNotBoundedError,
@@ -440,10 +442,12 @@ def test_algebraicity_guards():
 
 
 def _flatten(m):
+    """Rational coordinates of m: its entries, or their four components over HQ."""
     out = []
     for row in m.rows:
         for v in row:
-            out.append(Fraction(v))
+            parts = v.components() if isinstance(v, Quaternion) else (v,)
+            out.extend(Fraction(c) for c in parts)
     return out
 
 
@@ -477,7 +481,7 @@ def minimal_polynomial_degree(a):
     """Least k with I, A, .., A^k linearly dependent, by exact elimination."""
     powers = [_flatten(GenericMatrix.identity(a.ring, a.n))]
     acc = GenericMatrix.identity(a.ring, a.n)
-    for k in range(1, a.n + 1):
+    for k in range(1, len(powers[0]) + 1):
         acc = acc * a
         powers.append(_flatten(acc))
         if _rank(powers) < len(powers):
@@ -548,3 +552,115 @@ def test_probe_guards():
         algebraic_degree_probe(QJ, m_max=8)
     with pytest.raises(ValueError):
         algebraic_degree_probe(QJ, trials=0)
+
+
+@st.composite
+def similar_companion_blocks(draw):
+    """S C S^-1 over QQ, n = 1..4: C is block diagonal with companion blocks
+    of small monic polynomials, S a product of integer unitriangular
+    matrices (so invertible)."""
+    n = draw(st.integers(1, 4))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = draw(st.integers(1, n - start))
+        tail = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        block = companion(tail).rows
+        for i in range(size):
+            for j in range(size):
+                rows[start + i][start + j] = block[i][j]
+        start += size
+    def unitriangular(below):
+        entries = st.integers(-2, 2)
+        return qq([
+            [1 if i == j else draw(entries) if (i > j) == below else 0 for j in range(n)]
+            for i in range(n)
+        ])
+
+    s = unitriangular(True) * unitriangular(False)
+    return s * qq(rows) * s.inverse()
+
+
+small_quaternions = st.builds(
+    Quaternion.exact, *(st.integers(-3, 3) for _ in range(4))
+)
+quaternion_2x2 = st.lists(small_quaternions, min_size=4, max_size=4).map(
+    lambda q: GenericMatrix(HQ, [q[:2], q[2:]])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    element=st.one_of(similar_companion_blocks(), small_quaternions, quaternion_2x2),
+    seed=st.integers(0, 2**16),
+)
+def test_probe_degree_is_the_minimal_polynomial_degree(element, seed):
+    if isinstance(element, GenericMatrix):
+        d = minimal_polynomial_degree(element)
+    else:
+        d = minimal_polynomial_degree(GenericMatrix(HQ, [[element]]))
+    result = algebraic_degree_probe(element, seed=seed)
+    assert result.estimated_degree == d
+    assert result.vanish_pattern == {m: m == d for m in range(1, d + 1)}
+    # both sides recheck from the result alone
+    q = result.annihilator
+    assert q.degree == d and q.coeffs[-1] == 1
+    if isinstance(element, GenericMatrix):
+        assert poly_eval_matrix(q, element).is_zero()
+    else:
+        assert eval_poly(q, element).is_zero()
+    assert len(result.lower_probes) == d - 1
+    if d >= 2:
+        assert not algebraicity_polynomial(element, result.lower_probes).is_zero()
+
+
+def test_probe_runs_one_algebraicity_sum(monkeypatch):
+    calls = []
+
+    def counted(y0, probes):
+        calls.append(len(probes))
+        return algebraicity_polynomial(y0, probes)
+
+    monkeypatch.setattr(realize, "algebraicity_polynomial", counted)
+    quartic = companion([1, 1, 0, 0])  # x^4 = x + 1
+    assert algebraic_degree_probe(quartic, trials=8).estimated_degree == 4
+    assert calls == [3]
+    calls.clear()
+    scalar = GenericMatrix.identity(QQ, 4).scale(3)
+    assert algebraic_degree_probe(scalar, trials=8).estimated_degree == 1
+    assert calls == []
+
+
+def test_probe_rejects_a_corrupted_annihilator(monkeypatch):
+    annihilator = realize._annihilator
+
+    def corrupted(a, m_max):
+        powers, q = annihilator(a, m_max)
+        return powers, [q[0] + 1, *q[1:]]
+
+    monkeypatch.setattr(realize, "_annihilator", corrupted)
+    with pytest.raises(VerificationError, match="annihilating polynomial of degree 3"):
+        algebraic_degree_probe(companion([2, 0, 0]))
+
+
+def test_probe_names_the_level_when_the_lower_witness_fails(monkeypatch):
+    monkeypatch.setattr(realize, "algebraicity_polynomial", lambda *args: Fraction(0))
+    with pytest.raises(VerificationError, match="level 2 vanished on all 5 trials"):
+        algebraic_degree_probe(companion([2, 0, 0]), trials=5)
+    # degree 1 needs no lower witness
+    assert algebraic_degree_probe(Fraction(3)).estimated_degree == 1
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        2.5,
+        Quaternion.of_floats(0.0, 1.0, 0.0, 0.0),
+        GenericMatrix.from_rows(CC, [[1, 2], [3, 4]]),
+        GenericMatrix.from_rows(HF, [[1, 2], [3, 4]]),
+    ],
+    ids=["float", "float-quaternion", "complex-matrix", "float-quaternion-matrix"],
+)
+def test_probe_rejects_float_input(element):
+    with pytest.raises(ValueError, match="exact"):
+        algebraic_degree_probe(element)
