@@ -489,7 +489,7 @@ def main(argv=None) -> int:
             sys.stdout.write(
                 dumps_canonical({"schema": SCHEMA, "command": args.command, **doc})
             )
-    except (VerificationError, DegreeNotBoundedError, norms.ConvergenceError) as exc:
+    except (VerificationError, DegreeNotBoundedError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import shutil
 import subprocess
@@ -478,6 +480,29 @@ def test_sweep_overflow_is_an_input_error(capsys, recwarn, fmt):
         capsys, "sweep-constants", "--poly", "0,0,0,1e308", "--n", "4", "--trials", "2",
         "--format", fmt,
     )
+    assert_one_error_line(code, out, err, recwarn, "double range")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_with_large_finite_norms(capsys, recwarn, fmt):
+    def sweep(coefficient, trials):
+        return run_cli(
+            capsys, "sweep-constants", "--poly", f"0,0,0,{coefficient}", "--n", "4",
+            "--trials", str(trials), "--format", fmt,
+        )
+
+    code, out, err = sweep("1e300", 2)
+    assert code == 0, err
+    assert "inf" not in out.lower() and "nan" not in out.lower()
+    if fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2
+        assert all(1e301 < float(row["lhs"]) < 1e303 for row in rows)
+    else:
+        assert json.loads(out)["ratio_norm_product"] > 1e299
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    # p(AB) - p(BA) is in range here, but its Frobenius norm is not
+    code, out, err = sweep("3e306", 1)
     assert_one_error_line(code, out, err, recwarn, "double range")
 
 

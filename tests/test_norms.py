@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycomm.matrix import CC, HQ, QQ, GenericMatrix
 from polycomm.norms import (
     BoundReport,
-    ConvergenceError,
     as_complex_array,
     check_average_bound,
     check_bottcher_wenzel,
@@ -117,11 +118,6 @@ def test_operator_norm_against_svd():
         assert abs(operator_norm(a) - expected) <= 1e-10 * expected
 
 
-def test_operator_norm_iteration_cap():
-    with pytest.raises(ConvergenceError):
-        operator_norm(np.diag([1.0, 2.0]), max_iter=1)
-
-
 def numrad_2x2_oracle(arr, points=1_000_000):
     """Numerical radius of a 2x2 matrix from its elliptical numerical range:
     foci at the eigenvalues, minor semi-axis from the Gram trace."""
@@ -169,6 +165,143 @@ def test_numerical_radius_between_half_and_full_operator_norm():
         on = operator_norm(a)
         assert h <= on * (1.0 + 1e-6)
         assert on <= 2.0 * h * (1.0 + 1e-6)
+
+
+def count_eigensolves(monkeypatch):
+    """Record every numpy eigvalsh and eigh call by name."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_numerical_radius_eigensolve_count(monkeypatch):
+    gen = np_stream(SEED, "numrad-count")
+    mats = [complex_gaussian_matrix(gen, int(gen.integers(2, 17))) for _ in range(50)]
+    calls = count_eigensolves(monkeypatch)
+    for a in mats:
+        numerical_radius(a)
+    # one batched eigvalsh grid per radius, then a few batched Newton eigh
+    assert calls.count("eigvalsh") == len(mats)
+    assert len(calls) / len(mats) <= 20
+
+
+def support_values(a, thetas):
+    """lambda_max(Herm(e^(i theta) A)) for each theta."""
+    rotated = np.exp(1j * np.asarray(thetas))[:, None, None] * np.asarray(a)[None, :, :]
+    return np.linalg.eigvalsh((rotated + rotated.conj().transpose(0, 2, 1)) / 2.0)[:, -1]
+
+
+def field_of_values_bracket(a, directions=4096):
+    """Lower and upper bounds on the numerical radius from supporting lines of
+    the field of values W(A) (C. R. Johnson, SIAM J. Numer. Anal. 15, 1978).
+
+    f(theta) = lambda_max(Herm(e^(i theta) A)) = max Re(e^(i theta) z) over z in
+    W(A), so the largest f is attained by a point of W(A), and W(A) lies in the
+    polygon cut out by the lines Re(e^(i theta) z) = f(theta).  In the frame
+    rotated to the mid-angle of two adjacent lines, their vertex is
+    p + i q with p = (f1 + f2) / (2 cos d) and q = (f1 - f2) / (2 sin d), where
+    2 d is the angle step."""
+    f = support_values(a, 2.0 * math.pi * np.arange(directions) / directions)
+    half = math.pi / directions
+    p = (f + np.roll(f, -1)) / (2.0 * math.cos(half))
+    q = (f - np.roll(f, -1)) / (2.0 * math.sin(half))
+    return float(f.max()), float(np.hypot(p, q).max())
+
+
+def structured_matrix(gen, n, kind):
+    a = complex_gaussian_matrix(gen, n)
+    if kind == "nilpotent":
+        return np.triu(a, 1)
+    if kind == "hermitian":
+        return (a + a.conj().T) / 2.0
+    if kind == "normal":
+        q, _ = np.linalg.qr(complex_gaussian_matrix(gen, n))
+        return q @ np.diag(np.diag(a)) @ q.conj().T
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    kind=st.sampled_from(["dense", "nilpotent", "hermitian", "normal"]),
+    exponent=st.integers(-600, 600),
+    seed=st.integers(0, 2**16),
+)
+def test_numerical_radius_inside_the_supporting_line_bracket(n, kind, exponent, seed):
+    a = structured_matrix(np_stream(seed, "numrad-bracket"), n, kind)
+    a = np.ldexp(a.real, exponent) + 1j * np.ldexp(a.imag, exponent)
+    lower, upper = field_of_values_bracket(a)
+    w = numerical_radius(a)
+    assert lower <= w * (1.0 + 1e-13)
+    assert w <= upper * (1.0 + 1e-13)
+
+
+def golden_section_radius(a, directions=4096, iters=80):
+    """Numerical radius by golden-section search on the best window of a fine
+    direction grid: slow, derivative-free, and close to the peak."""
+    step = 2.0 * math.pi / directions
+    best = step * int(np.argmax(support_values(a, step * np.arange(directions))))
+    lo, hi = best - step, best + step
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    seen = []
+    for _ in range(iters):
+        x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        f1, f2 = support_values(a, [x1, x2])
+        seen += [f1, f2]
+        lo, hi = (x1, hi) if f1 < f2 else (lo, x2)
+    return float(max(seen))
+
+
+def test_numerical_radius_reaches_the_peak():
+    gen = np_stream(SEED, "numrad-peak")
+    for _ in range(8):
+        a = complex_gaussian_matrix(gen, int(gen.integers(2, 9)))
+        expected = golden_section_radius(a)
+        assert abs(numerical_radius(a) - expected) <= 1e-14 * expected
+
+
+def test_numerical_radius_invariances(recwarn):
+    gen = np_stream(SEED, "numrad-invariance")
+    for _ in range(12):
+        n = int(gen.integers(2, 9))
+        a = complex_gaussian_matrix(gen, n)
+        w = numerical_radius(a)
+        u, _ = np.linalg.qr(complex_gaussian_matrix(gen, n))
+        phase = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi))
+        assert abs(numerical_radius(phase * (u @ a @ u.conj().T)) - w) <= 1e-13 * w
+        for k in (-990, -600, -1, 1, 600, 990):
+            scaled = np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+            assert numerical_radius(scaled) == math.ldexp(w, k)
+    assert not [x for x in recwarn if issubclass(x.category, RuntimeWarning)]
+
+
+def test_operator_norm_across_the_double_range(recwarn):
+    assert abs(operator_norm(np.diag([1e200, 1.0])) - 1e200) <= 1e-14 * 1e200
+    assert abs(operator_norm(np.diag([1e-300, 1e-301])) - 1e-300) <= 1e-14 * 1e-300
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_frobenius_norm_across_the_double_range(recwarn):
+    assert frobenius_norm(np.diag([1e300, 1e300])) == math.sqrt(2.0) * 1e300
+    assert frobenius_norm(np.diag([3e-300, 4e-300])) == 5e-300
+    assert frobenius_norm([[1e-200j, 0.0], [0.0, 0.0]]) == 1e-200
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_constant_sweep_rows_name_the_double_range(recwarn):
+    rows = list(constant_sweep_rows([0, 0, 0, 1e300], 4, 2, seed=0))
+    assert all(1e301 < r["lhs"] < 1e303 and math.isfinite(r["ratio"]) for r in rows)
+    # p(AB) - p(BA) is finite here, but its Frobenius norm is not
+    with pytest.raises(ValueError, match="constant_sweep_rows: .*double range"):
+        list(constant_sweep_rows([0, 0, 0, 3e306], 4, 1, seed=0))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_bw_equality_pair():
