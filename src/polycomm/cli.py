@@ -28,14 +28,12 @@ from typing import Callable, Optional
 
 from . import norms
 from .matrix import CC, GenericMatrix, telescoping_expand
-from .matrix import poly_commutator as matrix_poly_commutator
-from .poly import Polynomial
+from .poly import Polynomial, poly_commutator
 from .quat import (
     VerificationError,
     factor_into_two_commutators,
     solve_poly_commutator,
 )
-from .quat import poly_commutator as quat_poly_commutator
 from .realize import (
     DegreeNotBoundedError,
     algebraic_degree_probe,
@@ -178,7 +176,7 @@ def _solve_quat(args) -> dict:
     v = decode_quaternion(_load_json(args.input), exact=False)
     sol = solve_poly_commutator(p, v, tol=args.tolerance)
     target = v.to_float().im()
-    residual = (quat_poly_commutator(p, sol.a, sol.b) - target).norm()
+    residual = (poly_commutator(p, sol.a, sol.b) - target).norm()
     return {
         "polynomial": encode_polynomial(p),
         "target": encode_quaternion(v.to_float()),
@@ -196,8 +194,8 @@ def _factor_quat(args) -> dict:
     p = polynomial_from_text(args.poly)
     alpha = decode_quaternion(_load_json(args.input), exact=False).to_float()
     pairs = factor_into_two_commutators(p, alpha, tol=args.tolerance)
-    d1 = quat_poly_commutator(p, *pairs[0])
-    d2 = quat_poly_commutator(p, *pairs[1])
+    d1 = poly_commutator(p, *pairs[0])
+    d2 = poly_commutator(p, *pairs[1])
     residual = (d1 * d2 - alpha).norm()
     return {
         "polynomial": encode_polynomial(p),
@@ -249,7 +247,7 @@ def _trace_witness(args) -> dict:
     p = polynomial_from_text(args.poly)
     _require_exact(p, "the trace witness search")
     a, b = nonzero_trace_witness(p, args.n, seed=args.seed, attempts=args.trials)
-    tr = matrix_poly_commutator(p, a, b).trace()
+    tr = poly_commutator(p, a, b).trace()
     return {
         "polynomial": encode_polynomial(p),
         "n": args.n,

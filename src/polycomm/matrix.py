@@ -4,6 +4,10 @@ Backends: exact rationals, complex floats, and quaternions (exact or
 float).  Row reduction only ever multiplies rows by entry inverses from
 the left, so inversion is valid over the noncommutative backends too.
 
+A base-field scalar c acts centrally: c * m scales every entry and m + c
+adds c to the diagonal, so poly.eval_poly and poly.poly_commutator serve
+matrices too.
+
 Exact products and the rational inverse are fraction-free: entries are
 scaled to integer numerators over one common denominator, the integer
 work runs without any gcd, and each result entry is normalized once.
@@ -18,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poly import _EXACT_TYPES, Polynomial
+from .poly import _EXACT_TYPES, Polynomial, eval_poly, poly_commutator  # noqa: F401
 from .quat import Quaternion
 
 
@@ -222,13 +226,11 @@ class GenericMatrix:
 
     @classmethod
     def identity(cls, ring: ScalarRing, n: int) -> "GenericMatrix":
-        one, zero = ring.one(), ring.zero()
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.diagonal(ring, [ring.one()] * n)
 
     @classmethod
     def zeros(cls, ring: ScalarRing, n: int) -> "GenericMatrix":
-        zero = ring.zero()
-        return cls(ring, [[zero] * n for _ in range(n)])
+        return cls.diagonal(ring, [ring.zero()] * n)
 
     @classmethod
     def diagonal(cls, ring: ScalarRing, entries: Iterable) -> "GenericMatrix":
@@ -259,25 +261,36 @@ class GenericMatrix:
         return other
 
     def __add__(self, other):
+        if not isinstance(other, GenericMatrix):
+            s = self.ring.embed(other)
+            return GenericMatrix(self.ring, [[a + s if i == j else a for j, a in enumerate(row)]
+                                             for i, row in enumerate(self.rows)])
         o = self._same_shape(other)
         return GenericMatrix(
             self.ring,
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, o.rows)],
         )
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        if not isinstance(other, GenericMatrix):
+            return self + (-other)
         o = self._same_shape(other)
         return GenericMatrix(
             self.ring,
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, o.rows)],
         )
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __neg__(self):
         return GenericMatrix(self.ring, [[-a for a in row] for row in self.rows])
 
     def __mul__(self, other):
         if not isinstance(other, GenericMatrix):
-            return NotImplemented
+            return self.__rmul__(other)  # a central scalar commutes
         o = self._same_shape(other)
         if self.ring.exact:
             return GenericMatrix(self.ring, _exact_product(self, o))
@@ -301,8 +314,8 @@ class GenericMatrix:
             out = out * self
         return out
 
-    def scale(self, c) -> "GenericMatrix":
-        """Multiply by a central base-field scalar."""
+    def __rmul__(self, c) -> "GenericMatrix":
+        """c * m for a central base-field scalar c: every entry scaled."""
         s = self.ring.embed(c)
         if self.ring is HQ:
             # s is real: scale the components, not a full quaternion product
@@ -456,30 +469,8 @@ def _bareiss_inverse(m: GenericMatrix) -> list:
     return [[Fraction(den * x, prev) for x in line[n:]] for line in work]
 
 
-def commutator(a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:
-    return a * b - b * a
-
-
-def _add_central(m: GenericMatrix, c) -> GenericMatrix:
-    return m + GenericMatrix.identity(m.ring, m.n).scale(c)
-
-
-def poly_eval_matrix(p: Polynomial, a: GenericMatrix) -> GenericMatrix:
-    """p(a) by Horner's rule; the constant term becomes a scalar matrix."""
-    acc = GenericMatrix.identity(a.ring, a.n).scale(p.coeffs[-1])
-    for c in reversed(p.coeffs[:-1]):
-        acc = _add_central(acc * a, c)
-    return acc
-
-
-def poly_commutator(p: Polynomial, a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:
-    """p(ab) - p(ba)."""
-    return poly_eval_matrix(p, a * b) - poly_eval_matrix(p, b * a)
-
-
-def similarity_conjugate(g: GenericMatrix, a: GenericMatrix) -> GenericMatrix:
-    """g a g^-1."""
-    return g * a * g.inverse()
+# bench/tracer.py resolves this and poly_commutator here by name (ROADMAP item 5)
+poly_eval_matrix = eval_poly
 
 
 @dataclass(frozen=True)
@@ -508,22 +499,21 @@ def telescoping_expand(
     diff = ab - ba
     d = p.degree
     rhs = GenericMatrix.zeros(a.ring, a.n)
-    if d >= 1:
-        pow_ab = [GenericMatrix.identity(a.ring, a.n)]
-        pow_ba = [GenericMatrix.identity(a.ring, a.n)]
-        for _ in range(d - 1):
-            pow_ab.append(pow_ab[-1] * ab)
-            pow_ba.append(pow_ba[-1] * ba)
-        left = [pw * diff for pw in pow_ab]
-        for i in range(1, d + 1):
-            c = p.coeffs[i]
-            if c == 0:
-                continue
-            inner = GenericMatrix.zeros(a.ring, a.n)
-            for k in range(i):
-                inner = inner + left[k] * pow_ba[i - 1 - k]
-            rhs = rhs + inner.scale(c)
-    lhs = poly_eval_matrix(p, ab) - poly_eval_matrix(p, ba)
+    pow_ab = [GenericMatrix.identity(a.ring, a.n)]
+    pow_ba = [GenericMatrix.identity(a.ring, a.n)]
+    for _ in range(d - 1):
+        pow_ab.append(pow_ab[-1] * ab)
+        pow_ba.append(pow_ba[-1] * ba)
+    left = [pw * diff for pw in pow_ab[:d]]
+    for i in range(1, d + 1):
+        c = p.coeffs[i]
+        if c == 0:
+            continue
+        inner = GenericMatrix.zeros(a.ring, a.n)
+        for k in range(i):
+            inner = inner + left[k] * pow_ba[i - 1 - k]
+        rhs = rhs + c * inner
+    lhs = eval_poly(p, ab) - eval_poly(p, ba)
     deviation = lhs.max_deviation(rhs)
     if a.ring.exact:
         equal = lhs == rhs

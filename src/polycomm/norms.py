@@ -78,7 +78,11 @@ def commutator_array(a: MatrixLike, b: MatrixLike) -> np.ndarray:
 
 
 def poly_commutator_array(p, a: MatrixLike, b: MatrixLike) -> np.ndarray:
-    """p(AB) - p(BA) as a complex ndarray."""
+    """p(AB) - p(BA) as a complex ndarray.
+
+    The float fast path keeps a Horner loop of its own: on an ndarray * and
+    + c act entry by entry, so poly.eval_poly cannot serve it.
+    """
     x = as_complex_array(a)
     y = as_complex_array(b)
     cs = _coeffs(p)

@@ -1,4 +1,5 @@
-"""Polynomials over exact rational or float scalars.
+"""Polynomials over exact rational or float scalars, and their evaluation
+(p(x) and p(ab) - p(ba)) on every ring that takes those scalars centrally.
 
 Also houses the odd-part reduction used by the quaternion solver: for a
 nonconstant real polynomial p and a purely imaginary quaternion w, the
@@ -74,14 +75,6 @@ class Polynomial:
     def is_exact(self) -> bool:
         return all(_exact(c) for c in self.coeffs)
 
-    def as_float(self) -> "Polynomial":
-        return Polynomial([float(c) for c in self.coeffs])
-
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0])
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def __call__(self, x):
         return eval_poly(self, x)
 
@@ -97,20 +90,28 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def eval_poly(p: Polynomial, x, unital: bool = True):
+def eval_poly(p: Polynomial, x):
     """Evaluate p at a ring element x by Horner's rule.
 
-    x may be any value supporting + and * with p's scalar coefficients
-    (rationals, floats, complex, quaternions).  x**0 is never formed, so a
-    non-unital context is fine as long as the constant term vanishes; pass
-    unital=False to enforce that.
+    x is an element of a unital ring that takes p's scalar coefficients
+    centrally through + and *: an int, Fraction, float or complex, a
+    Quaternion, or a GenericMatrix (where c * m scales and m + c adds c to
+    the diagonal).  A constant p gives c * x**0, so a matrix gets c I.
+    numpy arrays act entry by entry; norms.poly_commutator_array is their
+    evaluator.
     """
-    if not unital and p.coeffs[0] != 0:
-        raise ValueError("nonzero constant term requires a unital ring")
-    acc = p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
+    cs = p.coeffs
+    acc = cs[-1]
+    if len(cs) == 1:
+        return acc * x**0
+    for c in cs[-2::-1]:
         acc = acc * x + c
     return acc
+
+
+def poly_commutator(p: Polynomial, a, b):
+    """p(ab) - p(ba) over any ring eval_poly serves."""
+    return eval_poly(p, a * b) - eval_poly(p, b * a)
 
 
 class OddCase(Enum):
@@ -160,13 +161,6 @@ def derive_odd_factor(p: Polynomial) -> OddFactor:
     return OddFactor(OddCase.EVEN_ONLY, Polynomial(hs))
 
 
-def _horner(coeffs, t: float) -> float:
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * t + c
-    return acc
-
-
 def _scan_axes(qf, target: float, k_max: int):
     """Yield a sign-change bracket (lo, hi, f_lo, f_hi) or an exact root.
 
@@ -211,10 +205,11 @@ def solve_odd_equation(factor: OddFactor, target: float, tol: float = 1e-12) -> 
     q_coeffs = [0.0] * (2 * len(hf))
     for m, c in enumerate(hf):
         q_coeffs[2 * m + 1] = 2.0 * c
-    dq_coeffs = [k * c for k, c in enumerate(q_coeffs)][1:]
+    q = Polynomial(q_coeffs)
+    dq = Polynomial([k * c for k, c in enumerate(q_coeffs)][1:])
 
     def qf(t: float) -> float:
-        return _horner(q_coeffs, t) - target
+        return eval_poly(q, t) - target
 
     found = _scan_axes(qf, target, 40)
     if found is None:
@@ -246,7 +241,7 @@ def solve_odd_equation(factor: OddFactor, target: float, tol: float = 1e-12) -> 
     for _ in range(3):
         if best_q <= tol * (1.0 + target):
             break
-        d = _horner(dq_coeffs, best)
+        d = eval_poly(dq, best)
         if d == 0.0 or not math.isfinite(d):
             break
         t1 = best - qf(best) / d

@@ -18,7 +18,7 @@ from .poly import (
     OddCase,
     Polynomial,
     derive_odd_factor,
-    eval_poly,
+    poly_commutator,
     solve_odd_equation,
 )
 
@@ -188,11 +188,6 @@ QK = Quaternion.exact(0, 0, 0, 1)
 def conjugate_by(g: Quaternion, q: Quaternion) -> Quaternion:
     """g q g^-1.  Preserves the real part for any nonzero g."""
     return g * q * g.inverse()
-
-
-def poly_commutator(p: Polynomial, a: Quaternion, b: Quaternion) -> Quaternion:
-    """p(ab) - p(ba).  Purely imaginary, exactly so on the exact backend."""
-    return eval_poly(p, a * b) - eval_poly(p, b * a)
 
 
 def _rational_sqrt(value: Fraction):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .matrix import QQ, HQ, GenericMatrix, poly_eval_matrix, poly_commutator
-from .poly import Polynomial, eval_poly
+from .matrix import QQ, HQ, GenericMatrix
+from .poly import Polynomial, eval_poly, poly_commutator
 from .quat import ONE, QI, QJ, QK, Quaternion, VerificationError
 from .sampling import probe_like, stream
 
@@ -168,9 +168,9 @@ class RealizationWitness:
             return False
         if ba != gg2d * g2_out:
             return False
-        p_d = poly_eval_matrix(self.p, self.d)
-        p_ab = poly_eval_matrix(self.p, ab)
-        p_ba = poly_eval_matrix(self.p, ba)
+        p_d = eval_poly(self.p, self.d)
+        p_ab = eval_poly(self.p, ab)
+        p_ba = eval_poly(self.p, ba)
         if p_ab != gg1 * p_d * g1_out:
             return False
         if p_ba != gg2 * p_d * g2_out:
@@ -389,16 +389,6 @@ def nonzero_trace_witness(p: Polynomial, n: int, seed: int = 0, attempts: int = 
     )
 
 
-def _one_like(x):
-    if isinstance(x, GenericMatrix):
-        return GenericMatrix.identity(x.ring, x.n)
-    if isinstance(x, Quaternion):
-        return Quaternion.exact(1) if x.is_exact() else Quaternion.of_floats(1.0)
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1)
-    return 1.0
-
-
 def _is_zero_element(x) -> bool:
     if isinstance(x, (GenericMatrix, Quaternion)):
         return x.is_zero()
@@ -425,7 +415,7 @@ def algebraicity_polynomial(y0, probes: Sequence):
         raise ValueError("need at least one probe")
     if m > 8:
         raise ValueError("probe count above 8 is not supported")
-    powers = [_one_like(y0)]
+    powers = [y0**0]
     for _ in range(m):
         powers.append(powers[-1] * y0)
     full = (1 << (m + 1)) - 1
@@ -498,7 +488,7 @@ def _annihilator(a, m_max: int):
     directly.  Raises DegreeNotBoundedError when a^0..a^m_max are
     independent.
     """
-    powers = [_one_like(a)]
+    powers = [a**0]
     rows: list = []  # (pivot, integer row, its combination of the powers)
     for k in range(m_max + 1):
         if k:
@@ -523,10 +513,6 @@ def _annihilator(a, m_max: int):
     raise DegreeNotBoundedError(m_max, {m: False for m in range(1, m_max + 1)})
 
 
-def _scaled(x, c):
-    return x.scale(c) if isinstance(x, GenericMatrix) else c * x
-
-
 def algebraic_degree_probe(
     a, m_max: int = 7, trials: int = 8, seed: int = 0
 ) -> DegreeProbeResult:
@@ -549,7 +535,7 @@ def algebraic_degree_probe(
     residue = powers[d]
     for c, power in zip(q[:d], powers):
         if c:
-            residue = residue + _scaled(power, c)
+            residue = residue + c * power
     if not _is_zero_element(residue):
         raise VerificationError(
             f"the annihilating polynomial of degree {d} does not vanish on the input"

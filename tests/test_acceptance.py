@@ -30,10 +30,11 @@ from polycomm import (
     check_bottcher_wenzel,
     check_frobenius_bound,
     check_numrad_bound,
+    eval_poly,
     factor_into_two_commutators,
     nonzero_trace_witness,
     numerical_radius,
-    poly_eval_matrix,
+    poly_commutator,
     realize_traceless,
     realize_zero_diagonal,
     solve_poly_commutator,
@@ -41,8 +42,6 @@ from polycomm import (
     telescoping_expand,
 )
 from polycomm.cli import main as cli_main
-from polycomm.matrix import poly_commutator as matrix_poly_commutator
-from polycomm.quat import poly_commutator as quat_poly_commutator
 
 SEED = 77701
 
@@ -137,7 +136,7 @@ def test_criterion_02_quaternion_characterization():
         rng = rng_for(f"c2a:{degree}")
         for _ in range(500):
             a, b = rand_quat(rng), rand_quat(rng)
-            d = quat_poly_commutator(p, a, b)
+            d = poly_commutator(p, a, b)
             assert d.is_exact() and d.w == 0, (degree, a, b)
             zero_real += 1
     solved = 0
@@ -195,8 +194,8 @@ def test_criterion_04_product_factorization():
         for _ in range(20):
             alpha = Quaternion.of_floats(*(rng.uniform(-4, 4) for _ in range(4)))
             (a1, b1), (a2, b2) = factor_into_two_commutators(p, alpha)
-            f1 = quat_poly_commutator(p, a1, b1)
-            f2 = quat_poly_commutator(p, a2, b2)
+            f1 = poly_commutator(p, a1, b1)
+            f2 = poly_commutator(p, a2, b2)
             assert abs(f1.w) <= 1e-10 and abs(f2.w) <= 1e-10, (degree, alpha)
             prod = f1 * f2
             assert (prod - alpha).norm() <= 1e-8 * (1.0 + alpha.norm()), (
@@ -234,13 +233,13 @@ def test_criterion_05_zero_diagonal_realization():
         p = rand_exact_poly(rng, degree)
         w = realize_zero_diagonal(p, a)
         assert w.verify() is True
-        x1 = poly_eval_matrix(p, w.a1 * w.b1)
-        y1 = poly_eval_matrix(p, w.b1 * w.a1)
+        x1 = eval_poly(p, w.a1 * w.b1)
+        y1 = eval_poly(p, w.b1 * w.a1)
         assert x1 - y1 == a, (n, degree)
         g_inv = w.g.inverse()
         a_prime = g_inv * a * w.g
         lower, upper = _strict_triangles(a_prime)
-        p_of_d = poly_eval_matrix(p, w.d)
+        p_of_d = eval_poly(p, w.d)
         l1 = lower + p_of_d
         u1 = p_of_d - upper
         assert x1 == w.g * l1 * g_inv
@@ -281,7 +280,7 @@ def test_criterion_06_traceless_realization_and_converse():
         p = rand_exact_poly(rng, degree)
         w = realize_traceless(p, a)
         assert w.verify() is True
-        diff = poly_eval_matrix(p, w.a1 * w.b1) - poly_eval_matrix(p, w.b1 * w.a1)
+        diff = eval_poly(p, w.a1 * w.b1) - eval_poly(p, w.b1 * w.a1)
         assert diff == a, (n, degree)
         realized += 1
     rng2 = rng_for("c6-converse")
@@ -290,7 +289,7 @@ def test_criterion_06_traceless_realization_and_converse():
         n = rng2.randint(2, 4)
         p = rand_exact_poly(rng2, rng2.randint(1, 5))
         a, b = rand_qq(rng2, n), rand_qq(rng2, n)
-        tr = matrix_poly_commutator(p, a, b).trace()
+        tr = poly_commutator(p, a, b).trace()
         assert tr == 0, (n, p.coeffs)
         traceless += 1
     report(
@@ -312,11 +311,11 @@ def test_criterion_07_nonzero_trace_witnesses():
     for p in family:
         for n in (2, 3):
             a, b = nonzero_trace_witness(p, n)
-            tr = matrix_poly_commutator(p, a, b).trace()
+            tr = poly_commutator(p, a, b).trace()
             assert isinstance(tr, Quaternion) and not tr.is_zero(), (p.coeffs, n)
             found += 1
     a, b = nonzero_trace_witness(Polynomial([0, 0, 1]), 2)
-    square_trace = matrix_poly_commutator(Polynomial([0, 0, 1]), a, b).trace()
+    square_trace = poly_commutator(Polynomial([0, 0, 1]), a, b).trace()
     pinned = square_trace == Quaternion(0, 0, 0, -4)
     report(
         7,

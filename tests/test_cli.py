@@ -579,13 +579,26 @@ PINNED_OUTPUTS = [
      "trace-witness", "--poly", "0,1"),
     ("0aae3d9c6b598055948c5ee29adac7f2ea9aea8eec15bb62c0c4aa4e883623c8",
      "verify-telescope", "--poly", "0,1", "--ring", "quaternion"),
+    ("8a79462f43f6699f820e5cb02f9039500564d79da527dbea4d030099b080dc19",
+     "verify-telescope", "--poly", "1,0,-2,1", "--ring", "rational", "--n", "3",
+     "--trials", "4"),
+    # a constant polynomial: both sides of the telescope are c I - c I
+    ("1ab398d90c2462fd4baa5165db13f906c5b57b641dc4fcab1956ffcd3eaf17b4",
+     "verify-telescope", "--poly", "5", "--ring", "quaternion", "--trials", "2"),
 ]
 
 
-@pytest.mark.parametrize(
-    "digest,argv",
-    [pytest.param(d, argv, id=argv[0]) for d, *argv in PINNED_OUTPUTS],
-)
+def pinned_params():
+    """One case per pinned run, named by its subcommand; a repeated
+    subcommand also names its --poly."""
+    seen = set()
+    for digest, command, *rest in PINNED_OUTPUTS:
+        name = f"{command}-poly-{rest[rest.index('--poly') + 1]}" if command in seen else command
+        seen.add(command)
+        yield pytest.param(digest, [command, *rest], id=name)
+
+
+@pytest.mark.parametrize("digest,argv", list(pinned_params()))
 def test_exact_output_is_pinned(capsys, digest, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycomm.matrix import (
     CC,
@@ -11,13 +13,9 @@ from polycomm.matrix import (
     RINGS,
     GenericMatrix,
     SingularMatrixError,
-    commutator,
-    poly_commutator,
-    poly_eval_matrix,
-    similarity_conjugate,
     telescoping_expand,
 )
-from polycomm.poly import Polynomial
+from polycomm.poly import Polynomial, eval_poly, poly_commutator
 from polycomm.quat import QI, QJ, QK, Quaternion
 from polycomm.sampling import (
     exact_polynomial,
@@ -88,7 +86,7 @@ def test_arithmetic():
     assert (a - a).is_zero()
     assert (-a)[1, 1] == -4
     assert (a * b) == a
-    assert a.scale(2)[1, 0] == 6
+    assert (2 * a)[1, 0] == 6
     assert (a**0) == b
     assert (a**3) == a * a * a
     with pytest.raises(ValueError):
@@ -105,8 +103,65 @@ def test_quaternion_entries_multiply_noncommutatively():
 def test_scale_is_central_only():
     m = GenericMatrix.identity(HQ, 2)
     with pytest.raises(ValueError):
-        m.scale(QI)
-    assert m.scale(Fraction(1, 2))[0, 0] == Quaternion.exact(Fraction(1, 2))
+        QI * m
+    assert (Fraction(1, 2) * m)[0, 0] == Quaternion.exact(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("ring,c", [
+    (QQ, 3), (QQ, Fraction(-2, 5)), (HQ, Fraction(1, 3)), (HQ, Quaternion.exact(2)),
+    (CC, 1.5), (HF, -2),
+])
+def test_central_scalar_operators_match_the_scalar_matrix(ring, c):
+    m = GenericMatrix.from_rows(ring, [[1, 2, 0], [-3, 4, 1], [0, 5, -6]])
+    if ring is HQ:
+        m = m + GenericMatrix.diagonal(HQ, [QI, QJ, QK])
+    ci = GenericMatrix.diagonal(ring, [ring.embed(c)] * 3)  # c I
+    assert c * m == ci * m
+    assert m * c == m * ci
+    assert m + c == m + ci
+    assert c + m == ci + m
+    assert m - c == m - ci
+    assert c - m == ci - m
+
+
+def test_exact_rings_refuse_float_and_noncentral_scalars():
+    m_qq = GenericMatrix.from_rows(QQ, [[1, 2], [3, 4]])
+    m_hq = GenericMatrix.from_rows(HQ, [[QI, 1], [0, QJ]])
+    for bad in (
+        lambda: 0.5 * m_qq,
+        lambda: m_qq + 0.5,
+        lambda: eval_poly(Polynomial([0.5, 1.0]), m_qq),
+        lambda: QI * m_hq,
+        lambda: m_hq + QI,
+    ):
+        with pytest.raises(ValueError):
+            bad()
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+exact_entries = {
+    "rational": small_fractions,
+    "quaternion": st.builds(Quaternion.exact, *(st.integers(-2, 2) for _ in range(4))),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ring_name=st.sampled_from(sorted(exact_entries)),
+    n=st.integers(1, 3),
+    coeffs=st.lists(small_fractions, min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_eval_poly_is_the_power_sum(ring_name, n, coeffs, data):
+    ring = RINGS[ring_name]
+    entries = data.draw(st.lists(exact_entries[ring_name], min_size=n * n, max_size=n * n))
+    m = GenericMatrix(ring, [entries[i * n:(i + 1) * n] for i in range(n)])
+    p = Polynomial(coeffs)
+    direct = GenericMatrix.zeros(ring, n)
+    for k, c in enumerate(p.coeffs):
+        direct = direct + c * m**k
+    assert eval_poly(p, m) == direct
+    assert p(m) == direct
 
 
 def test_inverse_frozen_unitriangular():
@@ -165,11 +220,11 @@ def test_singular_matrix_reports_column():
 
 
 def test_poly_eval_frozen():
-    assert poly_eval_matrix(X2, e12(QQ)).is_zero()
+    assert eval_poly(X2, e12(QQ)).is_zero()
     d = GenericMatrix.diagonal(HQ, [QI, QJ])
-    assert poly_eval_matrix(Polynomial([1, 0, 1]), d).is_zero()
+    assert eval_poly(Polynomial([1, 0, 1]), d).is_zero()
     m = GenericMatrix.from_rows(QQ, [[1, 2], [3, 4]])
-    assert poly_eval_matrix(Polynomial([7]), m) == GenericMatrix.identity(QQ, 2).scale(7)
+    assert eval_poly(Polynomial([7]), m) == 7 * GenericMatrix.identity(QQ, 2)
 
 
 def test_poly_commutator_frozen_shift_pair():
@@ -178,7 +233,7 @@ def test_poly_commutator_frozen_shift_pair():
     expected = GenericMatrix.diagonal(QQ, [1, -1])
     assert poly_commutator(X, a, b) == expected
     assert poly_commutator(X2, a, b) == expected
-    assert commutator(a, b) == expected
+    assert a * b - b * a == expected
 
 
 def test_poly_commutator_trace_vanishes_rationally():
@@ -214,11 +269,11 @@ def test_similarity_conjugate_preserves_poly_commutator():
         b = rational_matrix(r, n)
         g = rational_matrix(r, n)
         try:
-            g.inverse()
+            g_inv = g.inverse()
         except SingularMatrixError:
             continue
-        lhs = similarity_conjugate(g, poly_commutator(p, a, b))
-        rhs = poly_commutator(p, similarity_conjugate(g, a), similarity_conjugate(g, b))
+        lhs = g * poly_commutator(p, a, b) * g_inv
+        rhs = poly_commutator(p, g * a * g_inv, g * b * g_inv)
         assert lhs == rhs
 
 
