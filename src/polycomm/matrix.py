@@ -1,16 +1,18 @@
 """Dense square matrices over pluggable scalar rings.
 
 Backends: exact rationals, complex floats, and quaternions (exact or
-float).  Row reduction only ever multiplies rows by entry inverses from
-the left, so inversion is valid over the noncommutative backends too.
+float).  The float rings invert by row reduction that only ever
+multiplies rows by entry inverses from the left, so it is valid over the
+float quaternions too.
 
 A base-field scalar c acts centrally: c * m scales every entry and m + c
 adds c to the diagonal, so poly.eval_poly and poly.poly_commutator serve
 matrices too.
 
-Exact products and the rational inverse are fraction-free: entries are
-scaled to integer numerators over one common denominator, the integer
-work runs without any gcd, and each result entry is normalized once.
+Exact products and inverses are fraction-free: entries are scaled to
+integer numerators over one common denominator, the integer work runs
+without any gcd, and each result entry is normalized once.  An exact
+quaternion matrix inverts through its 4n x 4n rational image.
 """
 
 from __future__ import annotations
@@ -353,47 +355,35 @@ class GenericMatrix:
         return max(mag(a) for row in self.rows for a in row)
 
     def inverse(self) -> "GenericMatrix":
-        """Gauss-Jordan inverse via left row operations.
+        """Inverse, or SingularMatrixError naming the first column without
+        a pivot.
 
-        Exact backends take the first nonzero pivot; float backends the
-        largest by magnitude.  Valid over the quaternions because rows are
-        only ever left-multiplied by scalar inverses.  The rational ring
-        eliminates fraction-free instead (_bareiss_inverse), with the same
-        pivots.
+        Exact rings eliminate fraction-free on the rational image of the
+        matrix (_bareiss_inverse).  Float rings run Gauss-Jordan with the
+        largest pivot by magnitude; rows are only ever left-multiplied by
+        scalar inverses, so it is valid over the quaternions too.
         """
         ring, n = self.ring, self.n
-        if ring is QQ:
+        if ring.exact:
             return GenericMatrix(ring, _bareiss_inverse(self))
         zero, one = ring.zero(), ring.one()
         work = [list(row) + [one if i == j else zero for j in range(n)]
                 for i, row in enumerate(self.rows)]
         for col in range(n):
-            pivot_row = None
-            if ring.exact:
-                for r in range(col, n):
-                    if work[r][col] != zero:
-                        pivot_row = r
-                        break
-            else:
-                best = 0.0
-                for r in range(col, n):
-                    m = ring.magnitude(work[r][col])
-                    if m > best:
-                        best, pivot_row = m, r
-                if best == 0.0:
-                    pivot_row = None
+            best, pivot_row = 0.0, None
+            for r in range(col, n):
+                m = ring.magnitude(work[r][col])
+                if m > best:
+                    best, pivot_row = m, r
             if pivot_row is None:
                 raise SingularMatrixError(col)
             work[col], work[pivot_row] = work[pivot_row], work[col]
             inv_p = ring.inv(work[col][col])
             work[col] = [inv_p * v for v in work[col]]
             for r in range(n):
-                if r == col:
-                    continue
                 factor = work[r][col]
-                if factor == zero:
-                    continue
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+                if r != col and factor != zero:
+                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
         return GenericMatrix(ring, [row[n:] for row in work])
 
 
@@ -438,35 +428,53 @@ def _exact_product(a: GenericMatrix, b: GenericMatrix) -> list:
 
 
 def _bareiss_inverse(m: GenericMatrix) -> list:
-    """Rows of m^-1 over the rationals by fraction-free Gauss-Jordan.
+    """Rows of m^-1 over an exact ring by fraction-free Gauss-Jordan.
 
-    Bareiss elimination (Math. Comp. 22, 1968) on the integer numerators
-    of [den * m | I]: each step replaces every other row by (pivot * row -
-    factor * pivot row) / previous pivot, an exact integer division.  The
-    left block ends as det * I with det the last pivot, so den / det times
-    the right block is m^-1.  Pivots are the first nonzero entry of each
-    column; the entries below a pivot are nonzero multiples of the plain
-    Gauss-Jordan ones, so SingularMatrixError names the same column.
+    m maps to its c n x c n rational image chi(m), c = len(ring.table),
+    whose block (i, j) is left multiplication by m_ij (chi(m) = m over the
+    rationals).  chi(m)^-1 = chi(m^-1), whose column c j holds column j of
+    m^-1, so only those n columns of I are carried.  Bareiss elimination
+    (Math. Comp. 22, 1968) on the integer numerators of [den * chi(m) | I]
+    replaces every other row by (pivot * row - factor * pivot row) /
+    previous pivot, an exact integer division; the left block ends as
+    det * I, so den / det times the right block is m^-1.  Pivots are the
+    first nonzero entry of each column.  Row operations keep the linear
+    relations among columns, and the c rational columns of one quaternion
+    column lie all inside or all outside the right span of the earlier
+    ones, so SingularMatrixError names the column Gauss-Jordan over the
+    ring would.
     """
-    n = m.n
-    (numerators,), den = _integer_components(m, 1)
-    work = [numerators[i * n:(i + 1) * n] + [int(i == j) for j in range(n)]
-            for i in range(n)]
+    table = m.ring.table
+    n, c = m.n, len(table)
+    size = c * n
+    parts, den = _integer_components(m, c)
+    work = [[0] * (size + n) for _ in range(size)]
+    for p, row in enumerate(table):
+        for t, (r, sign) in enumerate(row):
+            for i in range(n):
+                line = work[c * i + r]
+                for j in range(n):
+                    line[c * j + t] += sign * parts[p][i * n + j]
+    for j in range(n):
+        work[c * j][size + j] = 1
     prev = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if work[r][col]), None)
         if pivot_row is None:
-            raise SingularMatrixError(col)
+            raise SingularMatrixError(col // c)
         work[col], work[pivot_row] = work[pivot_row], work[col]
         pivot_line = work[col]
         pivot = pivot_line[col]
-        for r in range(n):
+        for r in range(size):
             if r != col:
                 factor = work[r][col]
                 work[r] = [(pivot * x - factor * y) // prev
                            for x, y in zip(work[r], pivot_line)]
         prev = pivot
-    return [[Fraction(den * x, prev) for x in line[n:]] for line in work]
+    flat = [[Fraction(den * work[c * i + r][size + j], prev) for i in range(n) for j in range(n)]
+            for r in range(c)]
+    entries = flat[0] if c == 1 else [Quaternion(*q) for q in zip(*flat)]
+    return [entries[i * n:(i + 1) * n] for i in range(n)]
 
 
 # bench/tracer.py resolves this and poly_commutator here by name (ROADMAP item 5)

@@ -138,7 +138,7 @@ class RealizationWitness:
 
     g conjugates the zero-diagonal core, g1 and g2 are the unitriangular
     similarities, d the central diagonal.  verify() recomputes every
-    defining identity exactly.
+    defining identity exactly; failed_identity() names the first that fails.
     """
 
     p: Polynomial
@@ -151,6 +151,10 @@ class RealizationWitness:
     target: GenericMatrix
 
     def verify(self) -> bool:
+        return self.failed_identity() is None
+
+    def failed_identity(self) -> str | None:
+        """Name of the first defining identity that fails, or None."""
         g_inv = self.g.inverse()
         g1_inv = self.g1.inverse()
         g2_inv = self.g2.inverse()
@@ -159,28 +163,28 @@ class RealizationWitness:
         gg2d = gg2 * self.d
         g1_out, g2_out = g1_inv * g_inv, g2_inv * g_inv
         if self.a1 != gg1 * g2_out:
-            return False
+            return "a1 == g g1 g2^-1 g^-1"
         if self.b1 != gg2d * g1_out:
-            return False
+            return "b1 == g g2 d g1^-1 g^-1"
         ab = self.a1 * self.b1
         ba = self.b1 * self.a1
         if ab != gg1 * self.d * g1_out:
-            return False
+            return "a1 b1 == g g1 d g1^-1 g^-1"
         if ba != gg2d * g2_out:
-            return False
+            return "b1 a1 == g g2 d g2^-1 g^-1"
         p_d = eval_poly(self.p, self.d)
         p_ab = eval_poly(self.p, ab)
         p_ba = eval_poly(self.p, ba)
         if p_ab != gg1 * p_d * g1_out:
-            return False
+            return "p(a1 b1) == g g1 p(d) g1^-1 g^-1"
         if p_ba != gg2 * p_d * g2_out:
-            return False
+            return "p(b1 a1) == g g2 p(d) g2^-1 g^-1"
         vals = p_d.diagonal_entries()
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if vals[i] == vals[j]:
-                    return False
-        return p_ab - p_ba == self.target
+        if any(vals[i] == vals[j] for i in range(len(vals)) for j in range(i)):
+            return "p(d) has pairwise distinct diagonal entries"
+        if p_ab - p_ba != self.target:
+            return "p(a1 b1) - p(b1 a1) == target"
+        return None
 
 
 def realize_zero_diagonal(
@@ -221,7 +225,9 @@ def realize_zero_diagonal(
     b1 = g * g2 * d * g1.inverse() * g_inv
     witness = RealizationWitness(p, a1, b1, g, g1, g2, d, a)
     if not witness.verify():
-        raise VerificationError("realization witness failed exact verification")
+        raise VerificationError(
+            f"realization witness failed exact verification: {witness.failed_identity()}"
+        )
     return witness
 
 

@@ -38,23 +38,6 @@ def rational_matrix(rng, n: int, bound: int = 3, denominators=(1,)) -> GenericMa
     )
 
 
-def zero_diagonal_matrix(rng, n: int, bound: int = 3) -> GenericMatrix:
-    rows = [[rng.randint(-bound, bound) if i != j else 0 for j in range(n)] for i in range(n)]
-    return GenericMatrix(QQ, rows)
-
-
-def traceless_matrix(rng, n: int, bound: int = 3) -> GenericMatrix:
-    """Random traceless noncentral rational matrix."""
-    while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        rows[n - 1][n - 1] = -sum(rows[i][i] for i in range(n - 1))
-        m = GenericMatrix(QQ, rows)
-        off = any(rows[i][j] != 0 for i in range(n) for j in range(n) if i != j)
-        mixed = any(rows[i][i] != rows[0][0] for i in range(n))
-        if off or mixed:
-            return m
-
-
 def exact_quaternion(rng, bound: int = 3) -> Quaternion:
     return Quaternion.exact(*(rng.randint(-bound, bound) for _ in range(4)))
 

@@ -191,7 +191,7 @@ def decode_witness(v, verify: bool = True) -> RealizationWitness:
     except KeyError as exc:
         raise DecodeError(f"witness is missing field {exc.args[0]!r}") from exc
     if verify and not w.verify():
-        raise VerificationError("decoded witness failed verification")
+        raise VerificationError(f"decoded witness failed verification: {w.failed_identity()}")
     return w
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -549,6 +550,39 @@ def test_failed_realization_verification_exits_three(capsys, monkeypatch, argv):
     assert len(failures) == 1, err
 
 
+# a witness field shifted by the identity, and the identity that then fails first
+TAMPERINGS = [("a1", "a1 == g g1 g2^-1 g^-1"), ("target", "p(a1 b1) - p(b1 a1) == target")]
+
+
+@pytest.mark.parametrize("field,name", TAMPERINGS, ids=[field for field, _ in TAMPERINGS])
+def test_failed_realization_names_the_identity(capsys, monkeypatch, field, name):
+    def tampered(*fields):
+        witness = RealizationWitness(*fields)
+        return dataclasses.replace(witness, **{field: getattr(witness, field) + 1})
+
+    monkeypatch.setattr(realize, "RealizationWitness", tampered)
+    code, out, err = run_cli(capsys, *REALIZE_CALLS[0])
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"verification failed: realization witness failed exact verification: {name}"
+    )
+
+
+def test_singular_quaternion_conjugator_names_the_column(capsys):
+    # column 1 of the conjugator is column 0 times j
+    doc = {
+        "matrix": {"ring": "quaternion",
+                   "entries": [[[0, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 0]]]},
+        "conjugator": {"ring": "quaternion",
+                       "entries": [[[1, 0, 0, 0], [0, 0, 1, 0]], [[0, 1, 0, 0], [0, 0, 0, 1]]]},
+    }
+    code, out, err = run_cli(capsys, "realize-matrix", "--poly", "0,1", "--input", json.dumps(doc))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "error: matrix is singular (no pivot in column 1)"
+
+
 def test_input_neither_json_nor_file(capsys, recwarn, tmp_path):
     code, out, err = run_cli(capsys, "probe-degree", "--input", "3")
     assert_one_error_line(code, out, err, recwarn, "neither inline JSON")
@@ -582,6 +616,12 @@ PINNED_OUTPUTS = [
     ("8a79462f43f6699f820e5cb02f9039500564d79da527dbea4d030099b080dc19",
      "verify-telescope", "--poly", "1,0,-2,1", "--ring", "rational", "--n", "3",
      "--trials", "4"),
+    # an exact quaternion realization: g, g1 and g2 inverted in realize and verify
+    ("785b14967b87f826b6d463db457cb23f77fceae016ea827d2e4395542a1c06f1",
+     "realize-matrix", "--poly", "0,1,1",
+     "--input",
+     '{"ring": "quaternion", "entries": [[[0,0,0,0],[1,2,-1,"1/2"],[0,1,1,0]], '
+     '[["-1/3",0,2,1],[0,0,0,0],[2,-1,0,1]], [[1,1,1,1],[0,0,-2,3],[0,0,0,0]]]}'),
     # a constant polynomial: both sides of the telescope are c I - c I
     ("1ab398d90c2462fd4baa5165db13f906c5b57b641dc4fcab1956ffcd3eaf17b4",
      "verify-telescope", "--poly", "5", "--ring", "quaternion", "--trials", "2"),

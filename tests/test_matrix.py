@@ -354,9 +354,9 @@ def test_mixed_ring_arithmetic_rejected():
         a + b
 
 
-# Reference arithmetic for the fraction-free exact product and rational
-# inverse: the plain per-entry loop and a Fraction Gauss-Jordan elimination
-# with the first nonzero pivot of each column.
+# Reference arithmetic for the fraction-free exact product and inverse: the
+# plain per-entry loop, and Gauss-Jordan over the ring by left row
+# operations with the first nonzero pivot of each column.
 def reference_product(a, b):
     n = a.n
     return GenericMatrix(a.ring, [
@@ -367,21 +367,22 @@ def reference_product(a, b):
 
 
 def reference_inverse(m):
-    n = m.n
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    ring, n = m.ring, m.n
+    zero, one = ring.zero(), ring.one()
+    work = [list(row) + [one if i == j else zero for j in range(n)]
             for i, row in enumerate(m.rows)]
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if work[r][col] != zero), None)
         if pivot_row is None:
             raise SingularMatrixError(col)
         work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv_p = 1 / work[col][col]
+        inv_p = ring.inv(work[col][col])
         work[col] = [inv_p * v for v in work[col]]
         for r in range(n):
             factor = work[r][col]
-            if r != col and factor != 0:
+            if r != col and factor != zero:
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return GenericMatrix(QQ, [row[n:] for row in work])
+    return GenericMatrix(ring, [row[n:] for row in work])
 
 
 def random_rational(r, big=False):
@@ -459,3 +460,75 @@ def test_rational_inverse_matches_fraction_gauss_jordan(n):
     with pytest.raises(SingularMatrixError) as info:
         GenericMatrix.zeros(QQ, n).inverse()
     assert info.value.column == 0
+
+
+def right_combination_column(r, m, c):
+    """m with column c replaced by sum_k col_k x_k over the earlier columns,
+    the quaternions x_k on the right (a zero column when c = 0)."""
+    xs = [Quaternion(*(random_rational(r) for _ in range(4))) for _ in range(c)]
+    rows = [list(row) for row in m.rows]
+    for row in rows:
+        row[c] = sum((row[k] * x for k, x in enumerate(xs)), start=Quaternion.exact())
+    return GenericMatrix.from_rows(HQ, rows)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_quaternion_inverse_matches_left_gauss_jordan(n):
+    r = random.Random(SEED * 5 + n)
+    singular_columns = set()
+    for trial in range(8):
+        m = random_hq(r, n, big=trial % 3 == 2)
+        if trial % 4 == 3:
+            m = right_combination_column(r, m, r.randrange(n))
+        elif trial % 4 == 1:
+            zero_column = r.randrange(n)
+            m = GenericMatrix(HQ, [[Quaternion.exact() if j == zero_column else x
+                                    for j, x in enumerate(row)] for row in m.rows])
+        try:
+            expected = reference_inverse(m)
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as info:
+                m.inverse()
+            assert info.value.column == exc.column
+            singular_columns.add(exc.column)
+            continue
+        inverse = m.inverse()
+        assert inverse == expected
+        assert_exact_entries(inverse)
+    assert singular_columns  # the singular branch ran
+    with pytest.raises(SingularMatrixError) as info:
+        GenericMatrix.zeros(HQ, n).inverse()
+    assert info.value.column == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_quaternion_inverse_is_two_sided(n, data):
+    parts = data.draw(st.lists(small_fractions, min_size=4 * n * n, max_size=4 * n * n))
+    m = GenericMatrix(HQ, [[Quaternion.exact(*parts[4 * (i * n + j):4 * (i * n + j + 1)])
+                            for j in range(n)] for i in range(n)])
+    try:
+        reference_inverse(m)
+    except SingularMatrixError as exc:
+        with pytest.raises(SingularMatrixError) as info:
+            m.inverse()
+        assert info.value.column == exc.column
+        return
+    inverse = m.inverse()
+    assert m * inverse == GenericMatrix.identity(HQ, n) == inverse * m
+
+
+def test_quaternion_inverse_makes_no_quaternion_products(monkeypatch):
+    m = random_hq(random.Random(SEED), 4)
+    calls = []
+    mul = Quaternion.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counted)
+    inverse = m.inverse()
+    assert calls == []
+    monkeypatch.undo()
+    assert m * inverse == GenericMatrix.identity(HQ, 4)

@@ -27,8 +27,6 @@ from polycomm.sampling import (
     quaternion_matrix,
     rational_matrix,
     stream,
-    traceless_matrix,
-    zero_diagonal_matrix,
 )
 
 SEED = 47417
@@ -40,6 +38,22 @@ X3 = Polynomial([0, 0, 0, 1])
 
 def qq(rows):
     return GenericMatrix.from_rows(QQ, rows)
+
+
+def zero_diagonal_matrix(rng, n: int, bound: int = 3) -> GenericMatrix:
+    rows = [[rng.randint(-bound, bound) if i != j else 0 for j in range(n)] for i in range(n)]
+    return GenericMatrix(QQ, rows)
+
+
+def traceless_matrix(rng, n: int, bound: int = 3) -> GenericMatrix:
+    """Random traceless noncentral rational matrix."""
+    while True:
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        rows[n - 1][n - 1] = -sum(rows[i][i] for i in range(n - 1))
+        off = any(rows[i][j] != 0 for i in range(n) for j in range(n) if i != j)
+        mixed = any(rows[i][i] != rows[0][0] for i in range(n))
+        if off or mixed:
+            return GenericMatrix(QQ, rows)
 
 
 def check_witness(w, p, target):
