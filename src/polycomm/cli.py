@@ -109,13 +109,24 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer count no smaller than minimum."""
+# Largest accepted --n, --samples and --trials, so that no count can ask for
+# an allocation or a loop without bound.  Each sits above the largest value
+# the tests and benchmark use: --n 16 (float-verify's verify-bounds request in
+# bench/workloads.py), --samples 100000 (criterion 11's sphere average) and
+# --trials 500 (criterion 10's bound checks).
+MAX_N, MAX_SAMPLES, MAX_TRIALS = 32, 200_000, 1000
+
+
+def _count(minimum: float, maximum: int):
+    """argparse type: an integer count from minimum to maximum.  A minimum
+    of -inf leaves the lower end to the subcommand's own check."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     count.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -139,11 +150,11 @@ _OPTIONS = {
         {"required": True, "help": "inline JSON or a path to a JSON file"},
     ),
     "ring": ("--ring", {"choices": ("rational", "complex", "quaternion")}),
-    "n": ("--n", {"type": int}),
+    "n": ("--n", {"type": _count(-math.inf, MAX_N)}),
     "seed": ("--seed", {"type": int, "default": 0}),
-    "trials": ("--trials", {"type": _at_least(1)}),
-    "attempts": ("--trials", {"type": _at_least(0)}),
-    "samples": ("--samples", {"type": int}),
+    "trials": ("--trials", {"type": _count(1, MAX_TRIALS)}),
+    "attempts": ("--trials", {"type": _count(0, MAX_TRIALS)}),
+    "samples": ("--samples", {"type": _count(-math.inf, MAX_SAMPLES)}),
     "tolerance": ("--tolerance", {"type": _finite_float}),
 }
 

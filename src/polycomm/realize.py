@@ -6,7 +6,10 @@ matrices L1 = L + p(D) and U1 = p(D) + U sharing the diagonal p(D) for a
 central diagonal D with distinct p-values, diagonalize each by a
 unitriangular similarity, and assemble (A1, B1) so that A1 B1 and B1 A1
 are similar to D through the two unitriangular factors.  Then
-p(A1 B1) - p(B1 A1) = G L1 G^-1 - G U1 G^-1 = A exactly.
+p(A1 B1) - p(B1 A1) = G L1 G^-1 - G U1 G^-1 = A exactly.  Only a given G
+is ever inverted: the substitution that builds each unitriangular factor
+also gives its inverse, and the witness checks each identity multiplied
+through (A1 == G G1 G2^-1 G^-1 as A1 G G2 == G G1).
 
 Traceless matrices over the rationals reduce to the zero-diagonal case by
 a recursive change of basis, so every traceless rational matrix is a
@@ -80,32 +83,29 @@ def _check_triangular(t: GenericMatrix, shape: str):
                 raise ValueError(f"diagonal entries {i} and {j} coincide")
 
 
-def _substitute(t: GenericMatrix, shape: str) -> GenericMatrix:
-    """Unitriangular P (same shape as t) solving t P = P diag(t).
-
-    Each strict entry solves (t_ii - t_jj) P_ij = -(sum of already known
-    products), a forward substitution since the stricter entries only
-    reference rows between j and i.
-    """
-    ring, n = t.ring, t.n
+def _unitriangular_solve(m: GenericMatrix, shape: str, diag=None) -> GenericMatrix:
+    """Unitriangular X (lower or upper, as shape) solving, off the diagonal,
+    (diag_i - diag_j) X_ij = -(m_ij + sum of m_ik X_kj over k strictly between),
+    the factor being 1 without diag.  That is t X = X diag(t) for m = t and
+    diag = diag(t), and P X = I for a unitriangular m = P.  Each entry needs
+    only entries nearer the diagonal, so they fill in by that distance."""
+    ring, n = m.ring, m.n
     zero, one = ring.zero(), ring.one()
-    diag = t.diagonal_entries()
-    p_rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    if shape == "lower":
-        for j in range(n):
-            for i in range(j + 1, n):
-                s = zero
-                for k in range(j, i):
-                    s = s + t.rows[i][k] * p_rows[k][j]
-                p_rows[i][j] = ring.inv(diag[i] - diag[j]) * (-s)
-    else:
-        for j in range(n):
-            for i in range(j - 1, -1, -1):
-                s = zero
-                for k in range(i + 1, j + 1):
-                    s = s + t.rows[i][k] * p_rows[k][j]
-                p_rows[i][j] = ring.inv(diag[j] - diag[i]) * s
-    return GenericMatrix(ring, p_rows)
+    x = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for dist in range(1, n):
+        for lo in range(n - dist):
+            hi = lo + dist
+            i, j = (hi, lo) if shape == "lower" else (lo, hi)
+            s = m.rows[i][j]
+            for k in range(lo + 1, hi):
+                s = s + m.rows[i][k] * x[k][j]
+            x[i][j] = -s if diag is None else ring.inv(diag[i] - diag[j]) * (-s)
+    return GenericMatrix(ring, x)
+
+
+def _substitute(t: GenericMatrix, shape: str) -> GenericMatrix:
+    """Unitriangular P (same shape as t) solving t P = P diag(t)."""
+    return _unitriangular_solve(t, shape, t.diagonal_entries())
 
 
 def triangular_diagonalize(t: GenericMatrix, shape: str) -> GenericMatrix:
@@ -132,13 +132,26 @@ def _strict_parts(m: GenericMatrix):
     return GenericMatrix(m.ring, lower), GenericMatrix(m.ring, upper)
 
 
+def _is_unitriangular(m: GenericMatrix) -> bool:
+    """Unit diagonal and one strict triangle zero: invertible by its shape."""
+    zero, one, n = m.ring.zero(), m.ring.one(), m.n
+    if any(m.rows[i][i] != one for i in range(n)):
+        return False
+    return all(m.rows[i][j] == zero for i in range(n) for j in range(i)) or all(
+        m.rows[i][j] == zero for i in range(n) for j in range(i + 1, n)
+    )
+
+
 @dataclass(frozen=True)
 class RealizationWitness:
     """Matrices realizing target = p(a1 b1) - p(b1 a1).
 
     g conjugates the zero-diagonal core, g1 and g2 are the unitriangular
     similarities, d the central diagonal.  verify() recomputes every
-    defining identity exactly; failed_identity() names the first that fails.
+    defining identity exactly, multiplied through so that g1 and g2 are
+    certified invertible by their unitriangular shape and g needs one
+    inverse unless it is the identity; failed_identity() names the first
+    identity that fails.
     """
 
     p: Polynomial
@@ -154,30 +167,37 @@ class RealizationWitness:
         return self.failed_identity() is None
 
     def failed_identity(self) -> str | None:
-        """Name of the first defining identity that fails, or None."""
-        g_inv = self.g.inverse()
-        g1_inv = self.g1.inverse()
-        g2_inv = self.g2.inverse()
-        # the outer factors every identity below shares, each built once
-        gg1, gg2 = self.g * self.g1, self.g * self.g2
+        """Name of the first defining identity that fails, or None.
+
+        Each identity X == Y Z^-1 is checked multiplied through, as
+        X Z == Y (in the comment after each name), the same identity once
+        g, g1 and g2 are invertible.  That is certified first, in this
+        order: an identity g and a unitriangular g1 or g2 by their entries
+        in O(n^2) comparisons, any other by one inverse, which raises
+        SingularMatrixError if there is none.
+        """
+        trivial_g = self.g == GenericMatrix.identity(self.g.ring, self.g.n)
+        if not trivial_g:
+            self.g.inverse()
+        for m in (self.g1, self.g2):
+            if not _is_unitriangular(m):
+                m.inverse()
+        gg1 = self.g1 if trivial_g else self.g * self.g1
+        gg2 = self.g2 if trivial_g else self.g * self.g2
         gg2d = gg2 * self.d
-        g1_out, g2_out = g1_inv * g_inv, g2_inv * g_inv
-        if self.a1 != gg1 * g2_out:
+        if self.a1 * gg2 != gg1:  # a1 (g g2) == g g1
             return "a1 == g g1 g2^-1 g^-1"
-        if self.b1 != gg2d * g1_out:
+        if self.b1 * gg1 != gg2d:  # b1 (g g1) == g g2 d
             return "b1 == g g2 d g1^-1 g^-1"
-        ab = self.a1 * self.b1
-        ba = self.b1 * self.a1
-        if ab != gg1 * self.d * g1_out:
+        ab, ba = self.a1 * self.b1, self.b1 * self.a1
+        if ab * gg1 != gg1 * self.d:  # a1 b1 (g g1) == g g1 d
             return "a1 b1 == g g1 d g1^-1 g^-1"
-        if ba != gg2d * g2_out:
+        if ba * gg2 != gg2d:  # b1 a1 (g g2) == g g2 d
             return "b1 a1 == g g2 d g2^-1 g^-1"
-        p_d = eval_poly(self.p, self.d)
-        p_ab = eval_poly(self.p, ab)
-        p_ba = eval_poly(self.p, ba)
-        if p_ab != gg1 * p_d * g1_out:
+        p_d, p_ab, p_ba = (eval_poly(self.p, x) for x in (self.d, ab, ba))
+        if p_ab * gg1 != gg1 * p_d:  # p(a1 b1) (g g1) == g g1 p(d)
             return "p(a1 b1) == g g1 p(d) g1^-1 g^-1"
-        if p_ba != gg2 * p_d * g2_out:
+        if p_ba * gg2 != gg2 * p_d:  # p(b1 a1) (g g2) == g g2 p(d)
             return "p(b1 a1) == g g2 p(d) g2^-1 g^-1"
         vals = p_d.diagonal_entries()
         if any(vals[i] == vals[j] for i in range(len(vals)) for j in range(i)):
@@ -202,10 +222,8 @@ def realize_zero_diagonal(
     if a.n < 2:
         raise ValueError("need size at least 2")
     ring = a.ring
-    if g is None:
-        g = GenericMatrix.identity(ring, a.n)
-    g_inv = g.inverse()
-    a_prime = g_inv * a * g
+    g_inv = None if g is None else g.inverse()
+    a_prime = a if g is None else g_inv * a * g
     zero = ring.zero()
     for i in range(a.n):
         if a_prime.rows[i][i] != zero:
@@ -221,8 +239,12 @@ def realize_zero_diagonal(
     u1 = p_diag - upper
     g1 = triangular_diagonalize(l1, "lower")
     g2 = triangular_diagonalize(u1, "upper")
-    a1 = g * g1 * g2.inverse() * g_inv
-    b1 = g * g2 * d * g1.inverse() * g_inv
+    a1 = g1 * _unitriangular_solve(g2, "upper")
+    b1 = g2 * d * _unitriangular_solve(g1, "lower")
+    if g is None:
+        g = GenericMatrix.identity(ring, a.n)
+    else:
+        a1, b1 = g * a1 * g_inv, g * b1 * g_inv
     witness = RealizationWitness(p, a1, b1, g, g1, g2, d, a)
     if not witness.verify():
         raise VerificationError(
@@ -233,14 +255,6 @@ def realize_zero_diagonal(
 
 def _matvec(a: GenericMatrix, v: Sequence[Fraction]):
     return [sum((row[j] * v[j] for j in range(a.n)), start=Fraction(0)) for row in a.rows]
-
-
-def _in_span(w, v) -> bool:
-    pivot = next((idx for idx, c in enumerate(v) if c != 0), None)
-    if pivot is None:
-        return all(c == 0 for c in w)
-    lam = Fraction(w[pivot]) / Fraction(v[pivot])
-    return all(Fraction(wc) == lam * Fraction(vc) for wc, vc in zip(w, v))
 
 
 def _moving_vector(a: GenericMatrix):
@@ -302,6 +316,24 @@ def _block_one_plus(q: GenericMatrix) -> GenericMatrix:
     return GenericMatrix(ring, rows)
 
 
+def _trailing_block(ap: GenericMatrix, basis) -> GenericMatrix:
+    """Rows and columns 1.. of P^-1 (A P) for the columns P = [v, Av, e_k..].
+
+    In P x = y every e_k vanishes on the two rows r and s outside the k, a
+    2x2 system for the coordinates along v and Av; each other coordinate is
+    then read off its own row, so P is never inverted."""
+    v, av = basis[0], basis[1]
+    std = [vec.index(1) for vec in basis[2:]]
+    r, s = (i for i in range(ap.n) if i not in std)
+    det = v[r] * av[s] - v[s] * av[r]
+    cols = []
+    for y in list(zip(*ap.rows))[1:]:
+        x0 = (y[r] * av[s] - y[s] * av[r]) / det
+        x1 = (v[r] * y[s] - v[s] * y[r]) / det
+        cols.append([x1] + [y[k] - x0 * v[k] - x1 * av[k] for k in std])
+    return GenericMatrix(ap.ring, [list(row) for row in zip(*cols)])
+
+
 def _zero_diag_change(a: GenericMatrix) -> GenericMatrix:
     if a.is_zero():
         return GenericMatrix.identity(a.ring, a.n)
@@ -312,11 +344,7 @@ def _zero_diag_change(a: GenericMatrix) -> GenericMatrix:
     av = _matvec(a, v)
     basis = _extend_to_basis([v, av], a.n)
     p = GenericMatrix(a.ring, [list(col) for col in zip(*basis)])
-    m = p.inverse() * a * p
-    if a.n == 1:
-        return p
-    sub = GenericMatrix(a.ring, [row[1:] for row in m.rows[1:]])
-    q = _zero_diag_change(sub)
+    q = _zero_diag_change(_trailing_block(a * p, basis))
     return p * _block_one_plus(q)
 
 

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from polycomm import norms, realize
+from polycomm import cli, norms, realize
 from polycomm.cli import build_parser, main
 from polycomm.matrix import QQ, GenericMatrix
 from polycomm.poly import Polynomial
@@ -409,6 +411,46 @@ def test_bad_trials_rejected(capsys, argv):
     assert "argument --trials: must be at least" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("sweep-constants", "--poly", "0,1", "--n", "100000", "--trials", "1"),
+         "argument --n: must be at most 32, got 100000"),
+        (("verify-bounds", "--poly", "0,1", "--n", "33"),
+         "argument --n: must be at most 32, got 33"),
+        (("trace-witness", "--poly", "0,1", "--n", "10000000000"),
+         "argument --n: must be at most 32, got 10000000000"),
+        (("verify-telescope", "--poly", "0,1", "--n", "99"),
+         "argument --n: must be at most 32, got 99"),
+        (("verify-bounds", "--poly", "0,1", "--samples", "200001"),
+         "argument --samples: must be at most 200000, got 200001"),
+        (("sphere-avg", "--input", "[[1,0],[0,1]]", "--samples", "1000000000"),
+         "argument --samples: must be at most 200000, got 1000000000"),
+        (("sweep-constants", "--poly", "0,1", "--trials", "1001", "--format", "csv"),
+         "argument --trials: must be at most 1000, got 1001"),
+        (("trace-witness", "--poly", "0,1", "--trials", "100000"),
+         "argument --trials: must be at most 1000, got 100000"),
+        (("probe-degree", "--input", "[0,0,1,0]", "--trials", "5000"),
+         "argument --trials: must be at most 1000, got 5000"),
+    ],
+    ids=["sweep-n", "bounds-n", "trace-n", "telescope-n", "bounds-samples", "sphere-samples",
+         "sweep-trials", "trace-trials", "probe-trials"],
+)
+def test_counts_over_their_cap_rejected_at_parse_time(capsys, monkeypatch, argv, message):
+    # over a cap, argparse stops before any subcommand builds anything
+    def must_not_run(args):
+        raise AssertionError(f"{args.command} ran with a count over its cap")
+
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        name: dataclasses.replace(command, build=must_not_run)
+        for name, command in cli._COMMANDS.items()
+    })
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 NON_FINITE_INPUTS = [
     ("solve-quat", "--poly", "0,1", "--input", "[0,NaN,0,1]"),
     ("solve-quat", "--poly", "0,1", "--input", "[0,1e400,0,1]"),
@@ -736,3 +778,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["trace"] == ["0", "0", "0", "2"]
+
+
+def test_readme_quick_tour_runs():
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1 and "realize_zero_diagonal" in blocks[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", blocks[0]],
+        capture_output=True,
+        text=True,
+        cwd=PYPROJECT.parent,
+        env={**os.environ, "PYTHONPATH": str(PYPROJECT.parent / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr

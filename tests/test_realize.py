@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycomm import realize
-from polycomm.matrix import CC, HF, HQ, QQ, GenericMatrix
+from polycomm.matrix import CC, HF, HQ, QQ, GenericMatrix, SingularMatrixError
 from polycomm.poly import Polynomial, eval_poly, poly_commutator
 from polycomm.quat import QI, QJ, QK, Quaternion, VerificationError
 from polycomm.realize import (
     DegreeNotBoundedError,
+    RealizationWitness,
     algebraic_degree_probe,
     algebraicity_polynomial,
     nonzero_trace_witness,
@@ -28,6 +29,7 @@ from polycomm.sampling import (
     rational_matrix,
     stream,
 )
+from polycomm.serialize import decode_witness, encode_witness
 
 SEED = 47417
 
@@ -675,3 +677,185 @@ def test_probe_names_the_level_when_the_lower_witness_fails(monkeypatch):
 def test_probe_rejects_float_input(element):
     with pytest.raises(ValueError, match="exact"):
         algebraic_degree_probe(element)
+
+
+def reference_failed_identity(w):
+    """The defining identities checked as written, through three inverses:
+    the oracle of the multiplied-through checks in failed_identity()."""
+    g_inv, g1_inv, g2_inv = w.g.inverse(), w.g1.inverse(), w.g2.inverse()
+    g1_out, g2_out = g1_inv * g_inv, g2_inv * g_inv
+    if w.a1 != w.g * w.g1 * g2_out:
+        return "a1 == g g1 g2^-1 g^-1"
+    if w.b1 != w.g * w.g2 * w.d * g1_out:
+        return "b1 == g g2 d g1^-1 g^-1"
+    ab, ba = w.a1 * w.b1, w.b1 * w.a1
+    if ab != w.g * w.g1 * w.d * g1_out:
+        return "a1 b1 == g g1 d g1^-1 g^-1"
+    if ba != w.g * w.g2 * w.d * g2_out:
+        return "b1 a1 == g g2 d g2^-1 g^-1"
+    p_d, p_ab, p_ba = eval_poly(w.p, w.d), eval_poly(w.p, ab), eval_poly(w.p, ba)
+    if p_ab != w.g * w.g1 * p_d * g1_out:
+        return "p(a1 b1) == g g1 p(d) g1^-1 g^-1"
+    if p_ba != w.g * w.g2 * p_d * g2_out:
+        return "p(b1 a1) == g g2 p(d) g2^-1 g^-1"
+    vals = p_d.diagonal_entries()
+    if any(x == y for x, y in combinations(vals, 2)):
+        return "p(d) has pairwise distinct diagonal entries"
+    if p_ab - p_ba != w.target:
+        return "p(a1 b1) - p(b1 a1) == target"
+    return None
+
+
+def outcome(check, w):
+    try:
+        return ("name", check(w))
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def count_inverses(monkeypatch):
+    """Record every GenericMatrix.inverse argument from now on."""
+    seen = []
+    inverse = GenericMatrix.inverse
+
+    def counted(m):
+        seen.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(GenericMatrix, "inverse", counted)
+    return seen
+
+
+def random_entries(r, ring, n, zero_diagonal=False):
+    def entry():
+        if ring is HQ:
+            return exact_quaternion(r, 2)
+        return Fraction(r.randint(-3, 3), r.choice([1, 1, 2]))
+
+    return GenericMatrix.from_rows(
+        ring, [[0 if zero_diagonal and i == j else entry() for j in range(n)] for i in range(n)]
+    )
+
+
+def conjugated_target(r, ring, n):
+    """(a, g) with g^-1 a g a random zero-diagonal matrix and g a random
+    invertible matrix that is neither the identity nor unitriangular."""
+    core = random_entries(r, ring, n, zero_diagonal=True)
+    while True:
+        g = random_entries(r, ring, n)
+        try:
+            g_inv = g.inverse()
+        except ValueError:
+            continue
+        return g * core * g_inv, g
+
+
+@pytest.mark.parametrize("ring", [QQ, HQ], ids=["rational", "quaternion"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_realization_inverts_only_a_given_conjugator(monkeypatch, ring, n):
+    """Without a conjugator nothing is inverted: g1^-1 and g2^-1 come from
+    the substitution, and verify() multiplies its identities through.  A
+    conjugator is inverted once to build the witness and once in verify()."""
+    r = stream(SEED, f"inverse-count-{ring.name}-{n}")
+    p = exact_polynomial(r, r.randint(1, 3))
+    plain = random_entries(r, ring, n, zero_diagonal=True)
+    a, g = conjugated_target(r, ring, n)
+    seen = count_inverses(monkeypatch)
+    w = realize_zero_diagonal(p, plain)
+    assert w.verify()
+    assert seen == []
+    w_g = realize_zero_diagonal(p, a, g=g)
+    assert w_g.verify()
+    assert seen == [g, g, g]
+    monkeypatch.undo()
+    for witness, target in ((w, plain), (w_g, a)):
+        check_witness(witness, p, target)
+        assert reference_failed_identity(witness) is None
+
+
+def test_traceless_realization_inverts_only_its_change_of_basis(monkeypatch):
+    """The change of basis is built without an inverse (each level reads
+    its trailing block off a 2x2 solve), then inverted once by the
+    reduction, once by realize_zero_diagonal and once in verify()."""
+    r = stream(SEED, "traceless-inverse-count")
+    for n in (2, 3, 4, 5):
+        a = traceless_matrix(r, n)
+        seen = count_inverses(monkeypatch)
+        change = realize._zero_diag_change(a)
+        assert seen == []
+        w = realize_traceless(X2, a)
+        monkeypatch.undo()
+        check_witness(w, X2, a)
+        assert w.g == change == traceless_to_zero_diagonal(a)[0]
+        assert seen == [change] * 3
+
+
+def matrix_perturbations(m):
+    n, ring = m.n, m.ring
+    one = ring.one()
+    corner = GenericMatrix(ring, [[one if (i, j) == (n - 1, 0) else ring.zero()
+                                   for j in range(n)] for i in range(n)])
+    return [m + 1, m - corner, m - corner.transpose(), 2 * m,
+            GenericMatrix.zeros(ring, n), GenericMatrix.identity(ring, n)]
+
+
+def tamper_witnesses():
+    r = stream(SEED, "tamper")
+    for ring in (QQ, HQ):
+        for conjugated in (False, True):
+            p = exact_polynomial(r, r.randint(1, 3))
+            if conjugated:
+                a, g = conjugated_target(r, ring, 3)
+                yield realize_zero_diagonal(p, a, g=g)
+            else:
+                yield realize_zero_diagonal(p, random_entries(r, ring, 3, zero_diagonal=True))
+
+
+def test_tampered_witness_fails_like_the_inverse_based_checks():
+    """Every perturbation of every field gives the name (or the exception)
+    that checking the identities as written, through inverses, gives."""
+    fields = ("a1", "b1", "g", "g1", "g2", "d", "target")
+    names = set()
+    for w in tamper_witnesses():
+        bad = []
+        for field in fields:
+            m = getattr(w, field)
+            others = [getattr(w, f) for f in fields if f != field]
+            bad += [dataclasses.replace(w, **{field: x})
+                    for x in matrix_perturbations(m) + others]
+        bad += [dataclasses.replace(w, p=q) for q in (
+            Polynomial([*w.p.coeffs, 1]),
+            Polynomial([w.p.coeffs[0] + 1, *w.p.coeffs[1:]]),
+            Polynomial([2 * c for c in w.p.coeffs]), X, Polynomial([0, 0, 1, 1]),
+        )]
+        for tampered in bad:
+            got = outcome(RealizationWitness.failed_identity, tampered)
+            assert got == outcome(reference_failed_identity, tampered)
+            names.add(got[1])
+    # the identities on a1 b1, b1 a1 and their p-images follow from the
+    # first two once g, g1 and g2 are invertible, so no tampering reaches them
+    assert names == {
+        None, "SingularMatrixError", "a1 == g g1 g2^-1 g^-1", "b1 == g g2 d g1^-1 g^-1",
+        "p(d) has pairwise distinct diagonal entries", "p(a1 b1) - p(b1 a1) == target",
+    }
+
+
+def test_decoded_witness_with_a_general_g1_still_verifies(monkeypatch):
+    """g1 scaled by 2 is no longer unitriangular but still invertible, and
+    (2 a1, b1 / 2) keep every identity: verify() certifies g1 by one
+    inverse instead of its shape.  A singular g still raises."""
+    w = realize_zero_diagonal(X2, qq([[0, 1, 2], [3, 0, 4], [5, 6, 0]]))
+    scaled = dataclasses.replace(
+        w, a1=2 * w.a1, b1=Fraction(1, 2) * w.b1, g1=2 * w.g1
+    )
+    seen = count_inverses(monkeypatch)
+    back = decode_witness(encode_witness(scaled))
+    assert back == scaled and back.verify()
+    assert seen == [scaled.g1, scaled.g1]
+    monkeypatch.undo()
+    assert reference_failed_identity(scaled) is None
+    singular = encode_witness(
+        dataclasses.replace(w, g=qq([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
+    )
+    with pytest.raises(SingularMatrixError, match="column 1"):
+        decode_witness(singular)
