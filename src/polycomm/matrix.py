@@ -1,18 +1,16 @@
 """Dense square matrices over pluggable scalar rings.
 
 Backends: exact rationals, complex floats, and quaternions (exact or
-float).  The float rings invert by row reduction that only ever
-multiplies rows by entry inverses from the left, so it is valid over the
-float quaternions too.
+float).  Every ring runs the same product and the same inverse, driven
+by its multiplication table: entries split into component arrays, a
+product is one matmul per pair of components, and an inverse solves the
+real (or complex) image chi(m) of the matrix.  Exact rings keep integer
+numerators over one common denominator and eliminate fraction-free;
+float rings hand the matmuls and the solve to numpy.
 
 A base-field scalar c acts centrally: c * m scales every entry and m + c
 adds c to the diagonal, so poly.eval_poly and poly.poly_commutator serve
 matrices too.
-
-Exact products and inverses are fraction-free: entries are scaled to
-integer numerators over one common denominator, the integer work runs
-without any gcd, and each result entry is normalized once.  An exact
-quaternion matrix inverts through its 4n x 4n rational image.
 """
 
 from __future__ import annotations
@@ -29,7 +27,8 @@ from .quat import Quaternion
 
 
 class SingularMatrixError(ValueError):
-    """Row reduction hit a column with no usable pivot."""
+    """The matrix has no inverse; column is the first column in the right
+    span of the columns before it."""
 
     def __init__(self, column: int):
         self.column = column
@@ -132,11 +131,6 @@ class ComplexField(ScalarRing):
 
     def embed(self, c):
         return complex(c)
-
-    def inv(self, s):
-        if s == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / complex(s)
 
     def magnitude(self, s) -> float:
         return abs(complex(s))
@@ -293,20 +287,7 @@ class GenericMatrix:
     def __mul__(self, other):
         if not isinstance(other, GenericMatrix):
             return self.__rmul__(other)  # a central scalar commutes
-        o = self._same_shape(other)
-        if self.ring.exact:
-            return GenericMatrix(self.ring, _exact_product(self, o))
-        cols = list(zip(*o.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = row[0] * col[0]
-                for a, b in zip(row[1:], col[1:]):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return GenericMatrix(self.ring, out)
+        return GenericMatrix(self.ring, _product(self, self._same_shape(other)))
 
     def __pow__(self, k: int) -> "GenericMatrix":
         if not isinstance(k, int) or k < 0:
@@ -355,108 +336,108 @@ class GenericMatrix:
         return max(mag(a) for row in self.rows for a in row)
 
     def inverse(self) -> "GenericMatrix":
-        """Inverse, or SingularMatrixError naming the first column without
-        a pivot.
+        """Inverse, or SingularMatrixError naming the first column j in the
+        right span of columns 0 .. j - 1.
 
-        Exact rings eliminate fraction-free on the rational image of the
-        matrix (_bareiss_inverse).  Float rings run Gauss-Jordan with the
-        largest pivot by magnitude; rows are only ever left-multiplied by
-        scalar inverses, so it is valid over the quaternions too.
+        Every ring solves chi(m) X = E for E the unit columns c j of I
+        (_chi; c = len(ring.table)): chi(m)^-1 = chi(m^-1), whose column
+        c j holds column j of m^-1.  Exact rings run Bareiss elimination
+        (_bareiss_solve), float rings np.linalg.solve on finite entries
+        (ValueError otherwise).  When LAPACK reports chi(m) singular, the
+        error names the smallest j for which columns 0 .. c j + c - 1 of
+        chi(m) are rank-deficient (np.linalg.matrix_rank).
         """
-        ring, n = self.ring, self.n
+        ring, n, c = self.ring, self.n, len(self.ring.table)
+        chi, den = _chi(self)
+        units = np.eye(c * n, dtype=chi.dtype)[:, ::c]
         if ring.exact:
-            return GenericMatrix(ring, _bareiss_inverse(self))
-        zero, one = ring.zero(), ring.one()
-        work = [list(row) + [one if i == j else zero for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            best, pivot_row = 0.0, None
-            for r in range(col, n):
-                m = ring.magnitude(work[r][col])
-                if m > best:
-                    best, pivot_row = m, r
-            if pivot_row is None:
-                raise SingularMatrixError(col)
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv_p = ring.inv(work[col][col])
-            work[col] = [inv_p * v for v in work[col]]
-            for r in range(n):
-                factor = work[r][col]
-                if r != col and factor != zero:
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return GenericMatrix(ring, [row[n:] for row in work])
+            x = _bareiss_solve(np.hstack([chi, units]).tolist(), den, c)
+        else:
+            if not np.isfinite(chi).all():
+                raise ValueError("only a matrix with finite entries can be inverted")
+            try:
+                x = np.linalg.solve(chi, units).tolist()
+            except np.linalg.LinAlgError:
+                ranks = (np.linalg.matrix_rank(chi[:, :c * j + c]) for j in range(n))
+                column = next((j for j, k in enumerate(ranks) if k < c * j + c), n - 1)
+                raise SingularMatrixError(column) from None
+        flat = [[x[c * i + r][j] for i in range(n) for j in range(n)] for r in range(c)]
+        return GenericMatrix(ring, _rows(n, flat))
 
 
-def _integer_components(m: GenericMatrix, count: int):
-    """Integer numerators of m's entries over one common denominator.
-
-    Returns (parts, den): parts[k] is the row-major list of the numerators
-    of component k (count is 1 for rationals, 4 for quaternions), and
-    entry component k equals parts[k][i * n + j] / den.
+def _components(m: GenericMatrix):
+    """(parts, den): component k of m[i, j] is parts[k][i, j] / den, k
+    running over the basis of ring.table.  Exact rings give Python-int
+    numerators in object arrays, so integer work on them stays exact and
+    needs no gcd; CC gives one complex128 array and HF four float64
+    arrays, over den = 1.
     """
+    ring, n, count = m.ring, m.n, len(m.ring.table)
     entries = [x.components() if count > 1 else (x,) for row in m.rows for x in row]
+    if not ring.exact:
+        values = np.array(entries, dtype=float if count > 1 else complex)
+        return [values[:, k].reshape(n, n) for k in range(count)], 1
     den = math.lcm(*(c.denominator for e in entries for c in e))
-    parts = [[e[k].numerator * (den // e[k].denominator) for e in entries]
-             for k in range(count)]
+    parts = [np.array([e[k].numerator * (den // e[k].denominator) for e in entries],
+                      dtype=object).reshape(n, n) for k in range(count)]
     return parts, den
 
 
-def _exact_product(a: GenericMatrix, b: GenericMatrix) -> list:
-    """Rows of a * b over an exact ring, by integer matrix products.
-
-    Component p of a times component q of b adds, with the sign the ring's
-    table gives, into component r of the product: one integer matmul for
-    the rationals, sixteen for the quaternions.  Python ints in numpy
-    object arrays keep the sums exact; the only gcd is the one that
-    normalizes each output component over the product of denominators.
-    """
-    table = a.ring.table
-    n, count = a.n, len(table)
-    a_parts, a_den = _integer_components(a, count)
-    b_parts, b_den = _integer_components(b, count)
-    a_arrays = [np.array(x, dtype=object).reshape(n, n) for x in a_parts]
-    b_arrays = [np.array(x, dtype=object).reshape(n, n) for x in b_parts]
-    acc = [0] * count
-    for p, row in enumerate(table):
-        for q, (r, sign) in enumerate(row):
-            prod = a_arrays[p] @ b_arrays[q]
-            acc[r] = acc[r] + prod if sign > 0 else acc[r] - prod
-    den = a_den * b_den
-    flat = [[Fraction(v, den) for v in c.ravel().tolist()] for c in acc]
-    entries = flat[0] if count == 1 else [Quaternion(*c) for c in zip(*flat)]
+def _rows(n: int, flat: list) -> list:
+    """Rows of entries from row-major lists of their components."""
+    entries = flat[0] if len(flat) == 1 else [Quaternion(*q) for q in zip(*flat)]
     return [entries[i * n:(i + 1) * n] for i in range(n)]
 
 
-def _bareiss_inverse(m: GenericMatrix) -> list:
-    """Rows of m^-1 over an exact ring by fraction-free Gauss-Jordan.
+def _product(a: GenericMatrix, b: GenericMatrix) -> list:
+    """Rows of a * b: component p of a times component q of b adds, with
+    the sign the ring's table gives, into component r of the product, one
+    matmul for QQ and CC and sixteen for the quaternions.  Exact sums stay
+    exact in Python ints; the only gcd normalizes each output component
+    over the product of denominators."""
+    table = a.ring.table
+    a_parts, a_den = _components(a)
+    b_parts, b_den = _components(b)
+    acc = [0] * len(table)
+    for p, row in enumerate(table):
+        for q, (r, sign) in enumerate(row):
+            prod = a_parts[p] @ b_parts[q]
+            acc[r] = acc[r] + prod if sign > 0 else acc[r] - prod
+    flat = [c.ravel().tolist() for c in acc]
+    if a.ring.exact:
+        den = a_den * b_den
+        flat = [[Fraction(v, den) for v in c] for c in flat]
+    return _rows(a.n, flat)
 
-    m maps to its c n x c n rational image chi(m), c = len(ring.table),
-    whose block (i, j) is left multiplication by m_ij (chi(m) = m over the
-    rationals).  chi(m)^-1 = chi(m^-1), whose column c j holds column j of
-    m^-1, so only those n columns of I are carried.  Bareiss elimination
-    (Math. Comp. 22, 1968) on the integer numerators of [den * chi(m) | I]
-    replaces every other row by (pivot * row - factor * pivot row) /
-    previous pivot, an exact integer division; the left block ends as
-    det * I, so den / det times the right block is m^-1.  Pivots are the
-    first nonzero entry of each column.  Row operations keep the linear
-    relations among columns, and the c rational columns of one quaternion
-    column lie all inside or all outside the right span of the earlier
-    ones, so SingularMatrixError names the column Gauss-Jordan over the
-    ring would.
-    """
-    table = m.ring.table
-    n, c = m.n, len(table)
-    size = c * n
-    parts, den = _integer_components(m, c)
-    work = [[0] * (size + n) for _ in range(size)]
+
+def _chi(m: GenericMatrix):
+    """(chi, den): chi(m) = chi / den is the c n x c n image of m whose
+    block (i, j) is left multiplication by m_ij on the components, c =
+    len(ring.table) (Zhang, Linear Algebra Appl. 251, 1997).  chi(m) = m
+    over QQ and CC, and chi(a b) = chi(a) chi(b)."""
+    table, n, c = m.ring.table, m.n, len(m.ring.table)
+    parts, den = _components(m)
+    chi = np.zeros((n, c, n, c), dtype=parts[0].dtype)
     for p, row in enumerate(table):
         for t, (r, sign) in enumerate(row):
-            for i in range(n):
-                line = work[c * i + r]
-                for j in range(n):
-                    line[c * j + t] += sign * parts[p][i * n + j]
-    for j in range(n):
-        work[c * j][size + j] = 1
+            chi[:, r, :, t] = parts[p] if sign > 0 else -parts[p]
+    return chi.reshape(c * n, c * n), den
+
+
+def _bareiss_solve(work: list, den: int, c: int) -> list:
+    """chi(m)^-1 E over an exact ring by fraction-free Gauss-Jordan, for
+    work = [den * chi(m) | E] as nested lists of integers.
+
+    Bareiss elimination (Math. Comp. 22, 1968) replaces every other row by
+    (pivot * row - factor * pivot row) / previous pivot, an exact integer
+    division; the left block ends as det * I, so den / det times the right
+    block is the solution.  Pivots are the first nonzero entry of each
+    column.  Row operations keep the linear relations among columns, and
+    the c rational columns of one quaternion column lie all inside or all
+    outside the right span of the earlier ones, so SingularMatrixError
+    names the column Gauss-Jordan over the ring would.
+    """
+    size = len(work)
     prev = 1
     for col in range(size):
         pivot_row = next((r for r in range(col, size) if work[r][col]), None)
@@ -471,10 +452,7 @@ def _bareiss_inverse(m: GenericMatrix) -> list:
                 work[r] = [(pivot * x - factor * y) // prev
                            for x, y in zip(work[r], pivot_line)]
         prev = pivot
-    flat = [[Fraction(den * work[c * i + r][size + j], prev) for i in range(n) for j in range(n)]
-            for r in range(c)]
-    entries = flat[0] if c == 1 else [Quaternion(*q) for q in zip(*flat)]
-    return [entries[i * n:(i + 1) * n] for i in range(n)]
+    return [[Fraction(den * v, prev) for v in line[size:]] for line in work]
 
 
 # bench/tracer.py resolves this and poly_commutator here by name (ROADMAP item 5)

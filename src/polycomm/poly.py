@@ -52,15 +52,7 @@ class Polynomial:
     @classmethod
     def exact(cls, coeffs: Sequence[Scalar]) -> "Polynomial":
         """Build with every coefficient coerced to an exact rational."""
-        out = []
-        for c in coeffs:
-            if isinstance(c, _EXACT_TYPES):
-                out.append(c)
-            elif isinstance(c, str):
-                out.append(Fraction(c))
-            else:
-                out.append(Fraction(c))
-        return cls(out)
+        return cls([c if isinstance(c, _EXACT_TYPES) else Fraction(c) for c in coeffs])
 
     @property
     def degree(self) -> int:

@@ -66,6 +66,8 @@ def pick_distinct_preimages(p: Polynomial, n: int) -> list:
 
 
 def _check_triangular(t: GenericMatrix, shape: str):
+    if not t.ring.exact:
+        raise ValueError("triangular diagonalization requires an exact backend")
     zero = t.ring.zero()
     n = t.n
     for i in range(n):

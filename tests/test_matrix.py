@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +36,11 @@ def cc_matrix(gen, n):
     from polycomm.sampling import complex_gaussian_matrix
 
     return GenericMatrix.from_rows(CC, complex_gaussian_matrix(gen, n).tolist())
+
+
+def hf_matrix(gen, n):
+    return GenericMatrix(HF, [[Quaternion.of_floats(*gen.standard_normal(4)) for _ in range(n)]
+                              for _ in range(n)])
 
 
 def e12(ring, n=2):
@@ -219,6 +225,36 @@ def test_singular_matrix_reports_column():
     assert info.value.column == 0
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_inverse_roundtrip_float_quaternion(n):
+    gen = np_stream(SEED + n, "inv-hf")
+    eye = GenericMatrix.identity(HF, n)
+    for _ in range(10):
+        m = hf_matrix(gen, n)
+        inv = m.inverse()
+        assert (m * inv).max_deviation(eye) <= 1e-10
+        assert (inv * m).max_deviation(eye) <= 1e-10
+
+
+@pytest.mark.parametrize("ring, make", [(CC, cc_matrix), (HF, hf_matrix)])
+def test_float_singular_matrix_reports_zero_column(ring, make):
+    gen = np_stream(SEED, "zero-column-" + ring.name)
+    for n in range(1, 5):
+        for j in range(n):
+            rows = [[ring.zero() if k == j else x for k, x in enumerate(row)]
+                    for row in make(gen, n).rows]
+            with pytest.raises(SingularMatrixError) as info:
+                GenericMatrix(ring, rows).inverse()
+            assert info.value.column == j
+
+
+@pytest.mark.parametrize("ring", [CC, HF])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_float_inverse_refuses_non_finite_entries(ring, bad):
+    with pytest.raises(ValueError, match="finite"):
+        GenericMatrix.from_rows(ring, [[bad, 1], [1, 1]]).inverse()
+
+
 def test_poly_eval_frozen():
     assert eval_poly(X2, e12(QQ)).is_zero()
     d = GenericMatrix.diagonal(HQ, [QI, QJ])
@@ -354,8 +390,8 @@ def test_mixed_ring_arithmetic_rejected():
         a + b
 
 
-# Reference arithmetic for the fraction-free exact product and inverse: the
-# plain per-entry loop, and Gauss-Jordan over the ring by left row
+# Reference arithmetic for the table-driven product and the exact inverse:
+# the plain per-entry loop, and Gauss-Jordan over the ring by left row
 # operations with the first nonzero pivot of each column.
 def reference_product(a, b):
     n = a.n
@@ -430,6 +466,15 @@ def test_exact_product_matches_entry_loop(n):
         assert (zero * zero).is_zero()
         eye = GenericMatrix.identity(ring, n)
         assert a * eye == a and eye * a == a
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_float_quaternion_product_matches_entry_loop(n):
+    gen = np_stream(SEED + n, "mul-hf")
+    for _ in range(5):
+        a, b = hf_matrix(gen, n), hf_matrix(gen, n)
+        expected = reference_product(a, b)
+        assert (a * b).max_deviation(expected) <= 1e-12 * (1 + expected.max_magnitude())
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -119,6 +119,9 @@ def test_triangular_diagonalize_rejects():
     t = GenericMatrix.from_rows(HQ, [[QI, 0], [1, 1]])
     with pytest.raises(ValueError):
         triangular_diagonalize(t, "lower")
+    for ring in (CC, HF):
+        with pytest.raises(ValueError, match="exact backend"):
+            triangular_diagonalize(GenericMatrix.from_rows(ring, [[0, 0], [1, 1]]), "lower")
 
 
 def test_triangular_diagonalize_random_sweep():
