@@ -462,11 +462,16 @@ def _verify_telescope(args) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage, then "error: ..." last, as for every input error
+        self.exit(2, f"{self.format_usage()}error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # built once per process: formatting the ten subparsers costs more than a
     # small request, and no option has a mutable default, so sharing is safe
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polycomm",
         description="Witness constructions and verification sweeps for "
         "p(ab) - p(ba) over quaternions and matrices.",

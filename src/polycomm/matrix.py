@@ -1,12 +1,12 @@
 """Dense square matrices over pluggable scalar rings.
 
 Backends: exact rationals, complex floats, and quaternions (exact or
-float).  Every ring runs the same product and the same inverse, driven
-by its multiplication table: entries split into component arrays, a
-product is one matmul per pair of components, and an inverse solves the
-real (or complex) image chi(m) of the matrix.  Exact rings keep integer
-numerators over one common denominator and eliminate fraction-free;
-float rings hand the matmuls and the solve to numpy.
+float).  Every ring holds a matrix in the same component form (see
+GenericMatrix): one array per basis component of the ring's
+multiplication table, over one denominator.  Sums, scalar multiples,
+products (one matmul per pair of components) and == run on those arrays;
+an inverse solves the real (or complex) image chi(m), fraction-free on
+the exact rings and in numpy on the float ones.
 
 A base-field scalar c acts centrally: c * m scales every entry and m + c
 adds c to the diagonal, so poly.eval_poly and poly.poly_commutator serve
@@ -70,21 +70,11 @@ class ScalarRing:
     def is_central(self, s) -> bool:
         return True
 
-    def magnitude(self, s) -> float:
-        raise NotImplementedError
-
     def coerce(self, value):
         raise NotImplementedError
 
     def __repr__(self):
         return f"<ring {self.name}>"
-
-
-def _safe_float(value) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
 
 
 class RationalField(ScalarRing):
@@ -110,9 +100,6 @@ class RationalField(ScalarRing):
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(s)
 
-    def magnitude(self, s) -> float:
-        return abs(_safe_float(s))
-
     def coerce(self, value):
         if isinstance(value, _EXACT_TYPES):
             return value
@@ -131,9 +118,6 @@ class ComplexField(ScalarRing):
 
     def embed(self, c):
         return complex(c)
-
-    def magnitude(self, s) -> float:
-        return abs(complex(s))
 
     def coerce(self, value):
         return complex(value)
@@ -172,9 +156,6 @@ class QuaternionAlgebra(ScalarRing):
     def is_central(self, s) -> bool:
         return s.im().is_zero()
 
-    def magnitude(self, s) -> float:
-        return math.sqrt(_safe_float(s.norm2()))
-
     def coerce(self, value):
         if isinstance(value, Quaternion):
             q = value
@@ -203,18 +184,60 @@ RINGS = {r.name: r for r in (QQ, CC, HQ, HF)}
 
 
 class GenericMatrix:
-    """Immutable square matrix over a ScalarRing."""
+    """Immutable square matrix over a ScalarRing, held as (parts, den).
 
-    __slots__ = ("ring", "n", "rows")
+    Component k of entry (i, j) is parts[k, i, j] / den, k running over the
+    basis of ring.table.  Exact rings keep Python-int numerators in an
+    object array over a positive den in lowest terms, gcd(den, every
+    numerator) = 1: den is then the lcm of the entry denominators and the
+    form is unique, so == compares den and the arrays.  CC keeps complex128
+    and HF float64 parts, over den = 1.  rows is a view built once, on first
+    read, of Fraction(v, den), Quaternion(*q) or Python-number entries; a
+    matrix built from rows keeps them and computes its parts at most once.
+    Neither is ever written in place.
+    """
+
+    __slots__ = ("ring", "n", "_rows", "_parts", "_den")
 
     def __init__(self, ring: ScalarRing, rows: Sequence[Sequence]):
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("rows must form a nonempty square matrix")
-        self.ring = ring
-        self.n = n
-        self.rows = rows
+        self.ring, self.n, self._rows, self._parts, self._den = ring, n, rows, None, 1
+
+    @classmethod
+    def _of_parts(cls, ring: ScalarRing, parts: np.ndarray, den=1) -> "GenericMatrix":
+        """The matrix parts / den, reduced to lowest terms on the exact rings."""
+        g = math.gcd(den, *parts.flat) if ring.exact else 1
+        m = cls.__new__(cls)
+        m.ring, m.n, m._rows = ring, parts.shape[1], None
+        m._parts, m._den = (parts // g, den // g) if g > 1 else (parts, den)
+        return m
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            n, den = self.n, self._den
+            flat = [[Fraction(v, den) for v in p.flat] if self.ring.exact else p.ravel().tolist()
+                    for p in self._parts]
+            entries = flat[0] if len(flat) == 1 else [Quaternion(*q) for q in zip(*flat)]
+            self._rows = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
+        return self._rows
+
+    def component_form(self):
+        """(parts, den) of the class docstring, parts of shape (c, n, n)."""
+        if self._parts is None:
+            n, c = self.n, len(self.ring.table)
+            entries = [x.components() if c > 1 else (x,) for row in self._rows for x in row]
+            if self.ring.exact:
+                den = self._den = math.lcm(*(v.denominator for e in entries for v in e))
+                parts = np.array([[e[k].numerator * (den // e[k].denominator) for e in entries]
+                                  for k in range(c)], dtype=object)
+            else:
+                parts = np.array(entries, dtype=float if c > 1 else complex).T
+            self._parts = parts.reshape(c, n, n)
+        return self._parts, self._den
 
     @classmethod
     def from_rows(cls, ring: ScalarRing, rows: Sequence[Sequence]) -> "GenericMatrix":
@@ -230,7 +253,7 @@ class GenericMatrix:
 
     @classmethod
     def diagonal(cls, ring: ScalarRing, entries: Iterable) -> "GenericMatrix":
-        entries = list(entries)
+        entries = [ring.coerce(v) for v in entries]
         zero = ring.zero()
         n = len(entries)
         return cls(ring, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
@@ -242,7 +265,10 @@ class GenericMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GenericMatrix):
             return NotImplemented
-        return self.ring.name == other.ring.name and self.rows == other.rows
+        if self.ring.name != other.ring.name or self.n != other.n:
+            return False
+        (a, a_den), (b, b_den) = self.component_form(), other.component_form()
+        return a_den == b_den and bool((a == b).all())
 
     def __repr__(self) -> str:
         return f"GenericMatrix({self.ring.name}, {[list(r) for r in self.rows]!r})"
@@ -251,43 +277,49 @@ class GenericMatrix:
         if not isinstance(other, GenericMatrix) or other.n != self.n:
             raise ValueError("shape mismatch")
         if other.ring.name != self.ring.name:
-            raise ValueError(
-                f"ring mismatch: {self.ring.name} vs {other.ring.name}"
-            )
+            raise ValueError(f"ring mismatch: {self.ring.name} vs {other.ring.name}")
         return other
 
     def __add__(self, other):
-        if not isinstance(other, GenericMatrix):
-            s = self.ring.embed(other)
-            return GenericMatrix(self.ring, [[a + s if i == j else a for j, a in enumerate(row)]
-                                             for i, row in enumerate(self.rows)])
-        o = self._same_shape(other)
-        return GenericMatrix(
-            self.ring,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, o.rows)],
-        )
+        """m + m', or m + c for a central base-field scalar c on the diagonal."""
+        parts, den = self.component_form()
+        if isinstance(other, GenericMatrix):
+            o_parts, o_den = self._same_shape(other).component_form()
+            total = math.lcm(den, o_den)
+            parts = _over(parts, den, total) + _over(o_parts, o_den, total)
+            return GenericMatrix._of_parts(self.ring, parts, total)
+        num, c_den = _scalar(self.ring, other)
+        total = math.lcm(den, c_den)
+        parts = _over(parts, den, total).copy()
+        diag = np.arange(self.n)
+        parts[0, diag, diag] += num * (total // c_den)
+        return GenericMatrix._of_parts(self.ring, parts, total)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, GenericMatrix):
-            return self + (-other)
-        o = self._same_shape(other)
-        return GenericMatrix(
-            self.ring,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, o.rows)],
-        )
+        return self + (-other)
 
     def __rsub__(self, other):
         return -self + other
 
     def __neg__(self):
-        return GenericMatrix(self.ring, [[-a for a in row] for row in self.rows])
+        parts, den = self.component_form()
+        return GenericMatrix._of_parts(self.ring, -parts, den)
 
     def __mul__(self, other):
+        """m * m' by the ring's table: component p of m times component q of
+        m' adds, with the table's sign, into component r of the product, one
+        matmul for QQ and CC and sixteen for the quaternions."""
         if not isinstance(other, GenericMatrix):
             return self.__rmul__(other)  # a central scalar commutes
-        return GenericMatrix(self.ring, _product(self, self._same_shape(other)))
+        (a, a_den), (b, b_den) = self.component_form(), self._same_shape(other).component_form()
+        acc = [0] * len(self.ring.table)
+        for p, row in enumerate(self.ring.table):
+            for q, (r, sign) in enumerate(row):
+                prod = a[p] @ b[q]
+                acc[r] = acc[r] + prod if sign > 0 else acc[r] - prod
+        return GenericMatrix._of_parts(self.ring, np.array(acc), a_den * b_den)
 
     def __pow__(self, k: int) -> "GenericMatrix":
         if not isinstance(k, int) or k < 0:
@@ -299,134 +331,94 @@ class GenericMatrix:
 
     def __rmul__(self, c) -> "GenericMatrix":
         """c * m for a central base-field scalar c: every entry scaled."""
-        s = self.ring.embed(c)
-        if self.ring is HQ:
-            # s is real: scale the components, not a full quaternion product
-            return GenericMatrix(self.ring, [
-                [Quaternion(*(s.w * x for x in a.components())) for a in row]
-                for row in self.rows
-            ])
-        return GenericMatrix(self.ring, [[s * a for a in row] for row in self.rows])
+        num, c_den = _scalar(self.ring, c)
+        parts, den = self.component_form()
+        return GenericMatrix._of_parts(self.ring, parts * num, den * c_den)
 
     def transpose(self) -> "GenericMatrix":
         return GenericMatrix(self.ring, list(zip(*self.rows)))
 
     def trace(self):
-        acc = self.ring.zero()
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
+        return sum(self.diagonal_entries(), self.ring.zero())
 
     def diagonal_entries(self):
         return tuple(self.rows[i][i] for i in range(self.n))
 
     def is_zero(self) -> bool:
-        zero = self.ring.zero()
-        return all(a == zero for row in self.rows for a in row)
+        return bool((self.component_form()[0] == 0).all())
 
     def max_deviation(self, other: "GenericMatrix") -> float:
-        o = self._same_shape(other)
-        mag = self.ring.magnitude
-        return max(
-            mag(a - b) for ra, rb in zip(self.rows, o.rows) for a, b in zip(ra, rb)
-        )
+        return (self - self._same_shape(other)).max_magnitude()
 
     def max_magnitude(self) -> float:
-        mag = self.ring.magnitude
-        return max(mag(a) for row in self.rows for a in row)
+        """Largest |entry|, the norm on the quaternions; inf when an exact
+        one lies beyond the double range."""
+        parts, den = self.component_form()
+        if len(parts) == 1:
+            top = max(abs(v) for v in parts[0].ravel().tolist())
+        else:
+            top, den = max((parts * parts).sum(axis=0).flat), den * den
+        try:
+            top = top / den
+        except OverflowError:
+            return math.inf
+        return top if len(parts) == 1 else math.sqrt(top)
 
     def inverse(self) -> "GenericMatrix":
         """Inverse, or SingularMatrixError naming the first column j in the
         right span of columns 0 .. j - 1.
 
-        Every ring solves chi(m) X = E for E the unit columns c j of I
-        (_chi; c = len(ring.table)): chi(m)^-1 = chi(m^-1), whose column
-        c j holds column j of m^-1.  Exact rings run Bareiss elimination
+        Every ring solves chi(m) X = E for the c n x c n image chi(m) whose
+        block (i, j) is left multiplication by m_ij on the components, c =
+        len(ring.table) (Zhang, Linear Algebra Appl. 251, 1997), and E the
+        unit columns c j of I: chi(m)^-1 = chi(m^-1), whose column c j
+        holds column j of m^-1.  Exact rings run Bareiss elimination
         (_bareiss_solve), float rings np.linalg.solve on finite entries
         (ValueError otherwise).  When LAPACK reports chi(m) singular, the
         error names the smallest j for which columns 0 .. c j + c - 1 of
         chi(m) are rank-deficient (np.linalg.matrix_rank).
         """
         ring, n, c = self.ring, self.n, len(self.ring.table)
-        chi, den = _chi(self)
+        parts, den = self.component_form()
+        chi = np.zeros((n, c, n, c), dtype=parts.dtype)
+        for p, row in enumerate(ring.table):
+            for t, (r, sign) in enumerate(row):
+                chi[:, r, :, t] = parts[p] if sign > 0 else -parts[p]
+        chi = chi.reshape(c * n, c * n)  # chi(m) = chi / den
         units = np.eye(c * n, dtype=chi.dtype)[:, ::c]
         if ring.exact:
-            x = _bareiss_solve(np.hstack([chi, units]).tolist(), den, c)
+            x, den = _bareiss_solve(np.hstack([chi, units]).tolist(), den, c)
         else:
             if not np.isfinite(chi).all():
                 raise ValueError("only a matrix with finite entries can be inverted")
             try:
-                x = np.linalg.solve(chi, units).tolist()
+                x = np.linalg.solve(chi, units)
             except np.linalg.LinAlgError:
                 ranks = (np.linalg.matrix_rank(chi[:, :c * j + c]) for j in range(n))
                 column = next((j for j, k in enumerate(ranks) if k < c * j + c), n - 1)
                 raise SingularMatrixError(column) from None
-        flat = [[x[c * i + r][j] for i in range(n) for j in range(n)] for r in range(c)]
-        return GenericMatrix(ring, _rows(n, flat))
+        # row c i + r of x holds component r of row i of the inverse
+        return GenericMatrix._of_parts(ring, x.reshape(n, c, n).transpose(1, 0, 2), den)
 
 
-def _components(m: GenericMatrix):
-    """(parts, den): component k of m[i, j] is parts[k][i, j] / den, k
-    running over the basis of ring.table.  Exact rings give Python-int
-    numerators in object arrays, so integer work on them stays exact and
-    needs no gcd; CC gives one complex128 array and HF four float64
-    arrays, over den = 1.
-    """
-    ring, n, count = m.ring, m.n, len(m.ring.table)
-    entries = [x.components() if count > 1 else (x,) for row in m.rows for x in row]
-    if not ring.exact:
-        values = np.array(entries, dtype=float if count > 1 else complex)
-        return [values[:, k].reshape(n, n) for k in range(count)], 1
-    den = math.lcm(*(c.denominator for e in entries for c in e))
-    parts = [np.array([e[k].numerator * (den // e[k].denominator) for e in entries],
-                      dtype=object).reshape(n, n) for k in range(count)]
-    return parts, den
+def _scalar(ring: ScalarRing, c):
+    """(num, den) with num / den the central base-field scalar c, which
+    ring.embed validates; den is 1 on the float rings."""
+    s = ring.embed(c)
+    if isinstance(s, Quaternion):
+        s = s.w
+    return (s.numerator, s.denominator) if ring.exact else (s, 1)
 
 
-def _rows(n: int, flat: list) -> list:
-    """Rows of entries from row-major lists of their components."""
-    entries = flat[0] if len(flat) == 1 else [Quaternion(*q) for q in zip(*flat)]
-    return [entries[i * n:(i + 1) * n] for i in range(n)]
+def _over(parts: np.ndarray, den, total) -> np.ndarray:
+    """Numerators of parts / den over total, a multiple of den."""
+    return parts if total == den else parts * (total // den)
 
 
-def _product(a: GenericMatrix, b: GenericMatrix) -> list:
-    """Rows of a * b: component p of a times component q of b adds, with
-    the sign the ring's table gives, into component r of the product, one
-    matmul for QQ and CC and sixteen for the quaternions.  Exact sums stay
-    exact in Python ints; the only gcd normalizes each output component
-    over the product of denominators."""
-    table = a.ring.table
-    a_parts, a_den = _components(a)
-    b_parts, b_den = _components(b)
-    acc = [0] * len(table)
-    for p, row in enumerate(table):
-        for q, (r, sign) in enumerate(row):
-            prod = a_parts[p] @ b_parts[q]
-            acc[r] = acc[r] + prod if sign > 0 else acc[r] - prod
-    flat = [c.ravel().tolist() for c in acc]
-    if a.ring.exact:
-        den = a_den * b_den
-        flat = [[Fraction(v, den) for v in c] for c in flat]
-    return _rows(a.n, flat)
-
-
-def _chi(m: GenericMatrix):
-    """(chi, den): chi(m) = chi / den is the c n x c n image of m whose
-    block (i, j) is left multiplication by m_ij on the components, c =
-    len(ring.table) (Zhang, Linear Algebra Appl. 251, 1997).  chi(m) = m
-    over QQ and CC, and chi(a b) = chi(a) chi(b)."""
-    table, n, c = m.ring.table, m.n, len(m.ring.table)
-    parts, den = _components(m)
-    chi = np.zeros((n, c, n, c), dtype=parts[0].dtype)
-    for p, row in enumerate(table):
-        for t, (r, sign) in enumerate(row):
-            chi[:, r, :, t] = parts[p] if sign > 0 else -parts[p]
-    return chi.reshape(c * n, c * n), den
-
-
-def _bareiss_solve(work: list, den: int, c: int) -> list:
-    """chi(m)^-1 E over an exact ring by fraction-free Gauss-Jordan, for
-    work = [den * chi(m) | E] as nested lists of integers.
+def _bareiss_solve(work: list, den: int, c: int):
+    """(x, d) with chi(m)^-1 E = x / d and d > 0, over an exact ring by
+    fraction-free Gauss-Jordan, for work = [den * chi(m) | E] as nested
+    lists of integers.
 
     Bareiss elimination (Math. Comp. 22, 1968) replaces every other row by
     (pivot * row - factor * pivot row) / previous pivot, an exact integer
@@ -452,7 +444,8 @@ def _bareiss_solve(work: list, den: int, c: int) -> list:
                 work[r] = [(pivot * x - factor * y) // prev
                            for x, y in zip(work[r], pivot_line)]
         prev = pivot
-    return [[Fraction(den * v, prev) for v in line[size:]] for line in work]
+    sign = 1 if prev > 0 else -1
+    return np.array([line[size:] for line in work], dtype=object) * (sign * den), sign * prev
 
 
 # bench/tracer.py resolves this and poly_commutator here by name (ROADMAP item 5)

@@ -489,27 +489,28 @@ class DegreeProbeResult:
     lower_probes: tuple = ()
 
 
-def _coordinates(x) -> list:
-    """x's coordinates over a basis of its algebra as a rational vector space.
+def _coordinates(x):
+    """(coords, den): x's coordinates over a basis of its algebra as a
+    rational vector space are the integers coords over den > 0.
 
     An int or Fraction is its own coordinate and an exact quaternion has its
     four components; a matrix lists its entries' coordinates row by row
-    (n^2 of them over the rationals, 4 n^2 over the exact quaternions).
+    (n^2 of them over the rationals, 4 n^2 over the exact quaternions),
+    read off its component form.
     """
-    if isinstance(x, GenericMatrix):
-        if not x.ring.exact:
-            raise ValueError(
-                f"the degree probe needs an exact backend, not {x.ring.name}"
-            )
-        return [c for row in x.rows for entry in row for c in _coordinates(entry)]
     if isinstance(x, Quaternion) and x.is_exact():
-        return list(x.components())
-    if isinstance(x, (int, Fraction)):
-        return [x]
-    raise ValueError(
-        "the degree probe needs an exact element: an int, a Fraction, an exact "
-        "quaternion or a rational or exact-quaternion matrix"
-    )
+        x = GenericMatrix(HQ, [[x]])
+    elif isinstance(x, (int, Fraction)):
+        x = GenericMatrix(QQ, [[x]])
+    elif not isinstance(x, GenericMatrix):
+        raise ValueError(
+            "the degree probe needs an exact element: an int, a Fraction, an exact "
+            "quaternion or a rational or exact-quaternion matrix"
+        )
+    if not x.ring.exact:
+        raise ValueError(f"the degree probe needs an exact backend, not {x.ring.name}")
+    parts, den = x.component_form()
+    return parts.transpose(1, 2, 0).ravel().tolist(), den
 
 
 def _annihilator(a, m_max: int):
@@ -529,9 +530,7 @@ def _annihilator(a, m_max: int):
     for k in range(m_max + 1):
         if k:
             powers.append(powers[-1] * a)
-        coords = _coordinates(powers[k])
-        den = math.lcm(*(c.denominator for c in coords))
-        work = [c.numerator * (den // c.denominator) for c in coords]
+        work, den = _coordinates(powers[k])
         combo = [0] * (m_max + 1)
         combo[k] = den
         for pivot, row, row_combo in rows:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycomm import cli, norms, realize
 from polycomm.cli import build_parser, main
@@ -449,6 +452,72 @@ def test_counts_over_their_cap_rejected_at_parse_time(capsys, monkeypatch, argv,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+# Option values for the CLI contract property: valid, at a boundary, or
+# malformed.  Counts stay small or lie over their cap, where argparse stops
+# before anything is built, so every example runs in milliseconds.
+_MATRIX_INPUTS = [
+    '{"ring": "rational", "entries": [["0", "1/2"], ["2", "0"]]}',
+    '{"ring": "rational", "entries": [["1", "2"], ["3", "-1"]]}',
+    '{"ring": "quaternion",'
+    ' "entries": [[[0, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 0]]]}',
+    '{"ring": "complex", "entries": [[[1, 0], 0], [0, 1]]}',
+    '{"matrix": {"ring": "rational", "entries": [["0", "1"], ["1", "0"]]},'
+    ' "conjugator": {"ring": "rational", "entries": [["0", "0"], ["0", "0"]]}}',
+    "[[1, 0], [0, 1]]",
+]
+_BAD_JSON = [
+    "", "[", "null", "{}", '"x"', "[1, 2, 3]", "[NaN, 0, 0, 1]", "[[1e400]]",
+    '{"ring": "bogus", "entries": [[1]]}', '{"ring": "rational", "entries": []}',
+    '{"ring": "rational", "entries": [["1/0"]]}', "no/such/file.json",
+]
+OPTION_VALUES = {
+    "poly": ["0,1", "0,0,1", "1,2,3", "0,1,0,1", "1/2,1", "0.5,1", "1e300,1", "0", "5",
+             "", "a", "1,,2", "0,nan", "0,1e400", "1/0,1"],
+    "input": ["[0,0,0,2]", "[0,1,0,0]", "[1,0,0,0]", "[0,1e300,0,0]", "[1,1e-300,0,0]",
+              *_MATRIX_INPUTS, *_BAD_JSON],
+    "ring": ["rational", "complex", "quaternion", "bogus"],
+    "n": ["1", "2", "3", "0", "-1", str(cli.MAX_N + 1), "x", "1.5"],
+    "seed": ["0", "7", "-1", str(2**70), "x"],
+    "trials": ["1", "2", "0", "-1", str(cli.MAX_TRIALS + 1), "x"],
+    "attempts": ["0", "1", "2", "-1", str(cli.MAX_TRIALS + 1), "x"],
+    "samples": ["1000", "1500", "0", "-1", str(cli.MAX_SAMPLES + 1), "x"],
+    "tolerance": ["1e-8", "0", "-1", "1e300", "nan", "inf", "x"],
+    "format": ["json", "csv", "xml"],
+}
+
+
+@st.composite
+def subcommand_argv(draw, name):
+    """argv for subcommand name: each of its options given a drawn value or
+    left out, then perhaps a stray argument."""
+    command = cli._COMMANDS[name]
+    options = [option for option, *_ in command.options]
+    argv = [name]
+    for option in options + (["format"] if command.csv_rows else []):
+        value = draw(st.none() | st.sampled_from(OPTION_VALUES[option]))
+        if value is not None:
+            flag = "--format" if option == "format" else cli._OPTIONS[option][0]
+            argv.append(f"{flag}={value}")
+    return argv + draw(st.sampled_from([[], [], ["--bogus"], ["stray"], ["--help"]]))
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_contract_holds_for_drawn_argv(name, data):
+    # an uncaught exception (exit 1 with a traceback) fails here by raising
+    argv = data.draw(subcommand_argv(name))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "", argv
+        assert err.splitlines()[-1].startswith("error:"), (argv, err)
 
 
 NON_FINITE_INPUTS = [

@@ -477,6 +477,76 @@ def test_float_quaternion_product_matches_entry_loop(n):
         assert (a * b).max_deviation(expected) <= 1e-12 * (1 + expected.max_magnitude())
 
 
+# mixed denominators, so sums and products must find a common one and reduce
+mixed_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+mixed_entries = {
+    "rational": mixed_fractions,
+    "quaternion": st.builds(Quaternion.exact, *(mixed_fractions for _ in range(4))),
+}
+
+
+def assert_lowest_terms(m, expected_rows):
+    """m's component form is in lowest terms, and its rows are the
+    reference entries as exact values."""
+    parts, den = m.component_form()
+    assert den > 0 and math.gcd(den, *parts.flat) == 1
+    entry_parts = [x.components() if isinstance(x, Quaternion) else (x,)
+                   for row in expected_rows for x in row]
+    assert den == math.lcm(*(Fraction(c).denominator for e in entry_parts for c in e))
+    assert m.rows == tuple(tuple(row) for row in expected_rows)
+    assert_exact_entries(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ring_name=st.sampled_from(sorted(mixed_entries)),
+    n=st.integers(1, 3),
+    c=mixed_fractions,
+    data=st.data(),
+)
+def test_exact_operators_match_the_entry_loop(ring_name, n, c, data):
+    ring = RINGS[ring_name]
+    a, b = (GenericMatrix(ring, [entries[i * n:(i + 1) * n] for i in range(n)])
+            for entries in (data.draw(st.lists(mixed_entries[ring_name],
+                                               min_size=n * n, max_size=n * n))
+                            for _ in range(2)))
+
+    def entrywise(f, *ms):
+        return [[f(i, j, *xs) for j, xs in enumerate(zip(*rows))]
+                for i, rows in enumerate(zip(*(m.rows for m in ms)))]
+
+    cases = [
+        (a * b, reference_product(a, b).rows),
+        (a + b, entrywise(lambda i, j, x, y: x + y, a, b)),
+        (a - b, entrywise(lambda i, j, x, y: x - y, a, b)),
+        (-a, entrywise(lambda i, j, x: -x, a)),
+        (c * a, entrywise(lambda i, j, x: c * x, a)),
+        (a + c, entrywise(lambda i, j, x: x + c if i == j else x, a)),
+        (a - c, entrywise(lambda i, j, x: x - c if i == j else x, a)),
+    ]
+    for got, expected in cases:
+        assert_lowest_terms(got, expected)
+        assert got == GenericMatrix(ring, expected)
+    assert (a == b) == (a.rows == b.rows)
+    # equal matrices reached by different paths
+    assert (a * 2) * Fraction(1, 2) == a
+    assert (a + b) - b == a
+    assert c * (a + b) == c * a + c * b
+    assert (a - a).is_zero() and (a - a).component_form()[1] == 1
+    assert a - a == GenericMatrix.zeros(ring, n)
+
+
+def test_diagonal_coerces_its_entries():
+    d = GenericMatrix.diagonal(HQ, [0, 1, 2])
+    assert d[2, 2] == Quaternion.exact(2) and isinstance(d[2, 2], Quaternion)
+    e = GenericMatrix.diagonal(HQ, [1, 2, Fraction(1, 3)])
+    assert d * e == GenericMatrix.diagonal(HQ, [0, 2, Fraction(2, 3)])
+    assert e.inverse() == GenericMatrix.diagonal(HQ, [1, Fraction(1, 2), 3])
+    with pytest.raises(SingularMatrixError) as info:
+        d.inverse()
+    assert info.value.column == 0
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rational_inverse_matches_fraction_gauss_jordan(n):
     r = random.Random(SEED * 3 + n)
