@@ -64,9 +64,6 @@ class ScalarRing:
         """Image of a base-field scalar (int / Fraction / float); central."""
         raise NotImplementedError
 
-    def inv(self, s):
-        raise NotImplementedError
-
     def is_central(self, s) -> bool:
         return True
 
@@ -94,11 +91,6 @@ class RationalField(ScalarRing):
                 "quaternion-float backends"
             )
         return Fraction(c)
-
-    def inv(self, s):
-        if s == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(s)
 
     def coerce(self, value):
         if isinstance(value, _EXACT_TYPES):
@@ -149,9 +141,6 @@ class QuaternionAlgebra(ScalarRing):
                 )
             return Quaternion.exact(c)
         return Quaternion.of_floats(float(c))
-
-    def inv(self, s):
-        return s.inverse()
 
     def is_central(self, s) -> bool:
         return s.im().is_zero()
@@ -218,10 +207,7 @@ class GenericMatrix:
     @property
     def rows(self) -> tuple:
         if self._rows is None:
-            n, den = self.n, self._den
-            flat = [[Fraction(v, den) for v in p.flat] if self.ring.exact else p.ravel().tolist()
-                    for p in self._parts]
-            entries = flat[0] if len(flat) == 1 else [Quaternion(*q) for q in zip(*flat)]
+            n, entries = self.n, _entries(self.ring, self._parts, self._den)
             self._rows = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
         return self._rows
 
@@ -314,12 +300,7 @@ class GenericMatrix:
         if not isinstance(other, GenericMatrix):
             return self.__rmul__(other)  # a central scalar commutes
         (a, a_den), (b, b_den) = self.component_form(), self._same_shape(other).component_form()
-        acc = [0] * len(self.ring.table)
-        for p, row in enumerate(self.ring.table):
-            for q, (r, sign) in enumerate(row):
-                prod = a[p] @ b[q]
-                acc[r] = acc[r] + prod if sign > 0 else acc[r] - prod
-        return GenericMatrix._of_parts(self.ring, np.array(acc), a_den * b_den)
+        return GenericMatrix._of_parts(self.ring, table_product(self.ring.table, a, b), a_den * b_den)
 
     def __pow__(self, k: int) -> "GenericMatrix":
         if not isinstance(k, int) or k < 0:
@@ -342,7 +323,10 @@ class GenericMatrix:
         return sum(self.diagonal_entries(), self.ring.zero())
 
     def diagonal_entries(self):
-        return tuple(self.rows[i][i] for i in range(self.n))
+        """The n diagonal entries, off rows once built and off parts before."""
+        if self._rows is not None:
+            return tuple(self._rows[i][i] for i in range(self.n))
+        return tuple(_entries(self.ring, self._parts.diagonal(0, 1, 2), self._den))
 
     def is_zero(self) -> bool:
         return bool((self.component_form()[0] == 0).all())
@@ -399,6 +383,26 @@ class GenericMatrix:
                 raise SingularMatrixError(column) from None
         # row c i + r of x holds component r of row i of the inverse
         return GenericMatrix._of_parts(ring, x.reshape(n, c, n).transpose(1, 0, 2), den)
+
+
+def table_product(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Components of the product of a and b, two stacks of component arrays
+    (shape (c, ...)) multiplied by @: component p of a times component q of
+    b adds, with the table's sign, into component r."""
+    acc = [0] * len(table)
+    for p, row in enumerate(table):
+        for q, (r, sign) in enumerate(row):
+            prod = a[p] @ b[q]
+            acc[r] = acc[r] + prod if sign > 0 else acc[r] - prod
+    return np.array(acc)
+
+
+def _entries(ring: ScalarRing, parts: np.ndarray, den) -> list:
+    """Ring elements of parts / den, flattened in C order over parts[0]:
+    Fraction(v, den), Quaternion(*q) or Python numbers."""
+    flat = [[Fraction(v, den) for v in p.flat] if ring.exact else p.ravel().tolist()
+            for p in parts]
+    return flat[0] if len(flat) == 1 else [Quaternion(*q) for q in zip(*flat)]
 
 
 def _scalar(ring: ScalarRing, c):

@@ -8,8 +8,10 @@ unitriangular similarity, and assemble (A1, B1) so that A1 B1 and B1 A1
 are similar to D through the two unitriangular factors.  Then
 p(A1 B1) - p(B1 A1) = G L1 G^-1 - G U1 G^-1 = A exactly.  Only a given G
 is ever inverted: the substitution that builds each unitriangular factor
-also gives its inverse, and the witness checks each identity multiplied
-through (A1 == G G1 G2^-1 G^-1 as A1 G G2 == G G1).
+also gives its inverse, on the integer numerators of the component form.
+The witness checks four identities, the two on A1 and B1 multiplied
+through (A1 == G G1 G2^-1 G^-1 as A1 G G2 == G G1), distinct diagonal
+entries of p(D), and the target.
 
 Traceless matrices over the rationals reduce to the zero-diagonal case by
 a recursive change of basis, so every traceless rational matrix is a
@@ -23,9 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
-from .matrix import QQ, HQ, GenericMatrix
+import numpy as np
+
+from .matrix import QQ, HQ, GenericMatrix, table_product
 from .poly import Polynomial, eval_poly, poly_commutator
 from .quat import ONE, QI, QJ, QK, Quaternion, VerificationError
 from .sampling import probe_like, stream
@@ -68,46 +73,57 @@ def pick_distinct_preimages(p: Polynomial, n: int) -> list:
 def _check_triangular(t: GenericMatrix, shape: str):
     if not t.ring.exact:
         raise ValueError("triangular diagonalization requires an exact backend")
-    zero = t.ring.zero()
-    n = t.n
-    for i in range(n):
-        for j in range(n):
-            wrong_side = j > i if shape == "lower" else j < i
-            if wrong_side and t.rows[i][j] != zero:
-                raise ValueError(f"entry ({i},{j}) breaks {shape}-triangular shape")
-    diag = t.diagonal_entries()
-    for i, s in enumerate(diag):
-        if not t.ring.is_central(s):
-            raise ValueError(f"diagonal entry {i} is not central")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if diag[i] == diag[j]:
-                raise ValueError(f"diagonal entries {i} and {j} coincide")
+    parts, _ = t.component_form()
+    wrong_side = np.triu(parts, 1) if shape == "lower" else np.tril(parts, -1)
+    bad = np.argwhere((wrong_side != 0).any(axis=0)).tolist()
+    if bad:
+        i, j = bad[0]
+        raise ValueError(f"entry ({i},{j}) breaks {shape}-triangular shape")
+    diag = parts.diagonal(0, 1, 2)
+    bad = np.flatnonzero((diag[1:] != 0).any(axis=0)).tolist()
+    if bad:
+        raise ValueError(f"diagonal entry {bad[0]} is not central")
+    real = diag[0].tolist()
+    for i, j in combinations(range(t.n), 2):
+        if real[i] == real[j]:
+            raise ValueError(f"diagonal entries {i} and {j} coincide")
 
 
-def _unitriangular_solve(m: GenericMatrix, shape: str, diag=None) -> GenericMatrix:
+def _unitriangular_solve(m: GenericMatrix, shape: str, divide: bool = False) -> GenericMatrix:
     """Unitriangular X (lower or upper, as shape) solving, off the diagonal,
-    (diag_i - diag_j) X_ij = -(m_ij + sum of m_ik X_kj over k strictly between),
-    the factor being 1 without diag.  That is t X = X diag(t) for m = t and
-    diag = diag(t), and P X = I for a unitriangular m = P.  Each entry needs
-    only entries nearer the diagonal, so they fill in by that distance."""
+    (m_ii - m_jj) X_ij = -(m_ij + sum of m_ik X_kj over k strictly between),
+    the factor being 1 unless divide.  That is t X = X diag(t) for m = t
+    (divide, with central distinct diagonal entries), and P X = I for a
+    unitriangular m = P.
+
+    Row i of X needs only the rows between it and the diagonal: it is minus
+    row i of m times the block of X already filled, divided entrywise by
+    the gaps m_ii - m_jj.  The rows fill in on integer numerators over one
+    denominator, which each row rescales by the lcm of its gaps (m's own
+    denominator cancels from them) and reduces by one gcd."""
     ring, n = m.ring, m.n
-    zero, one = ring.zero(), ring.one()
-    x = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for dist in range(1, n):
-        for lo in range(n - dist):
-            hi = lo + dist
-            i, j = (hi, lo) if shape == "lower" else (lo, hi)
-            s = m.rows[i][j]
-            for k in range(lo + 1, hi):
-                s = s + m.rows[i][k] * x[k][j]
-            x[i][j] = -s if diag is None else ring.inv(diag[i] - diag[j]) * (-s)
-    return GenericMatrix(ring, x)
+    parts, den = m.component_form()
+    x, x_den = np.zeros_like(parts), 1
+    x[0, np.arange(n), np.arange(n)] = 1
+    for i in range(1, n) if shape == "lower" else range(n - 2, -1, -1):
+        block = slice(0, i) if shape == "lower" else slice(i + 1, n)
+        s = table_product(ring.table, parts[:, i:i + 1, block], x[:, block, block])[:, 0]
+        if divide:
+            gaps = [parts[0, i, i] - parts[0, j, j] for j in range(n)[block]]
+            scale = math.lcm(*gaps)
+            x, x_den = x * scale, x_den * scale
+            x[:, i, block] = -s * np.array([scale // g for g in gaps], dtype=object)
+        else:
+            x, x_den = x * den, x_den * den
+            x[:, i, block] = -s
+        g = math.gcd(x_den, *x.flat)
+        x, x_den = x // g, x_den // g
+    return GenericMatrix._of_parts(ring, x, x_den)
 
 
 def _substitute(t: GenericMatrix, shape: str) -> GenericMatrix:
     """Unitriangular P (same shape as t) solving t P = P diag(t)."""
-    return _unitriangular_solve(t, shape, t.diagonal_entries())
+    return _unitriangular_solve(t, shape, divide=True)
 
 
 def triangular_diagonalize(t: GenericMatrix, shape: str) -> GenericMatrix:
@@ -127,21 +143,25 @@ def triangular_diagonalize(t: GenericMatrix, shape: str) -> GenericMatrix:
 
 
 def _strict_parts(m: GenericMatrix):
-    zero = m.ring.zero()
-    n = m.n
-    lower = [[m.rows[i][j] if i > j else zero for j in range(n)] for i in range(n)]
-    upper = [[m.rows[i][j] if i < j else zero for j in range(n)] for i in range(n)]
-    return GenericMatrix(m.ring, lower), GenericMatrix(m.ring, upper)
+    parts, den = m.component_form()
+    return (GenericMatrix._of_parts(m.ring, np.tril(parts, -1), den),
+            GenericMatrix._of_parts(m.ring, np.triu(parts, 1), den))
 
 
 def _is_unitriangular(m: GenericMatrix) -> bool:
     """Unit diagonal and one strict triangle zero: invertible by its shape."""
-    zero, one, n = m.ring.zero(), m.ring.one(), m.n
-    if any(m.rows[i][i] != one for i in range(n)):
+    parts, den = m.component_form()
+    diag = parts.diagonal(0, 1, 2)
+    if (diag[0] != den).any() or (diag[1:] != 0).any():
         return False
-    return all(m.rows[i][j] == zero for i in range(n) for j in range(i)) or all(
-        m.rows[i][j] == zero for i in range(n) for j in range(i + 1, n)
-    )
+    return not np.tril(parts, -1).any() or not np.triu(parts, 1).any()
+
+
+def _nonzero_diagonal(m: GenericMatrix):
+    """Index of the first nonzero diagonal entry of m, or None."""
+    diag = m.component_form()[0].diagonal(0, 1, 2)
+    bad = np.flatnonzero((diag != 0).any(axis=0)).tolist()
+    return bad[0] if bad else None
 
 
 @dataclass(frozen=True)
@@ -149,11 +169,12 @@ class RealizationWitness:
     """Matrices realizing target = p(a1 b1) - p(b1 a1).
 
     g conjugates the zero-diagonal core, g1 and g2 are the unitriangular
-    similarities, d the central diagonal.  verify() recomputes every
-    defining identity exactly, multiplied through so that g1 and g2 are
-    certified invertible by their unitriangular shape and g needs one
-    inverse unless it is the identity; failed_identity() names the first
-    identity that fails.
+    similarities, d the central diagonal.  verify() recomputes four
+    identities exactly: a1 and b1 in terms of g, g1, g2 and d, distinct
+    diagonal entries of p(d), and the target itself.  The first two are
+    checked multiplied through, so g1 and g2 are certified invertible by
+    their unitriangular shape and g needs one inverse unless it is the
+    identity; failed_identity() names the first identity that fails.
     """
 
     p: Polynomial
@@ -169,14 +190,16 @@ class RealizationWitness:
         return self.failed_identity() is None
 
     def failed_identity(self) -> str | None:
-        """Name of the first defining identity that fails, or None.
+        """Name of the first of the four identities that fails, or None.
 
-        Each identity X == Y Z^-1 is checked multiplied through, as
-        X Z == Y (in the comment after each name), the same identity once
-        g, g1 and g2 are invertible.  That is certified first, in this
-        order: an identity g and a unitriangular g1 or g2 by their entries
-        in O(n^2) comparisons, any other by one inverse, which raises
-        SingularMatrixError if there is none.
+        The identities on a1 and b1, X == Y Z^-1, are checked multiplied
+        through, as X Z == Y (in the comment after each name), the same
+        identity once g, g1 and g2 are invertible.  That is certified first,
+        in this order: an identity g and a unitriangular g1 or g2 by their
+        entries in O(n^2) comparisons, any other by one inverse, which
+        raises SingularMatrixError if there is none.  Together they make
+        a1 b1 and b1 a1 similar to d through g g1 and g g2, so p(a1 b1) and
+        p(b1 a1) are similar to p(d) and need no check of their own.
         """
         trivial_g = self.g == GenericMatrix.identity(self.g.ring, self.g.n)
         if not trivial_g:
@@ -186,25 +209,14 @@ class RealizationWitness:
                 m.inverse()
         gg1 = self.g1 if trivial_g else self.g * self.g1
         gg2 = self.g2 if trivial_g else self.g * self.g2
-        gg2d = gg2 * self.d
         if self.a1 * gg2 != gg1:  # a1 (g g2) == g g1
             return "a1 == g g1 g2^-1 g^-1"
-        if self.b1 * gg1 != gg2d:  # b1 (g g1) == g g2 d
+        if self.b1 * gg1 != gg2 * self.d:  # b1 (g g1) == g g2 d
             return "b1 == g g2 d g1^-1 g^-1"
-        ab, ba = self.a1 * self.b1, self.b1 * self.a1
-        if ab * gg1 != gg1 * self.d:  # a1 b1 (g g1) == g g1 d
-            return "a1 b1 == g g1 d g1^-1 g^-1"
-        if ba * gg2 != gg2d:  # b1 a1 (g g2) == g g2 d
-            return "b1 a1 == g g2 d g2^-1 g^-1"
-        p_d, p_ab, p_ba = (eval_poly(self.p, x) for x in (self.d, ab, ba))
-        if p_ab * gg1 != gg1 * p_d:  # p(a1 b1) (g g1) == g g1 p(d)
-            return "p(a1 b1) == g g1 p(d) g1^-1 g^-1"
-        if p_ba * gg2 != gg2 * p_d:  # p(b1 a1) (g g2) == g g2 p(d)
-            return "p(b1 a1) == g g2 p(d) g2^-1 g^-1"
-        vals = p_d.diagonal_entries()
-        if any(vals[i] == vals[j] for i in range(len(vals)) for j in range(i)):
+        vals = eval_poly(self.p, self.d).diagonal_entries()
+        if any(x == y for x, y in combinations(vals, 2)):
             return "p(d) has pairwise distinct diagonal entries"
-        if p_ab - p_ba != self.target:
+        if poly_commutator(self.p, self.a1, self.b1) != self.target:
             return "p(a1 b1) - p(b1 a1) == target"
         return None
 
@@ -215,7 +227,8 @@ def realize_zero_diagonal(
     """Witness for a = p(A1 B1) - p(B1 A1), where g^-1 a g has zero diagonal.
 
     g defaults to the identity, i.e. a itself has zero diagonal.  Exact
-    backends only; every identity is verified exactly before returning.
+    backends only; the witness's four identities are verified exactly
+    before returning.
     """
     if p.is_constant():
         raise ValueError("polynomial must be nonconstant")
@@ -226,10 +239,9 @@ def realize_zero_diagonal(
     ring = a.ring
     g_inv = None if g is None else g.inverse()
     a_prime = a if g is None else g_inv * a * g
-    zero = ring.zero()
-    for i in range(a.n):
-        if a_prime.rows[i][i] != zero:
-            raise ValueError(f"conjugated matrix has nonzero diagonal entry at {i}")
+    i = _nonzero_diagonal(a_prime)
+    if i is not None:
+        raise ValueError(f"conjugated matrix has nonzero diagonal entry at {i}")
 
     alphas = pick_distinct_preimages(p, a.n)
     d = GenericMatrix.diagonal(ring, [ring.embed(al) for al in alphas])
@@ -255,98 +267,77 @@ def realize_zero_diagonal(
     return witness
 
 
-def _matvec(a: GenericMatrix, v: Sequence[Fraction]):
-    return [sum((row[j] * v[j] for j in range(a.n)), start=Fraction(0)) for row in a.rows]
-
-
 def _moving_vector(a: GenericMatrix):
-    """Vector v with A v outside span(v); None only for scalar matrices.
+    """Integer vector v with A v outside span(v); None only for scalar
+    matrices.
 
     Standard basis vectors are tried first (one works unless A is
     diagonal), then pairwise sums (which separate distinct diagonal
     entries)."""
-    n = a.n
+    n, m = a.n, a.component_form()[0][0]
     for c in range(n):
-        if any(r != c and a.rows[r][c] != 0 for r in range(n)):
-            return [Fraction(1) if idx == c else Fraction(0) for idx in range(n)]
+        if any(r != c and m[r, c] for r in range(n)):
+            return [int(idx == c) for idx in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if a.rows[i][i] != a.rows[j][j]:
-                return [
-                    Fraction(1) if idx in (i, j) else Fraction(0) for idx in range(n)
-                ]
+            if m[i, i] != m[j, j]:
+                return [int(idx in (i, j)) for idx in range(n)]
     return None
 
 
-def _extend_to_basis(vectors, n):
-    """Greedily complete the given independent vectors with standard basis
-    vectors, checked by exact elimination."""
-    basis = []
-    reduced = []  # (pivot index, reduced vector)
-
-    def try_add(vec) -> bool:
-        work = [Fraction(c) for c in vec]
-        for pivot, red in reduced:
-            if work[pivot] != 0:
-                factor = work[pivot]
-                work = [wc - factor * rc for wc, rc in zip(work, red)]
-        pivot = next((idx for idx, c in enumerate(work) if c != 0), None)
-        if pivot is None:
-            return False
-        inv = 1 / work[pivot]
-        reduced.append((pivot, [inv * c for c in work]))
-        basis.append(list(vec))
-        return True
-
-    for vec in vectors:
-        if not try_add(vec):
-            raise ValueError("given vectors are dependent")
-    for idx in range(n):
-        if len(basis) == n:
-            break
-        try_add([Fraction(1) if c == idx else Fraction(0) for c in range(n)])
-    return basis
-
-
 def _block_one_plus(q: GenericMatrix) -> GenericMatrix:
-    ring = q.ring
-    n = q.n + 1
-    zero, one = ring.zero(), ring.one()
-    rows = [[one] + [zero] * (n - 1)]
-    for r in q.rows:
-        rows.append([zero] + list(r))
-    return GenericMatrix(ring, rows)
+    parts, den = q.component_form()
+    out = np.zeros((len(parts), q.n + 1, q.n + 1), dtype=object)
+    out[0, 0, 0] = den
+    out[:, 1:, 1:] = parts
+    return GenericMatrix._of_parts(q.ring, out, den)
 
 
-def _trailing_block(ap: GenericMatrix, basis) -> GenericMatrix:
-    """Rows and columns 1.. of P^-1 (A P) for the columns P = [v, Av, e_k..].
+def _trailing_block(ap: GenericMatrix, v, w, e, r: int, s: int) -> GenericMatrix:
+    """Rows and columns 1.. of P^-1 (A P) for the columns P = [v, w / e, e_k
+    for k outside r and s].
 
-    In P x = y every e_k vanishes on the two rows r and s outside the k, a
-    2x2 system for the coordinates along v and Av; each other coordinate is
-    then read off its own row, so P is never inverted."""
-    v, av = basis[0], basis[1]
-    std = [vec.index(1) for vec in basis[2:]]
-    r, s = (i for i in range(ap.n) if i not in std)
-    det = v[r] * av[s] - v[s] * av[r]
-    cols = []
-    for y in list(zip(*ap.rows))[1:]:
-        x0 = (y[r] * av[s] - y[s] * av[r]) / det
-        x1 = (v[r] * y[s] - v[s] * y[r]) / det
-        cols.append([x1] + [y[k] - x0 * v[k] - x1 * av[k] for k in std])
-    return GenericMatrix(ap.ring, [list(row) for row in zip(*cols)])
+    In P x = y every e_k vanishes on rows r and s, a 2x2 system for the
+    coordinates along v and w / e with determinant delta / e; each other
+    coordinate is then read off its own row, so P is never inverted.  All
+    of it runs on the integer numerators y of A P over its denominator f,
+    and the block comes out over f delta."""
+    y, f = ap.component_form()
+    y = y[0, :, 1:]
+    delta = v[r] * w[s] - v[s] * w[r]
+    along_v = y[r] * w[s] - y[s] * w[r]
+    along_w = v[r] * y[s] - v[s] * y[r]
+    std = [k for k in range(ap.n) if k not in (r, s)]
+    rest = [delta * y[k] - v[k] * along_v - w[k] * along_w for k in std]
+    sign = 1 if delta > 0 else -1
+    block = np.array([[e * along_w, *rest]], dtype=object) * sign
+    return GenericMatrix._of_parts(ap.ring, block, sign * f * delta)
 
 
 def _zero_diag_change(a: GenericMatrix) -> GenericMatrix:
+    """Change of basis P = [v, A v, e_k ..] (block_one_plus Q) with
+    P^-1 A P of zero diagonal, Q the same for the trailing block.
+
+    The e_k are every standard vector but e_r and e_s, for the last pair
+    r < s (s descending, then r descending) whose 2x2 minor of [v, A v] is
+    nonzero: the complement of the basis a greedy pass over e_0, e_1, ..
+    would keep (the dual matroid's greedy basis)."""
+    n = a.n
     if a.is_zero():
-        return GenericMatrix.identity(a.ring, a.n)
+        return GenericMatrix.identity(a.ring, n)
     v = _moving_vector(a)
     if v is None:
         # scalar and traceless over a char-0 field means zero, handled above
         raise ValueError("matrix is a nonzero scalar; it cannot be traceless")
-    av = _matvec(a, v)
-    basis = _extend_to_basis([v, av], a.n)
-    p = GenericMatrix(a.ring, [list(col) for col in zip(*basis)])
-    q = _zero_diag_change(_trailing_block(a * p, basis))
+    parts, den = a.component_form()
+    w = (parts[0] @ np.array(v, dtype=object)).tolist()  # A v = w / den
+    r, s = next((r, s) for s in range(n - 1, 0, -1) for r in range(s - 1, -1, -1)
+                if v[r] * w[s] != v[s] * w[r])
+    cols = np.zeros((1, n, n), dtype=object)
+    cols[0, :, 0], cols[0, :, 1] = [den * x for x in v], w
+    cols[0, [k for k in range(n) if k not in (r, s)], range(2, n)] = den
+    p = GenericMatrix._of_parts(a.ring, cols, den)
+    q = _zero_diag_change(_trailing_block(a * p, v, w, den, r, s))
     return p * _block_one_plus(q)
 
 
@@ -365,9 +356,8 @@ def traceless_to_zero_diagonal(a: GenericMatrix):
         raise ValueError("matrix must be traceless")
     p = _zero_diag_change(a)
     a_prime = p.inverse() * a * p
-    for i in range(a.n):
-        if a_prime.rows[i][i] != 0:
-            raise VerificationError("zero-diagonal reduction failed")
+    if _nonzero_diagonal(a_prime) is not None:
+        raise VerificationError("zero-diagonal reduction failed")
     return p, a_prime
 
 

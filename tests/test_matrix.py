@@ -412,7 +412,8 @@ def reference_inverse(m):
         if pivot_row is None:
             raise SingularMatrixError(col)
         work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv_p = ring.inv(work[col][col])
+        pivot = work[col][col]
+        inv_p = pivot.inverse() if isinstance(pivot, Quaternion) else 1 / Fraction(pivot)
         work[col] = [inv_p * v for v in work[col]]
         for r in range(n):
             factor = work[r][col]
@@ -545,6 +546,26 @@ def test_diagonal_coerces_its_entries():
     with pytest.raises(SingularMatrixError) as info:
         d.inverse()
     assert info.value.column == 0
+
+
+@pytest.mark.parametrize("ring", [QQ, CC, HQ, HF], ids=lambda ring: ring.name)
+def test_trace_and_diagonal_read_the_components(ring):
+    """diagonal_entries() and trace() of a fresh product read its n
+    diagonal entries off the component form, leaving rows unbuilt, and
+    equal the values read off rows."""
+    r, gen = random.Random(SEED), np_stream(SEED, f"diagonal-{ring.name}")
+    make = {"rational": lambda n: random_qq(r, n, big=n % 2 == 0),
+            "quaternion": lambda n: random_hq(r, n, big=n % 2 == 0),
+            "complex": lambda n: cc_matrix(gen, n),
+            "quaternion-float": lambda n: hf_matrix(gen, n)}[ring.name]
+    for n in range(1, 6):
+        product = make(n) * make(n)
+        trace, diagonal = product.trace(), product.diagonal_entries()
+        assert product._rows is None
+        from_rows = GenericMatrix(ring, product.rows)
+        assert diagonal == from_rows.diagonal_entries() == tuple(product[i, i] for i in range(n))
+        assert trace == from_rows.trace() == sum(diagonal, ring.zero())
+        assert all(type(x) is type(y) for x, y in zip(diagonal, from_rows.diagonal_entries()))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -862,3 +862,171 @@ def test_decoded_witness_with_a_general_g1_still_verifies(monkeypatch):
     )
     with pytest.raises(SingularMatrixError, match="column 1"):
         decode_witness(singular)
+
+
+def reference_unitriangular_solve(m, shape, diag=None):
+    """Entry-by-entry substitution on ring elements: entries fill in by
+    their distance from the diagonal, each from those nearer it."""
+    ring, n = m.ring, m.n
+    x = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    for dist in range(1, n):
+        for lo in range(n - dist):
+            hi = lo + dist
+            i, j = (hi, lo) if shape == "lower" else (lo, hi)
+            s = m[i, j]
+            for k in range(lo + 1, hi):
+                s = s + m[i, k] * x[k][j]
+            if diag is not None:
+                gap = diag[i] - diag[j]
+                s = (gap.inverse() if isinstance(gap, Quaternion) else 1 / Fraction(gap)) * s
+            x[i][j] = -s
+    return GenericMatrix(ring, x)
+
+
+def reference_extend_to_basis(vectors, n):
+    """Greedily complete independent vectors with e_0, e_1, .., each kept
+    when exact elimination leaves it nonzero."""
+    basis, reduced = [], []  # reduced: (pivot index, reduced vector)
+    for vec in [*vectors, *([int(c == k) for c in range(n)] for k in range(n))]:
+        work = [Fraction(c) for c in vec]
+        for pivot, red in reduced:
+            work = [wc - work[pivot] * rc for wc, rc in zip(work, red)]
+        pivot = next((idx for idx, c in enumerate(work) if c), None)
+        if pivot is not None:
+            reduced.append((pivot, [c / work[pivot] for c in work]))
+            basis.append(list(vec))
+        elif len(basis) < len(vectors):
+            raise ValueError("given vectors are dependent")
+    return basis
+
+
+def reference_zero_diag_change(a):
+    """The change of basis of traceless_to_zero_diagonal on row entries:
+    the greedy basis [v, A v, e_k ..], and the trailing block of
+    P^-1 A P through an inverse."""
+    n = a.n
+    if a.is_zero():
+        return GenericMatrix.identity(QQ, n)
+    off = [c for c in range(n) if any(a[r, c] != 0 for r in range(n) if r != c)]
+    if off:
+        v = [int(k == off[0]) for k in range(n)]
+    else:
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if a[i, i] != a[j, j])
+        v = [int(k in (i, j)) for k in range(n)]
+    av = [sum((a[r, k] * v[k] for k in range(n)), Fraction(0)) for r in range(n)]
+    p = GenericMatrix(QQ, [list(col) for col in zip(*reference_extend_to_basis([v, av], n))])
+    moved = p.inverse() * a * p
+    q = reference_zero_diag_change(GenericMatrix(QQ, [row[1:] for row in moved.rows[1:]]))
+    block = [[1] + [0] * (n - 1)] + [[0, *row] for row in q.rows]
+    return p * GenericMatrix.from_rows(QQ, block)
+
+
+def triangular_with(draw, ring, n, shape, diagonal):
+    entry = mixed_entry[ring.name]
+    rows = [[draw(entry) if (j < i if shape == "lower" else j > i) else 0
+             for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = diagonal[i]
+    return GenericMatrix.from_rows(ring, rows)
+
+
+mixed_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+mixed_entry = {
+    "rational": mixed_fraction,
+    "quaternion": st.builds(Quaternion.exact, *(mixed_fraction for _ in range(4))),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ring=st.sampled_from([QQ, HQ]),
+    n=st.integers(1, 6),
+    shape=st.sampled_from(["lower", "upper"]),
+    divide=st.booleans(),
+    data=st.data(),
+)
+def test_substitution_matches_the_entry_loop(ring, n, shape, divide, data):
+    """The row-by-row integer substitution gives the reference's X, in
+    lowest terms: t X = X diag(t) with divide, P X = I without."""
+    if divide:
+        diagonal = data.draw(st.lists(mixed_fraction, min_size=n, max_size=n, unique=True))
+    else:
+        diagonal = [1] * n
+    m = triangular_with(data.draw, ring, n, shape, diagonal)
+    x = realize._unitriangular_solve(m, shape, divide)
+    expected = reference_unitriangular_solve(m, shape, diagonal if divide else None)
+    assert x == expected and x.rows == expected.rows
+    if divide:
+        assert m * x == x * GenericMatrix.diagonal(ring, diagonal)
+    else:
+        assert m * x == GenericMatrix.identity(ring, n)
+
+
+sparse_entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 7), data=st.data())
+def test_zero_diagonal_change_matches_the_greedy_basis(n, data):
+    """The pair (r, s) read off the minors of [v, A v] picks the standard
+    vectors the greedy elimination keeps, so the change of basis (which
+    every traceless witness prints as g) is the same matrix.  Mostly-zero
+    entries make v and A v sparse, so many minors vanish."""
+    rows = [data.draw(st.lists(sparse_entry, min_size=n, max_size=n)) for _ in range(n)]
+    rows[n - 1][n - 1] = -sum(rows[i][i] for i in range(n - 1))
+    a = GenericMatrix.from_rows(QQ, rows)
+    change = realize._zero_diag_change(a)
+    assert change == reference_zero_diag_change(a)
+    assert all(x == 0 for x in (change.inverse() * a * change).diagonal_entries())
+
+
+BIG = 2**64
+
+
+def big_entries(r, ring, n, zero_diagonal=False):
+    def big():
+        return Fraction(r.choice((-1, 1)) * (BIG + r.randrange(BIG)), r.choice((1, 3, BIG + 13)))
+
+    def entry():
+        return Quaternion.exact(*(big() for _ in range(4))) if ring is HQ else big()
+
+    return GenericMatrix.from_rows(
+        ring, [[0 if zero_diagonal and i == j else entry() for j in range(n)] for i in range(n)]
+    )
+
+
+def test_realizations_stay_exact_beyond_64_bits():
+    """Numerators above 2^64 pass through every integer array of the
+    realization: the witness verifies, and its substitutions and change of
+    basis equal the reference ones on Fraction entries."""
+    r = stream(SEED, "big-numerators")
+    p = Polynomial([BIG + 1, 3, -(BIG + 7), 2])
+    for ring, n in ((QQ, 4), (HQ, 3)):
+        a = big_entries(r, ring, n, zero_diagonal=True)
+        w = realize_zero_diagonal(p, a)
+        check_witness(w, p, a)
+        p_d = eval_poly(p, w.d).diagonal_entries()
+        lower = [[a[i, j] if j < i else (p_d[i] if i == j else 0) for j in range(n)]
+                 for i in range(n)]
+        upper = [[-a[i, j] if j > i else (p_d[i] if i == j else 0) for j in range(n)]
+                 for i in range(n)]
+        for got, rows, shape in ((w.g1, lower, "lower"), (w.g2, upper, "upper")):
+            t = GenericMatrix.from_rows(ring, rows)
+            assert got == reference_unitriangular_solve(t, shape, p_d)
+            assert max(abs(v) for v in got.component_form()[0].flat) > BIG
+    a = big_entries(r, QQ, 4)
+    a = a - GenericMatrix.diagonal(QQ, [0, 0, 0, a.trace()])
+    w = realize_traceless(p, a)
+    check_witness(w, p, a)
+    assert w.g == reference_zero_diag_change(a)
+    assert max(abs(v) for v in w.g.component_form()[0].flat) > BIG
+
+
+def test_probe_accepts_its_smallest_settings():
+    """m_max = 1 and trials = 1 are the least values the guards allow."""
+    assert algebraic_degree_probe(Fraction(3), m_max=1).estimated_degree == 1
+    with pytest.raises(DegreeNotBoundedError):
+        algebraic_degree_probe(QJ, m_max=1)
+    result = algebraic_degree_probe(QJ, trials=1)
+    assert (result.estimated_degree, result.trials_per_degree) == (2, 1)
+    assert len(result.lower_probes) == 1
