@@ -186,16 +186,14 @@ def _solve_quat(args) -> dict:
     p = polynomial_from_text(args.poly)
     v = decode_quaternion(_load_json(args.input), exact=False)
     sol = solve_poly_commutator(p, v, tol=args.tolerance)
-    target = v.to_float().im()
-    residual = (poly_commutator(p, sol.a, sol.b) - target).norm()
     return {
         "polynomial": encode_polynomial(p),
         "target": encode_quaternion(v.to_float()),
         "a": encode_quaternion(sol.a),
         "b": encode_quaternion(sol.b),
         "t": sol.t,
-        "residual": residual,
-        "verified": residual <= args.tolerance * (1.0 + target.norm()),
+        "residual": sol.residual,
+        "verified": sol.residual <= args.tolerance * (1.0 + v.to_float().im().norm()),
     }
 
 

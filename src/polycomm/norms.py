@@ -8,6 +8,8 @@ vectors.  A violated bound is a build-breaking event, so every checker
 reports the full comparison, not just a verdict.  The operator norm is
 LAPACK's SVD; the numerical radius is a half-circle eigenvalue grid refined
 by batched Newton steps on the top eigenvalue (see numerical_radius).
+p(AB) - p(BA) itself comes from poly.poly_commutator on A and B as CC
+matrices, the evaluator every other ring uses.
 """
 
 from __future__ import annotations
@@ -19,26 +21,27 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .matrix import GenericMatrix
-from .poly import Polynomial
+from .matrix import CC, GenericMatrix
+from .poly import Polynomial, poly_commutator
 from .sampling import complex_gaussian_matrix, np_stream
 
 _REL_SLACK = 1e-10
+_GRID_POINTS, _WINDOWS = 256, 3  # numerical_radius's circle grid and Newton windows
 
 
 MatrixLike = Union[GenericMatrix, np.ndarray, Sequence[Sequence]]
 
 
 def as_complex_array(a: MatrixLike) -> np.ndarray:
-    """Finite square complex ndarray from a GenericMatrix, ndarray, or nested list."""
+    """Finite square complex ndarray from a GenericMatrix, ndarray, or nested
+    list.  A QQ or CC matrix is read off its component form, parts[0] / den;
+    an exact entry past the double range is an OverflowError."""
     if isinstance(a, GenericMatrix):
         if a.ring.name.startswith("quaternion"):
             raise ValueError("norm computations need a complex or rational backend")
-        arr = np.array(
-            [[complex(v) for v in row] for row in a.rows], dtype=np.complex128
-        )
-    else:
-        arr = np.asarray(a, dtype=np.complex128)
+        parts, den = a.component_form()
+        a = parts[0] / den
+    arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
     if not np.isfinite(arr).all():
@@ -78,23 +81,13 @@ def commutator_array(a: MatrixLike, b: MatrixLike) -> np.ndarray:
 
 
 def poly_commutator_array(p, a: MatrixLike, b: MatrixLike) -> np.ndarray:
-    """p(AB) - p(BA) as a complex ndarray.
-
-    The float fast path keeps a Horner loop of its own: on an ndarray * and
-    + c act entry by entry, so poly.eval_poly cannot serve it.
-    """
-    x = as_complex_array(a)
-    y = as_complex_array(b)
-    cs = _coeffs(p)
-
-    def horner(m):
-        acc = cs[-1] * np.eye(m.shape[0], dtype=np.complex128)
-        for c in reversed(cs[:-1]):
-            acc = acc @ m + c * np.eye(m.shape[0], dtype=np.complex128)
-        return acc
-
+    """p(AB) - p(BA) as a complex ndarray, by poly.poly_commutator on A and B
+    as CC matrices.  p is a Polynomial or a coefficient list, constant first."""
+    x, y = (GenericMatrix._of_parts(CC, as_complex_array(m)[None]) for m in (a, b))
+    if not isinstance(p, Polynomial):
+        p = Polynomial(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = horner(x @ y) - horner(y @ x)
+        out = poly_commutator(p, x, y).component_form()[0][0]
     if not np.isfinite(out).all():
         raise ValueError(
             "p(AB) - p(BA) exceeds the double range (about 1.8e308); scale the"
@@ -146,11 +139,11 @@ def _newton_peaks(arr: np.ndarray, centers: np.ndarray, step: float) -> float:
     return best
 
 
-def numerical_radius(a: MatrixLike, grid_points: int = 256, windows: int = 3) -> float:
+def numerical_radius(a: MatrixLike) -> float:
     """max over unit vectors of |v* A v| = max over theta of f(theta), the top
     eigenvalue of H(theta) = Herm(e^(i theta) A).  One batched eigvalsh on a half
-    circle gives the whole grid (grid_points even), as H(theta + pi) = -H(theta).
-    The best `windows` grid points, pairwise more than one step apart, are refined
+    circle gives the whole grid of _GRID_POINTS, as H(theta + pi) = -H(theta).
+    The best _WINDOWS grid points, pairwise more than one step apart, are refined
     by safeguarded Newton where they are local maxima.  The result, the largest f
     evaluated, exceeds w(A) by rounding at most.  The work runs on A / 2^e, an
     exact power-of-two scaling, so the whole double range works."""
@@ -159,15 +152,15 @@ def numerical_radius(a: MatrixLike, grid_points: int = 256, windows: int = 3) ->
         return 0.0
     exponent = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1]
     arr = np.ldexp(arr.real, -exponent) + 1j * np.ldexp(arr.imag, -exponent)
-    step = 2.0 * math.pi / grid_points
-    herm = _hermitian_parts(arr, step * np.arange(grid_points // 2))[0]
+    step = 2.0 * math.pi / _GRID_POINTS
+    herm = _hermitian_parts(arr, step * np.arange(_GRID_POINTS // 2))[0]
     lam = np.linalg.eigvalsh(herm)
     tops = np.concatenate([lam[:, -1], -lam[:, 0]])
     chosen: list[int] = []
     for idx in map(int, np.argsort(tops)[::-1]):
-        if all(min(abs(idx - c), grid_points - abs(idx - c)) > 1 for c in chosen):
+        if all(min(abs(idx - c), _GRID_POINTS - abs(idx - c)) > 1 for c in chosen):
             chosen.append(idx)
-        if len(chosen) >= windows:
+        if len(chosen) >= _WINDOWS:
             break
     peak = (tops >= np.roll(tops, 1)) & (tops >= np.roll(tops, -1))
     centers = step * np.array([i for i in chosen if peak[i]])
@@ -246,11 +239,13 @@ def check_bottcher_wenzel(a: MatrixLike, b: MatrixLike, seed=None) -> BoundRepor
     return _report(lhs, rhs, x.shape[0], 1, seed)
 
 
-def _weight_sum(p, fa: float, fb: float) -> float:
+def _weight_sum(p, fa: float, fb: float, base: float) -> float:
+    """sum |c_k| k base^(2k-1) fa^(k-1) fb^(k-1): the growth factor of the
+    bounds, base 1 for the Frobenius forms and 2 for the numerical radius."""
     cs = _coeffs(p)
     total = 0.0
     for k in range(1, len(cs)):
-        total += abs(cs[k]) * k * fa ** (k - 1) * fb ** (k - 1)
+        total += abs(cs[k]) * k * base ** (2 * k - 1) * fa ** (k - 1) * fb ** (k - 1)
     return total
 
 
@@ -264,7 +259,7 @@ def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundRe
     x = as_complex_array(a)
     lhs = frobenius_norm(poly_commutator_array(p, a, b))
     rhs = frobenius_norm(commutator_array(a, b)) * _weight_sum(
-        p, frobenius_norm(a), frobenius_norm(b)
+        p, frobenius_norm(a), frobenius_norm(b), 1.0
     )
     return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
 
@@ -275,10 +270,7 @@ def check_numrad_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundRepor
     h(p(AB)-p(BA)) <= h([A,B]) * sum |c_k| k 4^k / 2 * h(A)^(k-1) h(B)^(k-1)."""
     cs = _nonconstant_coeffs(p)
     x = as_complex_array(a)
-    ha, hb = numerical_radius(a), numerical_radius(b)
-    total = 0.0
-    for k in range(1, len(cs)):
-        total += abs(cs[k]) * k * 2.0 ** (2 * k - 1) * ha ** (k - 1) * hb ** (k - 1)
+    total = _weight_sum(p, numerical_radius(a), numerical_radius(b), 2.0)
     lhs = numerical_radius(poly_commutator_array(p, a, b))
     rhs = numerical_radius(commutator_array(a, b)) * total
     return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
@@ -338,7 +330,7 @@ def check_average_bound(
     x = as_complex_array(a)
     c = commutator_array(a, b)
     est = spherical_average(c, samples, seed)
-    total = _weight_sum(p, operator_norm(a), operator_norm(b))
+    total = _weight_sum(p, operator_norm(a), operator_norm(b), 1.0)
     lhs = frobenius_norm(poly_commutator_array(p, a, b)) ** 2
     rhs = est.mean * total**2
     margin = 4.0 * est.std_error * total**2

@@ -89,8 +89,6 @@ def eval_poly(p: Polynomial, x):
     centrally through + and *: an int, Fraction, float or complex, a
     Quaternion, or a GenericMatrix (where c * m scales and m + c adds c to
     the diagonal).  A constant p gives c * x**0, so a matrix gets c I.
-    numpy arrays act entry by entry; norms.poly_commutator_array is their
-    evaluator.
     """
     cs = p.coeffs
     acc = cs[-1]

@@ -158,7 +158,7 @@ def decode_matrix(v) -> GenericMatrix:
         if not isinstance(row, list) or len(row) != n:
             raise DecodeError("matrix entries must be square")
         rows.append([_decode_entry(name, x) for x in row])
-    return GenericMatrix.from_rows(RINGS[name], rows)
+    return GenericMatrix(RINGS[name], rows)
 
 
 def encode_witness(w: RealizationWitness) -> dict:

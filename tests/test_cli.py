@@ -81,6 +81,20 @@ def test_solve_quat_negative_tolerance_fails_verification(capsys):
     assert "verification failed:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("solve-quat", "--poly", "0,1", "--input", "[0,0,0,2]"),
+     ("factor-quat", "--poly", "0,1", "--input", "[0,0,0,1]")],
+    ids=lambda argv: argv[0],
+)
+def test_exact_residual_verifies_at_tolerance_zero(capsys, argv):
+    # the residual is exactly 0.0 here, on the bound of every residual check
+    code, doc = run_json(capsys, *argv, "--tolerance", "0")
+    assert code == 0
+    assert doc["residual"] == 0.0
+    assert doc["verified"] is True
+
+
 def test_factor_quat(capsys):
     code, doc = run_json(
         capsys, "factor-quat", "--poly", "0,1", "--input", "[1,0,0,0]"

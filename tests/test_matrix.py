@@ -357,6 +357,16 @@ def test_telescoping_float_complex():
         assert report.max_entry_deviation <= 1e-10 * (1.0 + report.lhs.max_magnitude())
 
 
+def test_telescoping_float_complex_at_tolerance_zero():
+    # small integers keep every product exact, so both sides agree to the bit
+    a = GenericMatrix.from_rows(CC, [[1, 2j, 0], [-1, 3, 1], [2, 0, -2j]])
+    b = GenericMatrix.from_rows(CC, [[0, 1, -1], [2j, 1, 0], [1, -3, 2]])
+    report = telescoping_expand(Polynomial([5, -1, 2, 1]), a, b, tol=0.0)
+    assert not report.lhs.is_zero()
+    assert report.max_entry_deviation == 0.0
+    assert report.equal
+
+
 def test_telescoping_commuting_inputs_vanish():
     a = GenericMatrix.from_rows(QQ, [[1, 2], [3, 4]])
     p = Polynomial([1, 2, 0, 5])

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,97 @@ def test_poly_commutator_array_matches_direct():
     assert np.array_equal(
         poly_commutator_array([0, 1], a, b), commutator_array(a, b)
     )
+
+
+def reference_poly_commutator_array(p, a, b):
+    """p(AB) - p(BA) by a Horner loop on ndarrays: c_d I, then acc @ M + c I
+    for each lower coefficient c, with the double-range check of
+    poly_commutator_array."""
+    x, y = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    if isinstance(p, Polynomial):
+        cs = [complex(float(c)) for c in p.coeffs]
+    else:
+        cs = [complex(c) for c in p]
+
+    def horner(m):
+        acc = cs[-1] * np.eye(m.shape[0], dtype=np.complex128)
+        for c in reversed(cs[:-1]):
+            acc = acc @ m + c * np.eye(m.shape[0], dtype=np.complex128)
+        return acc
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = horner(x @ y) - horner(y @ x)
+    if not np.isfinite(out).all():
+        raise ValueError("double range")
+    return out
+
+
+COEFFICIENT = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    # the leading coefficient is nonzero, so the degree is that of the list
+    coeffs=st.lists(COEFFICIENT, min_size=1, max_size=6).filter(
+        lambda cs: len(cs) == 1 or cs[-1] != 0
+    ),
+    kind=st.sampled_from(["float", "fraction", "list"]),
+    denominator=st.integers(1, 9),
+    exponent=st.integers(-520, 520),
+    seed=st.integers(0, 2**16),
+)
+def test_poly_commutator_array_matches_the_ndarray_horner(
+    n, coeffs, kind, denominator, exponent, seed
+):
+    if kind == "fraction":
+        coeffs = [Fraction(c) / denominator for c in coeffs]
+    p = coeffs if kind == "list" else Polynomial(coeffs)
+    a, b = (
+        np.ldexp(m.real, exponent) + 1j * np.ldexp(m.imag, exponent)
+        for m in gaussian_pair(np_stream(seed, "horner-reference"), n)
+    )
+    try:
+        expected = reference_poly_commutator_array(p, a, b)
+    except ValueError:
+        expected = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if expected is None:
+            with pytest.raises(ValueError, match=r"p\(AB\) - p\(BA\) exceeds the double range"):
+                poly_commutator_array(p, a, b)
+        else:
+            assert np.array_equal(poly_commutator_array(p, a, b), expected)
+
+
+def reference_complex_rows(m):
+    """A GenericMatrix as complex128, entry by entry off its rows."""
+    return np.array([[complex(v) for v in row] for row in m.rows], dtype=np.complex128)
+
+
+# numerators past 2**64, scaled by 2**shift: entries near 1, near the
+# bottom of the double range (down to 0.0) and near its top or past it
+RATIONAL = st.builds(
+    lambda num, den, shift: Fraction(num, den) * Fraction(2) ** shift,
+    st.integers(-(2**90), 2**90),
+    st.integers(1, 2**70),
+    st.one_of(st.integers(-120, 120), st.integers(-1150, -950), st.integers(940, 1040)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_as_complex_array_matches_the_row_conversion(n, data):
+    entries = data.draw(st.lists(RATIONAL, min_size=n * n, max_size=n * n))
+    m = GenericMatrix.from_rows(QQ, [entries[i * n:(i + 1) * n] for i in range(n)])
+    try:
+        expected = reference_complex_rows(m)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as raised:
+            as_complex_array(m)
+        assert str(raised.value) == str(exc)
+    else:
+        assert as_complex_array(m).tobytes() == expected.tobytes()
 
 
 def test_operator_norm_frozen():
