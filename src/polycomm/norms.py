@@ -101,10 +101,15 @@ def operator_norm(a: MatrixLike) -> float:
     return float(np.linalg.norm(as_complex_array(a), 2))
 
 
+def _rotations(arr: np.ndarray, thetas: np.ndarray):
+    """e^(i theta) A and its adjoint, stacked over thetas."""
+    rotated = np.exp(1j * thetas)[:, None, None] * arr[None, :, :]
+    return rotated, rotated.conj().transpose(0, 2, 1)
+
+
 def _hermitian_parts(arr: np.ndarray, thetas: np.ndarray):
     """Herm(e^(i theta) A) and its theta-derivative, stacked over thetas."""
-    rotated = np.exp(1j * thetas)[:, None, None] * arr[None, :, :]
-    adjoint = rotated.conj().transpose(0, 2, 1)
+    rotated, adjoint = _rotations(arr, thetas)
     return (rotated + adjoint) / 2.0, (rotated - adjoint) * 0.5j
 
 
@@ -153,8 +158,8 @@ def numerical_radius(a: MatrixLike) -> float:
     exponent = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1]
     arr = np.ldexp(arr.real, -exponent) + 1j * np.ldexp(arr.imag, -exponent)
     step = 2.0 * math.pi / _GRID_POINTS
-    herm = _hermitian_parts(arr, step * np.arange(_GRID_POINTS // 2))[0]
-    lam = np.linalg.eigvalsh(herm)
+    rotated, adjoint = _rotations(arr, step * np.arange(_GRID_POINTS // 2))
+    lam = np.linalg.eigvalsh((rotated + adjoint) / 2.0)
     tops = np.concatenate([lam[:, -1], -lam[:, 0]])
     chosen: list[int] = []
     for idx in map(int, np.argsort(tops)[::-1]):

@@ -13,6 +13,7 @@ of p.  solve_odd_equation then solves the scalar equation
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -151,15 +152,66 @@ def derive_odd_factor(p: Polynomial) -> OddFactor:
     return OddFactor(OddCase.EVEN_ONLY, Polynomial(hs))
 
 
-def _scan_axes(qf, target: float, k_max: int):
-    """Yield a sign-change bracket (lo, hi, f_lo, f_hi) or an exact root.
+# Powers of two the scan for a root of 2 t h(t^2) = target may visit:
+# t = +-2^k for k from _K_MIN (the first point after t = 0) up to _K_MAX.
+_K_MIN, _K_MAX = -40, 1023
 
-    Positive axis first, then negative; points 0, +-2^k for k from -40 up.
-    q(0) = -target < 0 anchors each axis.
+
+def _scan_range(q: Polynomial, target: float) -> tuple[int, int]:
+    """First and last k where q(+-2^k) - target can first change sign.
+
+    With m nonzero terms a_k t^k in q, L = min_k (target / (2 m |a_k|))^(1/k)
+    halved once more is a Cauchy-type lower root bound (Fujiwara, Tohoku
+    Math. J. 10, 1916): for |t| <= L the terms sum to at most target / 4,
+    so every float q(t) - target there is negative and never 0.0.  With
+    a_0 = -target, n the degree and B = max_j |a_(n-j) / a_n|^(1/j), the
+    leading term outweighs the others three to one for |t| >= 4B, so from
+    there on the float sign, +-inf included, is the leading sign.  Both
+    hold once target and every |a_k| are normal floats and 2 sum |a_k| is
+    finite (no Horner intermediate overflows or loses its relative
+    precision); otherwise the whole range _K_MIN.._K_MAX is returned.  A
+    target of inf or nan makes q(t) - target -inf or nan everywhere, so
+    the range is empty.  Bounds are taken in log2, where no quotient
+    overflows or underflows.
     """
+    if not math.isfinite(target):
+        return _K_MAX + 1, _K_MAX
+    terms = [(k, abs(c)) for k, c in enumerate(q.coeffs) if c != 0]
+    sizes = [a for _, a in terms]
+    if (
+        not terms
+        or min(target, *sizes) < sys.float_info.min
+        or not math.isfinite(2.0 * sum(sizes))
+    ):
+        return _K_MIN, _K_MAX
+    log_target, log_2m = math.log2(target), math.log2(2 * len(terms))
+    log_l = min((log_target - log_2m - math.log2(a)) / k for k, a in terms) - 1.0
+    n, log_lead = terms[-1][0], math.log2(terms[-1][1])
+    log_b = max(
+        (math.log2(a) - log_lead) / (n - k) for k, a in [(0, target)] + terms[:-1]
+    )
+    k0 = max(_K_MIN, math.floor(log_l))
+    return k0, min(_K_MAX, max(k0, math.ceil(log_b) + 2))
+
+
+def _scan_axes(qf, target: float, k_lo: int, k_hi: int):
+    """Return a sign-change bracket (lo, hi, f_lo, f_hi), an exact root, or None.
+
+    Positive axis first, then negative; points +-2^k for k = k_lo..k_hi.
+    q(0) = -target < 0 anchors each axis when k_lo = _K_MIN; past it, the
+    anchor is the grid point before, +-2^(k_lo - 1), with its own q value,
+    so the first sign change, and the bracket around it, are the ones a walk
+    from _K_MIN finds when no point before k_lo changes sign.
+    """
+    if k_lo > k_hi:
+        return None
     for sign in (1.0, -1.0):
-        prev_t, prev_v = 0.0, -target
-        for k in range(-40, k_max + 1):
+        if k_lo > _K_MIN:
+            prev_t = sign * 2.0 ** (k_lo - 1)
+            prev_v = qf(prev_t)
+        else:
+            prev_t, prev_v = 0.0, -target
+        for k in range(k_lo, k_hi + 1):
             t = sign * 2.0**k
             v = qf(t)
             if v == 0.0:
@@ -176,12 +228,16 @@ def solve_odd_equation(factor: OddFactor, target: float, tol: float = 1e-12) -> 
     """Solve 2 t h(t^2) = target for real t; target must be >= 0.
 
     The left side is an odd polynomial of odd degree with nonzero leading
-    coefficient, so a solution always exists.  The scan walks t = +-2^k,
-    k = -40..40 (positive axis first), bisects the first bracket to 1e-15
-    absolute width, then polishes with Newton steps until the residual
-    drops under tol * (1 + target) or stops improving.  t is 0 exactly
-    when target is 0, and comes out negative when the positive axis never
-    reaches the target.
+    coefficient, so a solution always exists.  The scan walks t = +-2^k
+    (positive axis first), k = -40..40 and then, when no sign changes,
+    k = 41..1023.  On each axis it starts at the lower root bound and stops
+    at the upper one of _scan_range: below the first every point is
+    negative and above the second every point has the leading sign, so the
+    first sign change and its bracket are those of the walk over every k.
+    The first bracket is bisected to 1e-15 absolute width, then polished
+    with Newton steps until the residual drops under tol * (1 + target) or
+    stops improving.  t is 0 exactly when target is 0, and comes out
+    negative when the positive axis never reaches the target.
     """
     if target < 0:
         raise ValueError("target must be nonnegative")
@@ -201,9 +257,10 @@ def solve_odd_equation(factor: OddFactor, target: float, tol: float = 1e-12) -> 
     def qf(t: float) -> float:
         return eval_poly(q, t) - target
 
-    found = _scan_axes(qf, target, 40)
+    k0, k1 = _scan_range(q, target)
+    found = _scan_axes(qf, target, k0, min(k1, 40))
     if found is None:
-        found = _scan_axes(qf, target, 1023)
+        found = _scan_axes(qf, target, max(k0, 41), k1)
     if found is None:
         raise BracketError(
             f"no sign change for target {target!r} with |t| scanned up to 2**1023"
@@ -227,18 +284,18 @@ def solve_odd_equation(factor: OddFactor, target: float, tol: float = 1e-12) -> 
     if not (lo < t0 < hi):
         t0 = lo if abs(flo) <= abs(fhi) else hi
 
-    best, best_q = t0, abs(qf(t0))
+    best, best_v = t0, qf(t0)
     for _ in range(3):
-        if best_q <= tol * (1.0 + target):
+        if abs(best_v) <= tol * (1.0 + target):
             break
         d = eval_poly(dq, best)
         if d == 0.0 or not math.isfinite(d):
             break
-        t1 = best - qf(best) / d
+        t1 = best - best_v / d
         if not math.isfinite(t1):
             break
-        q1 = abs(qf(t1))
-        if q1 >= best_q:
+        v1 = qf(t1)
+        if abs(v1) >= abs(best_v):
             break
-        best, best_q = t1, q1
+        best, best_v = t1, v1
     return best

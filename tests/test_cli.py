@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -19,6 +20,7 @@ from polycomm import cli, norms, realize
 from polycomm.cli import build_parser, main
 from polycomm.matrix import QQ, GenericMatrix
 from polycomm.poly import Polynomial
+from polycomm.quat import Quaternion
 from polycomm.realize import RealizationWitness, realize_zero_diagonal
 from polycomm.serialize import encode_witness
 
@@ -69,6 +71,26 @@ def test_solve_quat_rejects_real_target(capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_solve_quat_real_part_on_the_imaginary_bound(capsys):
+    # a real part of exactly 1e-12 * (1 + |v|) still counts as purely
+    # imaginary; the next double above it does not
+    real = 2e-12
+    assert real == 1e-12 * (1.0 + Quaternion.of_floats(real, 1.0).norm())
+    code, doc = run_json(
+        capsys, "solve-quat", "--poly", "0,1", "--input", f"[{real!r},1,0,0]"
+    )
+    assert code == 0
+    assert doc["verified"] is True
+    above = math.nextafter(real, 1.0)
+    assert repr(above) == "2.0000000000000004e-12"
+    code, out, err = run_cli(
+        capsys, "solve-quat", "--poly", "0,1", "--input", f"[{above!r},1,0,0]"
+    )
+    assert code == 2
+    assert out == ""
+    assert "target must be purely imaginary" in err
 
 
 def test_solve_quat_negative_tolerance_fails_verification(capsys):
