@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poly import _EXACT_TYPES, Polynomial, eval_poly, poly_commutator  # noqa: F401
+from .poly import Polynomial, eval_poly, poly_commutator  # noqa: F401
 from .quat import Quaternion
 
 
@@ -48,27 +48,35 @@ _HAMILTON_TABLE = (
 
 
 class ScalarRing:
-    """Scalar operations a GenericMatrix needs from its backend."""
+    """What a GenericMatrix needs from its backend: coerce turns a value
+    into an entry or raises, is_central tells an entry that commutes with
+    every other, and zero, one and embed derive from the two.  A base-field
+    scalar c acts on a matrix as embed(c) times the identity."""
 
     name: str
     exact: bool
     table = _SCALAR_TABLE
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def embed(self, c):
-        """Image of a base-field scalar (int / Fraction / float); central."""
+    def coerce(self, value):
         raise NotImplementedError
 
     def is_central(self, s) -> bool:
         return True
 
-    def coerce(self, value):
-        raise NotImplementedError
+    def zero(self):
+        return self.coerce(0)
+
+    def one(self):
+        return self.coerce(1)
+
+    def embed(self, c):
+        """Entry of the base-field scalar c: coerce(c), which must be central."""
+        if isinstance(c, (list, tuple)):
+            raise TypeError(f"{c!r} is not a scalar")
+        s = self.coerce(c)
+        if not self.is_central(s):
+            raise ValueError("only central (real) scalars embed into matrices")
+        return s
 
     def __repr__(self):
         return f"<ring {self.name}>"
@@ -78,38 +86,18 @@ class RationalField(ScalarRing):
     name = "rational"
     exact = True
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def embed(self, c):
-        if isinstance(c, float):
+    def coerce(self, value):
+        if isinstance(value, float):
             raise ValueError(
                 "the rational ring is exact; floats belong to the complex or "
                 "quaternion-float backends"
             )
-        return Fraction(c)
-
-    def coerce(self, value):
-        if isinstance(value, _EXACT_TYPES):
-            return value
-        return self.embed(value)
+        return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class ComplexField(ScalarRing):
     name = "complex"
     exact = False
-
-    def zero(self):
-        return 0j
-
-    def one(self):
-        return 1 + 0j
-
-    def embed(self, c):
-        return complex(c)
 
     def coerce(self, value):
         return complex(value)
@@ -122,46 +110,26 @@ class QuaternionAlgebra(ScalarRing):
         self.exact = exact
         self.name = "quaternion" if exact else "quaternion-float"
 
-    def zero(self):
-        return Quaternion.exact() if self.exact else Quaternion.of_floats()
-
-    def one(self):
-        return Quaternion.exact(1) if self.exact else Quaternion.of_floats(1.0)
-
-    def embed(self, c):
-        if isinstance(c, Quaternion):
-            if not self.is_central(c):
-                raise ValueError("only central (real) scalars embed into matrices")
-            c = c.w
-        if self.exact:
-            if isinstance(c, float):
-                raise ValueError(
-                    "the exact quaternion ring takes int or Fraction scalars; "
-                    "use the quaternion-float backend for floats"
-                )
-            return Quaternion.exact(c)
-        return Quaternion.of_floats(float(c))
-
     def is_central(self, s) -> bool:
-        return s.im().is_zero()
+        return s.x == s.y == s.z == 0
 
     def coerce(self, value):
-        if isinstance(value, Quaternion):
-            q = value
-        elif isinstance(value, (int, float, Fraction)):
-            q = Quaternion(value)
+        if isinstance(value, (int, float, Fraction)):
+            parts = (value,)
+        elif isinstance(value, Quaternion):
+            parts = value.components()
         elif isinstance(value, (list, tuple)) and len(value) == 4:
-            q = Quaternion(*value)
+            parts = value
         else:
             raise TypeError(f"cannot coerce {value!r} to a quaternion")
         if not self.exact:
-            return q.to_float()
-        if any(isinstance(c, float) for c in q.components()):
+            return Quaternion.of_floats(*parts)
+        if any(isinstance(c, float) for c in parts):
             raise ValueError(
                 "the exact quaternion ring takes int or Fraction components; "
                 "use the quaternion-float backend for floats"
             )
-        return Quaternion.exact(*q.components())
+        return Quaternion.exact(*parts)
 
 
 QQ = RationalField()

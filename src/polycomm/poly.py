@@ -197,20 +197,14 @@ def _scan_range(q: Polynomial, target: float) -> tuple[int, int]:
 def _scan_axes(qf, target: float, k_lo: int, k_hi: int):
     """Return a sign-change bracket (lo, hi, f_lo, f_hi), an exact root, or None.
 
-    Positive axis first, then negative; points +-2^k for k = k_lo..k_hi.
-    q(0) = -target < 0 anchors each axis when k_lo = _K_MIN; past it, the
-    anchor is the grid point before, +-2^(k_lo - 1), with its own q value,
-    so the first sign change, and the bracket around it, are the ones a walk
-    from _K_MIN finds when no point before k_lo changes sign.
+    Positive axis first, then negative; points +-2^k for k = k_lo..k_hi,
+    each axis anchored at q(0) = -target < 0.  Every +-2^k with k < k_lo
+    lies below the lower root bound or was walked without a sign change,
+    so a bracket reaching 0 bisects first to +-2^(k_lo - 1): the bracket a
+    walk from _K_MIN finds.
     """
-    if k_lo > k_hi:
-        return None
     for sign in (1.0, -1.0):
-        if k_lo > _K_MIN:
-            prev_t = sign * 2.0 ** (k_lo - 1)
-            prev_v = qf(prev_t)
-        else:
-            prev_t, prev_v = 0.0, -target
+        prev_t, prev_v = 0.0, -target
         for k in range(k_lo, k_hi + 1):
             t = sign * 2.0**k
             v = qf(t)
@@ -224,7 +218,10 @@ def _scan_axes(qf, target: float, k_lo: int, k_hi: int):
     return None
 
 
-def solve_odd_equation(factor: OddFactor, target: float, tol: float = 1e-12) -> float:
+_NEWTON_TOL = 1e-12
+
+
+def solve_odd_equation(factor: OddFactor, target: float) -> float:
     """Solve 2 t h(t^2) = target for real t; target must be >= 0.
 
     The left side is an odd polynomial of odd degree with nonzero leading
@@ -235,9 +232,9 @@ def solve_odd_equation(factor: OddFactor, target: float, tol: float = 1e-12) -> 
     negative and above the second every point has the leading sign, so the
     first sign change and its bracket are those of the walk over every k.
     The first bracket is bisected to 1e-15 absolute width, then polished
-    with Newton steps until the residual drops under tol * (1 + target) or
-    stops improving.  t is 0 exactly when target is 0, and comes out
-    negative when the positive axis never reaches the target.
+    with Newton steps until the residual drops under _NEWTON_TOL *
+    (1 + target) or stops improving.  t is 0 exactly when target is 0, and
+    comes out negative when the positive axis never reaches the target.
     """
     if target < 0:
         raise ValueError("target must be nonnegative")
@@ -286,7 +283,7 @@ def solve_odd_equation(factor: OddFactor, target: float, tol: float = 1e-12) -> 
 
     best, best_v = t0, qf(t0)
     for _ in range(3):
-        if abs(best_v) <= tol * (1.0 + target):
+        if abs(best_v) <= _NEWTON_TOL * (1.0 + target):
             break
         d = eval_poly(dq, best)
         if d == 0.0 or not math.isfinite(d):

@@ -347,27 +347,12 @@ def factor_into_two_commutators(p: Polynomial, alpha: Quaternion, tol: float = 1
     the conjugated pair.  Returns ((a1, b1), (a2, b2)).
     """
     af = alpha.to_float()
-    a1r = af.w
-    nrm = af.im().norm()
-    gamma = complexifying_conjugator(af) if not af.im().is_zero() else ONE.to_float()
-
-    target1 = QJ.to_float()
-    target2 = Quaternion.of_floats(0.0, 0.0, -a1r, nrm)
-
-    sol1 = solve_poly_commutator(p, target1, tol)
+    gamma = complexifying_conjugator(af)
+    targets = (QJ.to_float(), Quaternion.of_floats(0.0, 0.0, -af.w, af.im().norm()))
     pairs = []
-    if target2.is_zero():
-        zero = Quaternion.of_floats()
-        sol2_pair = (zero, zero)
-    else:
-        sol2 = solve_poly_commutator(p, target2, tol)
-        sol2_pair = (sol2.a, sol2.b)
-
-    for a, b in ((sol1.a, sol1.b), sol2_pair):
-        if a.is_zero() and b.is_zero():
-            pairs.append((a, b))
-        else:
-            pairs.append((conjugate_by(gamma, a), conjugate_by(gamma, b)))
+    for target in targets:
+        sol = solve_poly_commutator(p, target, tol)
+        pairs.append((conjugate_by(gamma, sol.a), conjugate_by(gamma, sol.b)))
 
     prod = poly_commutator(p, *pairs[0]) * poly_commutator(p, *pairs[1])
     residual = (prod - af).norm()

@@ -244,10 +244,8 @@ def realize_zero_diagonal(
         raise ValueError(f"conjugated matrix has nonzero diagonal entry at {i}")
 
     alphas = pick_distinct_preimages(p, a.n)
-    d = GenericMatrix.diagonal(ring, [ring.embed(al) for al in alphas])
-    p_diag = GenericMatrix.diagonal(
-        ring, [ring.embed(eval_poly(p, al)) for al in alphas]
-    )
+    d = GenericMatrix.diagonal(ring, alphas)
+    p_diag = GenericMatrix.diagonal(ring, [eval_poly(p, al) for al in alphas])
     lower, upper = _strict_parts(a_prime)
     l1 = lower + p_diag
     u1 = p_diag - upper
@@ -402,9 +400,8 @@ def nonzero_trace_witness(p: Polynomial, n: int, seed: int = 0, attempts: int = 
         delta = eval_poly(p, alpha * beta) - eval_poly(p, beta * alpha)
         if delta.is_zero():
             continue
-        one = HQ.one()
-        a = GenericMatrix.diagonal(HQ, [one] * (n - 1) + [alpha])
-        b = GenericMatrix.diagonal(HQ, [one] * (n - 1) + [beta])
+        a = GenericMatrix.diagonal(HQ, [1] * (n - 1) + [alpha])
+        b = GenericMatrix.diagonal(HQ, [1] * (n - 1) + [beta])
         tr = poly_commutator(p, a, b).trace()
         if tr != delta:
             raise VerificationError("diagonal trace identity failed")

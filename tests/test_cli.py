@@ -131,6 +131,26 @@ def test_factor_quat(capsys):
     assert doc["verified"] is True
 
 
+@pytest.mark.parametrize(
+    "digest,alpha",
+    [
+        # alpha = 0: the second target is zero and its pair stays zero
+        ("df35e481c32659de2d49d583a1f243ba0937bca60b1d1939ac2bd79fbf2f0d5a", "[0,0,0,0]"),
+        # a real alpha needs no conjugator
+        ("638e213a33f58c592602eeaea2cd695415eb28a60cc64343eb363c15848862eb", "[2,0,0,0]"),
+        # Im(alpha) along +i: the conjugator is 1
+        ("6b70004a3a391be4633b4c97409ffbb0508e68fd225a8db75d7e5dd6a3b5109c", "[1,3,0,0]"),
+        # Im(alpha) along -i: the conjugator reflects across the i axis first
+        ("af4cdd7293e228b32ac38a84464a29e741362fc2d89b4a5f78be19cb03cd4250", "[0.5,-2,0,0]"),
+    ],
+    ids=["zero", "real", "plus-i", "minus-i"],
+)
+def test_factor_quat_output_is_pinned(capsys, digest, alpha):
+    code, out, err = run_cli(capsys, "factor-quat", "--poly", "0,1,0,2", "--input", alpha)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_realize_matrix_matches_library(capsys):
     code, doc = run_json(
         capsys,

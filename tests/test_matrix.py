@@ -144,6 +144,93 @@ def test_exact_rings_refuse_float_and_noncentral_scalars():
             bad()
 
 
+# zero, one and embed as each ring wrote them before they derived from
+# coerce, kept as the reference.
+REFERENCE_ZERO_ONE = {
+    "rational": (Fraction(0), Fraction(1)),
+    "complex": (0j, 1 + 0j),
+    "quaternion": (Quaternion.exact(), Quaternion.exact(1)),
+    "quaternion-float": (Quaternion.of_floats(), Quaternion.of_floats(1.0)),
+}
+
+
+def reference_embed(ring, c):
+    if ring is QQ:
+        if isinstance(c, float):
+            raise ValueError("the rational ring is exact")
+        return Fraction(c)
+    if ring is CC:
+        return complex(c)
+    if isinstance(c, Quaternion):
+        if not c.im().is_zero():
+            raise ValueError("only central (real) scalars embed into matrices")
+        c = c.w
+    if ring.exact:
+        if isinstance(c, float):
+            raise ValueError("the exact quaternion ring takes int or Fraction scalars")
+        return Quaternion.exact(c)
+    return Quaternion.of_floats(float(c))
+
+
+def same_value(x, y) -> bool:
+    """x == y with equal types, each component exact or float in both, and
+    nan matching nan."""
+    def parts(v):
+        if isinstance(v, Quaternion):
+            return v.components()
+        return (v.real, v.imag) if isinstance(v, complex) else (v,)
+
+    return type(x) is type(y) and all(
+        (a == b or a != a and b != b) and isinstance(a, float) == isinstance(b, float)
+        for a, b in zip(parts(x), parts(y))
+    )
+
+
+exact_scalars = st.one_of(st.integers(-10**9, 10**9),
+                          st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6))
+float_scalars = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def quaternions(make, scalars):
+    """Central, one-axis and general quaternions of make(w, x, y, z)."""
+    def one_axis(w, axis, v):
+        return make(w, *(v if k == axis else 0 for k in range(3)))
+
+    return st.one_of(st.builds(make, scalars),
+                     st.builds(one_axis, scalars, st.integers(0, 2), scalars),
+                     st.builds(make, scalars, scalars, scalars, scalars))
+
+
+embed_inputs = st.one_of(
+    exact_scalars,
+    float_scalars,
+    st.complex_numbers(),
+    quaternions(Quaternion.exact, exact_scalars),
+    quaternions(Quaternion.of_floats, float_scalars),
+    st.lists(st.one_of(exact_scalars, float_scalars), min_size=4, max_size=4),
+)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_name=st.sampled_from(sorted(RINGS)), c=embed_inputs)
+def test_zero_one_and_embed_match_the_per_ring_reference(ring_name, c):
+    ring = RINGS[ring_name]
+    zero, one = REFERENCE_ZERO_ONE[ring_name]
+    assert same_value(ring.zero(), zero) and same_value(ring.one(), one)
+    got, want = outcome(ring.embed, c), outcome(reference_embed, ring, c)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert same_value(got, want)
+
+
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 exact_entries = {
     "rational": small_fractions,
