@@ -113,7 +113,9 @@ _finite_float.__name__ = "float"  # argparse names the type in "invalid float va
 # an allocation or a loop without bound.  Each sits above the largest value
 # the tests and benchmark use: --n 16 (float-verify's verify-bounds request in
 # bench/workloads.py), --samples 100000 (criterion 11's sphere average) and
-# --trials 500 (criterion 10's bound checks).
+# --trials 500 (criterion 10's bound checks).  At the caps the sphere average
+# peaks near 53 MiB: the 8 * samples * n bytes of real parts it draws whole,
+# plus one 2048-row block (norms.spherical_average).
 MAX_N, MAX_SAMPLES, MAX_TRIALS = 32, 200_000, 1000
 
 

@@ -27,6 +27,7 @@ from .sampling import complex_gaussian_matrix, np_stream
 
 _REL_SLACK = 1e-10
 _GRID_POINTS, _WINDOWS = 256, 3  # numerical_radius's circle grid and Newton windows
+_ROWS = 2048  # spherical_average's row block: its complex temporaries are _ROWS x n
 
 
 MatrixLike = Union[GenericMatrix, np.ndarray, Sequence[Sequence]]
@@ -144,6 +145,14 @@ def _newton_peaks(arr: np.ndarray, centers: np.ndarray, step: float) -> float:
     return best
 
 
+def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(A / 2^e, e) with e the binary exponent of A's largest real or imaginary
+    part, so that part lands in [1/2, 1).  Only exponents change, so the
+    scaling is exact for every part that does not fall below the double range."""
+    exponent = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1]
+    return np.ldexp(arr.real, -exponent) + 1j * np.ldexp(arr.imag, -exponent), exponent
+
+
 def numerical_radius(a: MatrixLike) -> float:
     """max over unit vectors of |v* A v| = max over theta of f(theta), the top
     eigenvalue of H(theta) = Herm(e^(i theta) A).  One batched eigvalsh on a half
@@ -155,8 +164,7 @@ def numerical_radius(a: MatrixLike) -> float:
     arr = as_complex_array(a)
     if not arr.any():
         return 0.0
-    exponent = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1]
-    arr = np.ldexp(arr.real, -exponent) + 1j * np.ldexp(arr.imag, -exponent)
+    arr, exponent = _unit_scaled(arr)
     step = 2.0 * math.pi / _GRID_POINTS
     rotated, adjoint = _rotations(arr, step * np.arange(_GRID_POINTS // 2))
     lam = np.linalg.eigvalsh((rotated + adjoint) / 2.0)
@@ -289,33 +297,65 @@ class SphereEstimate:
     exact_value: float
 
 
+def _sphere_moments(arr: np.ndarray, samples: int, seed: int) -> tuple[float, float]:
+    """Mean and standard error of n ||A z||^2 / ||z||^2 over samples rows
+    z = x + i y.  All of x is drawn first, then y block by block: the
+    generator fills sequentially, so each block pairs the same rows of x and
+    y as drawing both whole would."""
+    n = arr.shape[0]
+    gen = np_stream(seed, "sphere-average")
+    x = gen.standard_normal((samples, n))
+    block = np.empty((min(samples, _ROWS), n), dtype=complex)
+    vals = np.empty(samples)
+    for start in range(0, samples, _ROWS):
+        z = block[: samples - start]
+        z.real = x[start : start + _ROWS]
+        z.imag = gen.standard_normal(z.shape)
+        num = (np.abs(z @ arr.T) ** 2).sum(axis=1)
+        den = (np.abs(z) ** 2).sum(axis=1)
+        vals[start : start + _ROWS] = n * (num / den)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
 def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstimate:
     """Monte Carlo estimate of n * average of ||A v||^2 over unit vectors.
 
     Unit vectors are normalized standard complex Gaussians; the estimate
     converges to ||A||_F^2, reported as exact_value.  The per-sample value
     uses ||A z||^2 / ||z||^2, so A = identity gives exactly n at every
-    sample and a zero standard error.  Entries large enough that the
-    samples or their variance leave the double range (from about 1e77) are
-    a ValueError, not a NaN answer.
+    sample and a zero standard error.
+
+    The real parts of all samples are drawn first, in one samples x n call,
+    then the imaginary parts _ROWS rows at a time into one reused _ROWS x n
+    complex block; this order fixes the output bytes.  The only samples x n
+    array is the 8 * samples * n bytes of real parts, so a call peaks near
+    9.6 MiB at n = 16 and 64 000 samples and near 53 MiB at the CLI caps
+    (n = 32, 200 000 samples).
+
+    Where the samples or their variance leave the double range (entries
+    from about 1e77) but ||A||_F^2 does not, the estimate is redone on
+    A / 2^e, the exact scaling numerical_radius uses, and scaled back by
+    4^e.  Only a ||A||_F^2 past the double range (entries from about 1e154),
+    or an estimate that overflows when scaled back, is a ValueError.
     """
     arr = as_complex_array(a)
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    n = arr.shape[0]
-    gen = np_stream(seed, "sphere-average")
-    z = gen.standard_normal((samples, n)) + 1j * gen.standard_normal((samples, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        num = (np.abs(z @ arr.T) ** 2).sum(axis=1)
-        den = (np.abs(z) ** 2).sum(axis=1)
-        vals = n * (num / den)
-        mean = float(vals.mean())
-        std_error = float(vals.std(ddof=1) / math.sqrt(samples))
+        mean, std_error = _sphere_moments(arr, samples, seed)
         exact_value = float((np.abs(arr) ** 2).sum())
+    if math.isfinite(exact_value) and not (math.isfinite(mean) and math.isfinite(std_error)):
+        with np.errstate(all="ignore"):
+            scaled, exponent = _unit_scaled(arr)
+            mean, std_error = _sphere_moments(scaled, samples, seed)
+        try:
+            mean, std_error = (math.ldexp(v, 2 * exponent) for v in (mean, std_error))
+        except OverflowError:
+            mean = math.inf
     if not all(map(math.isfinite, (mean, std_error, exact_value))):
         raise ValueError(
-            "sphere average out of range: ||A v||^2 samples or their variance"
-            " exceed the double range (entries from about 1e77 overflow)"
+            "sphere average out of range: ||A||_F^2 or its estimate exceeds the"
+            " double range (about 1.8e308; entries from about 1e154 overflow)"
         )
     return SphereEstimate(samples, mean, std_error, exact_value)
 

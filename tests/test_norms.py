@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -7,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycomm.cli import main
 from polycomm.matrix import CC, HQ, QQ, GenericMatrix
 from polycomm.norms import (
     BoundReport,
+    SphereEstimate,
     as_complex_array,
     check_average_bound,
     check_bottcher_wenzel,
@@ -520,6 +524,87 @@ def test_spherical_average_reproducible():
     assert a == b
     c = spherical_average(E12, 5000, seed=8)
     assert c.mean != a.mean
+
+
+def reference_spherical_average(a, samples, seed=0):
+    """The one-shot estimate: z drawn whole, every temporary samples x n."""
+    arr = as_complex_array(a)
+    n = arr.shape[0]
+    gen = np_stream(seed, "sphere-average")
+    z = gen.standard_normal((samples, n)) + 1j * gen.standard_normal((samples, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = (np.abs(z @ arr.T) ** 2).sum(axis=1)
+        den = (np.abs(z) ** 2).sum(axis=1)
+        vals = n * (num / den)
+        mean = float(vals.mean())
+        std_error = float(vals.std(ddof=1) / math.sqrt(samples))
+        exact_value = float((np.abs(arr) ** 2).sum())
+    if not all(map(math.isfinite, (mean, std_error, exact_value))):
+        raise ValueError("sphere average out of range")
+    return SphereEstimate(samples, mean, std_error, exact_value)
+
+
+def scaled_estimate(est, k):
+    """est with mean, standard error and exact value multiplied by 4^k."""
+    return SphereEstimate(
+        est.samples, *(math.ldexp(v, 2 * k) for v in (est.mean, est.std_error, est.exact_value))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 32),
+    samples=st.sampled_from([1000, 2047, 2048, 2049, 4097]) | st.integers(1000, 9000),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["real", "complex", "zero", "identity"]),
+    k=st.sampled_from([0, 400, -400]),
+)
+def test_streamed_sphere_average_matches_the_one_shot_draw(n, samples, seed, kind, k):
+    if kind == "zero":
+        a = np.zeros((n, n))
+    elif kind == "identity":
+        a = np.eye(n)
+    else:
+        a = complex_gaussian_matrix(np_stream(seed, "sphere-input"), n)
+        a = a.real.copy() if kind == "real" else a
+    a = np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+    try:
+        expected = reference_spherical_average(a, samples, seed)
+    except ValueError:
+        # past the one-shot draw's range: the estimate of A / 2^e, times 4^e
+        e = math.frexp(np.abs(np.stack([a.real, a.imag])).max())[1]
+        unit = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+        expected = scaled_estimate(reference_spherical_average(unit, samples, seed), e)
+    est = spherical_average(a, samples, seed)
+    assert est == expected
+    if kind == "identity":
+        assert est.mean == math.ldexp(n, 2 * k) and est.std_error == 0.0
+
+
+def test_spherical_average_memory_does_not_scale_with_samples_times_n():
+    a = complex_gaussian_matrix(np_stream(SEED, "sphere-memory"), 16)
+    spherical_average(a, 1000, seed=SEED)
+    tracemalloc.start()
+    try:
+        spherical_average(a, 64_000, seed=SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 7.8 MiB of real parts plus one 2048-row block, 9.6 MiB in all; z drawn whole peaks at 39
+    assert peak <= 12 * 2**20, peak
+
+
+def test_spherical_average_scales_past_the_sample_range(capsys):
+    a = complex_gaussian_matrix(np_stream(SEED, "sphere-range"), 5)
+    base = spherical_average(a, 3000, seed=SEED)
+    with np.errstate(all="raise"):
+        # entries from about 1e77 (k near 256) overflow the samples' variance
+        for k in (-200, -60, 100, 240, 260, 300, 400, 505):
+            big = spherical_average(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k), 3000, SEED)
+            assert big == scaled_estimate(base, k), k
+    code = main(["sphere-avg", "--input", "[[1e100,0],[0,1]]", "--samples", "1000"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["verified"] is True and doc["exact_value"] == 1e200
 
 
 def test_average_bound_degree_one():
