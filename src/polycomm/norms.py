@@ -332,26 +332,27 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
     9.6 MiB at n = 16 and 64 000 samples and near 53 MiB at the CLI caps
     (n = 32, 200 000 samples).
 
-    Where the samples or their variance leave the double range (entries
-    from about 1e77) but ||A||_F^2 does not, the estimate is redone on
-    A / 2^e, the exact scaling numerical_radius uses, and scaled back by
-    4^e.  Only a ||A||_F^2 past the double range (entries from about 1e154),
-    or an estimate that overflows when scaled back, is a ValueError.
+    An A whose largest part is 1/2 or more is sampled as A / 2^e, the exact
+    scaling numerical_radius uses, and the mean and standard error are
+    scaled back by 4^e; A is never scaled up, so smaller inputs keep the
+    bytes of the unscaled arithmetic.  The samples and their variance thus
+    stay in range for entries past 1e77, and only a ||A||_F^2 past the double
+    range (entries from about 1e154), or an estimate that overflows when
+    scaled back, is a ValueError.
     """
     arr = as_complex_array(a)
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, std_error = _sphere_moments(arr, samples, seed)
+    scaled, exponent = _unit_scaled(arr)
+    if exponent < 0:
+        scaled, exponent = arr, 0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        moments = _sphere_moments(scaled, samples, seed)
         exact_value = float((np.abs(arr) ** 2).sum())
-    if math.isfinite(exact_value) and not (math.isfinite(mean) and math.isfinite(std_error)):
-        with np.errstate(all="ignore"):
-            scaled, exponent = _unit_scaled(arr)
-            mean, std_error = _sphere_moments(scaled, samples, seed)
-        try:
-            mean, std_error = (math.ldexp(v, 2 * exponent) for v in (mean, std_error))
-        except OverflowError:
-            mean = math.inf
+    try:
+        mean, std_error = (math.ldexp(v, 2 * exponent) for v in moments)
+    except OverflowError:
+        mean, std_error = math.inf, math.inf
     if not all(map(math.isfinite, (mean, std_error, exact_value))):
         raise ValueError(
             "sphere average out of range: ||A||_F^2 or its estimate exceeds the"
