@@ -2,11 +2,12 @@
 
 Backends: exact rationals, complex floats, and quaternions (exact or
 float).  Every ring holds a matrix in the same component form (see
-GenericMatrix): one array per basis component of the ring's
-multiplication table, over one denominator.  Sums, scalar multiples,
-products (one matmul per pair of components) and == run on those arrays;
-an inverse solves the real (or complex) image chi(m), fraction-free on
-the exact rings and in numpy on the float ones.
+GenericMatrix): one array per basis component of the ring, over one
+denominator.  Sums, scalar multiples and == run on those arrays.  One
+left image chi(m) (_left_image) carries the ring's multiplication: a
+product is chi(m) times the other factor's components, and an inverse
+solves chi(m), fraction-free on the exact rings and in numpy on the
+float ones.
 
 A base-field scalar c acts centrally: c * m scales every entry and m + c
 adds c to the diagonal, so poly.eval_poly and poly.poly_commutator serve
@@ -35,18 +36,6 @@ class SingularMatrixError(ValueError):
         super().__init__(f"matrix is singular (no pivot in column {column})")
 
 
-# Multiplication table of the basis components: table[p][q] = (r, sign)
-# means e_p e_q = sign * e_r.  The scalar rings have one component; the
-# quaternions have the basis (1, i, j, k).
-_SCALAR_TABLE = (((0, 1),),)
-_HAMILTON_TABLE = (
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-    ((1, 1), (0, -1), (3, 1), (2, -1)),
-    ((2, 1), (3, -1), (0, -1), (1, 1)),
-    ((3, 1), (2, 1), (1, -1), (0, -1)),
-)
-
-
 class ScalarRing:
     """What a GenericMatrix needs from its backend: coerce turns a value
     into an entry or raises, is_central tells an entry that commutes with
@@ -55,7 +44,7 @@ class ScalarRing:
 
     name: str
     exact: bool
-    table = _SCALAR_TABLE
+    components = 1
 
     def coerce(self, value):
         raise NotImplementedError
@@ -104,7 +93,7 @@ class ComplexField(ScalarRing):
 
 
 class QuaternionAlgebra(ScalarRing):
-    table = _HAMILTON_TABLE
+    components = 4  # the basis (1, i, j, k)
 
     def __init__(self, exact: bool):
         self.exact = exact
@@ -143,11 +132,11 @@ RINGS = {r.name: r for r in (QQ, CC, HQ, HF)}
 class GenericMatrix:
     """Immutable square matrix over a ScalarRing, held as (parts, den).
 
-    Component k of entry (i, j) is parts[k, i, j] / den, k running over the
-    basis of ring.table.  Exact rings keep Python-int numerators in an
-    object array over a positive den in lowest terms, gcd(den, every
-    numerator) = 1: den is then the lcm of the entry denominators and the
-    form is unique, so == compares den and the arrays.  CC keeps complex128
+    Component k of entry (i, j) is parts[k, i, j] / den, k < ring.components.
+    Exact rings keep Python-int numerators in an object array over a
+    positive den in lowest terms, gcd(den, every numerator) = 1: den is then
+    the lcm of the entry denominators and the form is unique, so ==
+    compares den and the arrays.  CC keeps complex128
     and HF float64 parts, over den = 1.  rows is a view built once, on first
     read, of Fraction(v, den), Quaternion(*q) or Python-number entries; a
     matrix built from rows keeps them and computes its parts at most once.
@@ -182,7 +171,7 @@ class GenericMatrix:
     def component_form(self):
         """(parts, den) of the class docstring, parts of shape (c, n, n)."""
         if self._parts is None:
-            n, c = self.n, len(self.ring.table)
+            n, c = self.n, self.ring.components
             entries = [x.components() if c > 1 else (x,) for row in self._rows for x in row]
             if self.ring.exact:
                 den = self._den = math.lcm(*(v.denominator for e in entries for v in e))
@@ -262,13 +251,12 @@ class GenericMatrix:
         return GenericMatrix._of_parts(self.ring, -parts, den)
 
     def __mul__(self, other):
-        """m * m' by the ring's table: component p of m times component q of
-        m' adds, with the table's sign, into component r of the product, one
-        matmul for QQ and CC and sixteen for the quaternions."""
+        """m * m' as one matmul on the components: chi(m) @ m' (see
+        component_product)."""
         if not isinstance(other, GenericMatrix):
             return self.__rmul__(other)  # a central scalar commutes
         (a, a_den), (b, b_den) = self.component_form(), self._same_shape(other).component_form()
-        return GenericMatrix._of_parts(self.ring, table_product(self.ring.table, a, b), a_den * b_den)
+        return GenericMatrix._of_parts(self.ring, component_product(a, b), a_den * b_den)
 
     def __pow__(self, k: int) -> "GenericMatrix":
         if not isinstance(k, int) or k < 0:
@@ -285,7 +273,8 @@ class GenericMatrix:
         return GenericMatrix._of_parts(self.ring, parts * num, den * c_den)
 
     def transpose(self) -> "GenericMatrix":
-        return GenericMatrix(self.ring, list(zip(*self.rows)))
+        parts, den = self.component_form()
+        return GenericMatrix._of_parts(self.ring, parts.transpose(0, 2, 1), den)
 
     def trace(self):
         return sum(self.diagonal_entries(), self.ring.zero())
@@ -303,40 +292,40 @@ class GenericMatrix:
         return (self - self._same_shape(other)).max_magnitude()
 
     def max_magnitude(self) -> float:
-        """Largest |entry|, the norm on the quaternions; inf when an exact
-        one lies beyond the double range."""
+        """Largest |entry|, the norm on the quaternions; inf when one lies
+        beyond the double range.  A quaternion's squared components are
+        summed over 4^e, e near the exponent of the largest, so no square of
+        an in-range component overflows or underflows."""
         parts, den = self.component_form()
-        if len(parts) == 1:
-            top = max(abs(v) for v in parts[0].ravel().tolist())
-        else:
-            top, den = max((parts * parts).sum(axis=0).flat), den * den
         try:
-            top = top / den
+            if len(parts) == 1:
+                return max(abs(v) for v in parts[0].ravel().tolist()) / den
+            if self.ring.exact:
+                top = max((parts * parts).sum(axis=0).flat)
+                e = (top.bit_length() + 1) // 2 - den.bit_length()
+                top = Fraction(top, den * den) / Fraction(4) ** e
+            else:
+                e = math.frexp(np.abs(parts).max())[1]
+                top = max((np.ldexp(parts, -e) ** 2).sum(axis=0).flat)
+            return math.ldexp(math.sqrt(top), e)
         except OverflowError:
             return math.inf
-        return top if len(parts) == 1 else math.sqrt(top)
 
     def inverse(self) -> "GenericMatrix":
         """Inverse, or SingularMatrixError naming the first column j in the
         right span of columns 0 .. j - 1.
 
-        Every ring solves chi(m) X = E for the c n x c n image chi(m) whose
-        block (i, j) is left multiplication by m_ij on the components, c =
-        len(ring.table) (Zhang, Linear Algebra Appl. 251, 1997), and E the
-        unit columns c j of I: chi(m)^-1 = chi(m^-1), whose column c j
-        holds column j of m^-1.  Exact rings run Bareiss elimination
-        (_bareiss_solve), float rings np.linalg.solve on finite entries
-        (ValueError otherwise).  When LAPACK reports chi(m) singular, the
+        Every ring solves chi(m) X = E for the c n x c n left image chi(m)
+        (_left_image), c = ring.components, and E the unit columns c j of I:
+        chi(m)^-1 = chi(m^-1), whose column c j holds column j of m^-1.
+        Exact rings run Bareiss elimination (_bareiss_solve), float rings
+        np.linalg.solve on finite entries (ValueError otherwise).  When LAPACK reports chi(m) singular, the
         error names the smallest j for which columns 0 .. c j + c - 1 of
         chi(m) are rank-deficient (np.linalg.matrix_rank).
         """
-        ring, n, c = self.ring, self.n, len(self.ring.table)
+        ring, n, c = self.ring, self.n, self.ring.components
         parts, den = self.component_form()
-        chi = np.zeros((n, c, n, c), dtype=parts.dtype)
-        for p, row in enumerate(ring.table):
-            for t, (r, sign) in enumerate(row):
-                chi[:, r, :, t] = parts[p] if sign > 0 else -parts[p]
-        chi = chi.reshape(c * n, c * n)  # chi(m) = chi / den
+        chi = _left_image(parts)  # chi(m) = chi / den
         units = np.eye(c * n, dtype=chi.dtype)[:, ::c]
         if ring.exact:
             x, den = _bareiss_solve(np.hstack([chi, units]).tolist(), den, c)
@@ -353,16 +342,26 @@ class GenericMatrix:
         return GenericMatrix._of_parts(ring, x.reshape(n, c, n).transpose(1, 0, 2), den)
 
 
-def table_product(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Components of the product of a and b, two stacks of component arrays
-    (shape (c, ...)) multiplied by @: component p of a times component q of
-    b adds, with the table's sign, into component r."""
-    acc = [0] * len(table)
-    for p, row in enumerate(table):
-        for q, (r, sign) in enumerate(row):
-            prod = a[p] @ b[q]
-            acc[r] = acc[r] + prod if sign > 0 else acc[r] - prod
-    return np.array(acc)
+def _left_image(a: np.ndarray) -> np.ndarray:
+    """The (c m) x (c k) left image chi(a) of a component stack a of shape
+    (c, m, k) (Zhang, Linear Algebra Appl. 251, 1997): row c i + r, column
+    c j + t holds the component r of a_ij e_t, so chi(a) times the stacked
+    components of a k-vector v gives those of a v.  For c = 1 it is a[0];
+    for the quaternions, with a = w + x i + y j + z k, each entry's block is
+    Hamilton's left multiplication."""
+    if len(a) == 1:
+        return a[0]
+    w, x, y, z = a
+    blocks = np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+    return blocks.transpose(2, 0, 3, 1).reshape(4 * w.shape[0], 4 * w.shape[1])
+
+
+def component_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Components of the product of the stacks a (c, m, k) and b (c, k, l):
+    chi(a) @ b, with the c components of each row of b stacked under it."""
+    c, k, l = b.shape
+    out = _left_image(a) @ b.transpose(1, 0, 2).reshape(k * c, l)
+    return out.reshape(-1, c, l).transpose(1, 0, 2)
 
 
 def _entries(ring: ScalarRing, parts: np.ndarray, den) -> list:

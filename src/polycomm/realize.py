@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrix import QQ, HQ, GenericMatrix, table_product
+from .matrix import QQ, HQ, GenericMatrix, component_product
 from .poly import Polynomial, eval_poly, poly_commutator
 from .quat import ONE, QI, QJ, QK, Quaternion, VerificationError
 from .sampling import probe_like, stream
@@ -107,7 +107,7 @@ def _unitriangular_solve(m: GenericMatrix, shape: str, divide: bool = False) -> 
     x[0, np.arange(n), np.arange(n)] = 1
     for i in range(1, n) if shape == "lower" else range(n - 2, -1, -1):
         block = slice(0, i) if shape == "lower" else slice(i + 1, n)
-        s = table_product(ring.table, parts[:, i:i + 1, block], x[:, block, block])[:, 0]
+        s = component_product(parts[:, i:i + 1, block], x[:, block, block])[:, 0]
         if divide:
             gaps = [parts[0, i, i] - parts[0, j, j] for j in range(n)[block]]
             scale = math.lcm(*gaps)

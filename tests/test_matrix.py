@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from polycomm.matrix import (
     RINGS,
     GenericMatrix,
     SingularMatrixError,
+    component_product,
     telescoping_expand,
 )
 from polycomm.poly import Polynomial, eval_poly, poly_commutator
@@ -83,6 +85,10 @@ def test_indexing_and_shape():
     assert m.transpose()[0, 1] == 3
     assert m.diagonal_entries() == (1, 4)
     assert m.trace() == 5
+    q = GenericMatrix.from_rows(HQ, [[QI, Fraction(1, 2)], [[1, 2, 3, 4], 0]])
+    t = q.transpose()
+    assert t.rows == ((QI, Quaternion(1, 2, 3, 4)), (Fraction(1, 2), 0))
+    assert t.component_form()[1] == 2 and t.transpose() == q
 
 
 def test_arithmetic():
@@ -480,6 +486,21 @@ def test_deviation_and_magnitude():
         a.max_deviation(GenericMatrix.zeros(CC, 3))
 
 
+@pytest.mark.parametrize("ring, q, expected", [
+    (HQ, [10**200, 0, 0, 0], 1e200),
+    (HF, [1e200, 0, 0, 0], 1e200),
+    (HQ, [Fraction(1, 10**170), 0, 0, 0], 1e-170),
+    (HF, [0, 1e-170, 0, 0], 1e-170),
+    (HQ, [0, 0, 3 * 10**100, 4 * 10**100], 5e100),
+    (HQ, [0, 0, 10**308, 2 * 10**308], math.inf),
+    (HF, [1e308, 0, 0, 1.5e308], math.inf),
+])
+def test_quaternion_magnitude_spans_the_double_range(ring, q, expected):
+    # no square of an in-range component overflows or underflows, and a
+    # RuntimeWarning fails the test
+    assert GenericMatrix.from_rows(ring, [[0, q], [0, 0]]).max_magnitude() == expected
+
+
 def test_mixed_ring_arithmetic_rejected():
     a = GenericMatrix.identity(QQ, 2)
     b = GenericMatrix.identity(CC, 2)
@@ -564,6 +585,58 @@ def test_exact_product_matches_entry_loop(n):
         assert (zero * zero).is_zero()
         eye = GenericMatrix.identity(ring, n)
         assert a * eye == a and eye * a == a
+
+
+# The product as sixteen signed component matmuls off Hamilton's table:
+# HAMILTON[p][q] = (r, sign) means e_p e_q = sign e_r for e = (1, i, j, k).
+HAMILTON = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, -1), (3, 1), (2, -1)),
+    ((2, 1), (3, -1), (0, -1), (1, 1)),
+    ((3, 1), (2, 1), (1, -1), (0, -1)),
+)
+
+
+def table_product(a, b):
+    table = HAMILTON if len(a) == 4 else (((0, 1),),)
+    acc = [0] * len(table)
+    for p, row in enumerate(table):
+        for q, (r, sign) in enumerate(row):
+            prod = a[p] @ b[q]
+            acc[r] = acc[r] + prod if sign > 0 else acc[r] - prod
+    return np.array(acc)
+
+
+def assert_matches_table(ring, got, a, b):
+    """got is the component stack of a times b, against the table loop."""
+    expected = table_product(a, b)
+    assert got.shape == expected.shape
+    if ring is HF:
+        # both sum the same c k terms per entry, in different orders
+        scale = np.abs(a).sum(axis=0) @ np.abs(b).sum(axis=0)
+        assert (np.abs(got - expected) <= 8 * a.shape[2] * np.finfo(float).eps * scale).all()
+    else:
+        assert np.array_equal(got, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring_name=st.sampled_from(sorted(RINGS)), n=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), big=st.booleans())
+def test_product_matches_the_table_loop(ring_name, n, seed, big):
+    ring = RINGS[ring_name]
+    r, gen = random.Random(seed), np_stream(seed, "mul-table")
+    make = {"rational": lambda: random_qq(r, n, big), "quaternion": lambda: random_hq(r, n, big),
+            "complex": lambda: cc_matrix(gen, n), "quaternion-float": lambda: hf_matrix(gen, n)}
+    a, b = make[ring_name](), make[ring_name]()
+    (pa, a_den), (pb, b_den) = a.component_form(), b.component_form()
+    if ring.exact:
+        assert a * b == GenericMatrix._of_parts(ring, table_product(pa, pb), a_den * b_den)
+    else:
+        assert_matches_table(ring, (a * b).component_form()[0], pa, pb)
+    # the (c, 1, k) x (c, k, k) row step of the unitriangular substitution
+    for k in range(1, n + 1):
+        row, block = pa[:, n - 1:n, :k], pb[:, :k, :k]
+        assert_matches_table(ring, component_product(row, block), row, block)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
