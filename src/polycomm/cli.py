@@ -138,7 +138,8 @@ def _count(minimum: float, maximum: int):
 # argparse keywords of each option, shared by every subcommand that takes
 # it; a subcommand adds the default and help not given here.  "attempts" is
 # the --trials of trace-witness: random tries after its fixed candidates,
-# so zero is allowed there.
+# so zero is allowed there.  Every subcommand needs --n of at least 1, so
+# argparse names the option; trace-witness checks its own minimum of 2.
 _OPTIONS = {
     "poly": (
         "--poly",
@@ -152,7 +153,7 @@ _OPTIONS = {
         {"required": True, "help": "inline JSON or a path to a JSON file"},
     ),
     "ring": ("--ring", {"choices": ("rational", "complex", "quaternion")}),
-    "n": ("--n", {"type": _count(-math.inf, MAX_N)}),
+    "n": ("--n", {"type": _count(1, MAX_N)}),
     "seed": ("--seed", {"type": int, "default": 0}),
     "trials": ("--trials", {"type": _count(1, MAX_TRIALS)}),
     "attempts": ("--trials", {"type": _count(0, MAX_TRIALS)}),

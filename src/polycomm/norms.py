@@ -6,8 +6,10 @@ numerical-radius variant with 4^k growth, and a Monte Carlo form of the
 sphere-average identity ||A||_F^2 = n * integral of ||A v||^2 over unit
 vectors.  A violated bound is a build-breaking event, so every checker
 reports the full comparison, not just a verdict.  The operator norm is
-LAPACK's SVD; the numerical radius is a half-circle eigenvalue grid refined
-by batched Newton steps on the top eigenvalue (see numerical_radius).
+LAPACK's SVD; the numerical radius is a 32-direction eigenvalue grid refined
+by batched Newton steps on the top eigenvalue and certified by a level-set
+test, which proves it within 1e-12 relative of the true value (see
+numerical_radius).
 p(AB) - p(BA) itself comes from poly.poly_commutator on A and B as CC
 matrices, the evaluator every other ring uses.
 """
@@ -26,7 +28,8 @@ from .poly import Polynomial, poly_commutator
 from .sampling import complex_gaussian_matrix, np_stream
 
 _REL_SLACK = 1e-10
-_GRID_POINTS, _WINDOWS = 256, 3  # numerical_radius's circle grid and Newton windows
+# numerical_radius's circle grid, its Newton windows and its level-set rounds
+_GRID_POINTS, _WINDOWS, _ROUNDS = 32, 3, 8
 _ROWS = 2048  # spherical_average's row block: its complex temporaries are _ROWS x n
 
 
@@ -153,14 +156,58 @@ def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(arr.real, -exponent) + 1j * np.ldexp(arr.imag, -exponent), exponent
 
 
+def _level_crossings(arr: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Angles theta, with their f(theta), at which f reaches level; empty when
+    level exceeds max f.  level must exceed f(pi) = -lambda_min(H).
+
+    With H = (A + A*)/2 and K = (A - A*)/2, H(theta) = cos(theta) H + i sin(theta) K
+    has the eigenvalue level exactly when s = i tan(theta/2) solves
+    det(s^2 (H + level I) + 2 s K + (H - level I)) = 0, the Cayley transform of
+    det(z^2 A - 2 level z I + A*) = 0 at z = e^(i theta) (Mengi & Overton, IMA J.
+    Numer. Anal. 25, 2005).  H + level I = L L* is positive definite, so one
+    eigvals of the 2n x 2n companion of s^2 I + 2 s M + N, with M = L^-1 K L^-*
+    and N = L^-1 (H - level I) L^-*, gives every s.  Those near the imaginary
+    axis, and the midpoints of adjacent ones on the circle, are checked by one
+    direct eigvalsh: the tolerance on |Re s| only sets how many angles are
+    checked, and a peak above level shows at the midpoint of its crossings."""
+    n = arr.shape[0]
+    herm, skew = (arr + arr.conj().T) / 2.0, (arr - arr.conj().T) / 2.0
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(herm + level * np.eye(n)))
+    except np.linalg.LinAlgError:
+        raise ArithmeticError(
+            "numerical_radius: the level-set test needs a level above f(pi)"
+        ) from None
+    companion = np.zeros((2 * n, 2 * n), dtype=complex)
+    companion[:n, n:] = np.eye(n)
+    companion[n:, :n] = -inv @ (herm - level * np.eye(n)) @ inv.conj().T
+    companion[n:, n:] = -2.0 * inv @ skew @ inv.conj().T
+    s = np.linalg.eigvals(companion)
+    # rounding moves a crossing about 1e-13 off the axis; a peak 1e-12 below
+    # level splits its pair about 1e-6 off, which is then not checked
+    near = np.sort(2.0 * np.arctan(s[np.abs(s.real) <= 1e-8 * (1.0 + np.abs(s))].imag))
+    if not near.size:
+        return near, near
+    mids = (near + np.append(near[1:], near[0] + 2.0 * math.pi)) / 2.0
+    thetas = np.concatenate([near, mids])
+    rotated, adjoint = _rotations(arr, thetas)
+    tops = np.linalg.eigvalsh((rotated + adjoint) / 2.0)[:, -1]
+    return thetas[tops >= level], tops[tops >= level]
+
+
 def numerical_radius(a: MatrixLike) -> float:
     """max over unit vectors of |v* A v| = max over theta of f(theta), the top
     eigenvalue of H(theta) = Herm(e^(i theta) A).  One batched eigvalsh on a half
     circle gives the whole grid of _GRID_POINTS, as H(theta + pi) = -H(theta).
     The best _WINDOWS grid points, pairwise more than one step apart, are refined
-    by safeguarded Newton where they are local maxima.  The result, the largest f
-    evaluated, exceeds w(A) by rounding at most.  The work runs on A / 2^e, an
-    exact power-of-two scaling, so the whole double range works."""
+    by safeguarded Newton where they are local maxima.  With r the largest f
+    evaluated, the level-set test (_level_crossings) at r (1 + 1e-12) then
+    proves w(A) < r (1 + 1e-12), or finds angles above that level, from which
+    Newton restarts and the test runs again, at most _ROUNDS times; past that
+    an ArithmeticError is raised, and no uncertified radius is returned.  The
+    result, the largest f evaluated, is thus within 1e-12 r below w(A) and
+    above it by rounding at most.  The work runs on A / 2^e, an exact
+    power-of-two scaling, so the whole double range works."""
     arr = as_complex_array(a)
     if not arr.any():
         return 0.0
@@ -178,7 +225,18 @@ def numerical_radius(a: MatrixLike) -> float:
     peak = (tops >= np.roll(tops, 1)) & (tops >= np.roll(tops, -1))
     centers = step * np.array([i for i in chosen if peak[i]])
     best = max(float(tops.max()), _newton_peaks(arr, centers, step))
-    return math.ldexp(best, exponent)
+    # the test runs on e^(i turn) A, whose f(pi) is the grid's lowest f, so
+    # that H + level I is as far from singular as the grid can tell
+    turn = step * int(np.argmin(tops)) - math.pi
+    for _ in range(_ROUNDS):
+        above, values = _level_crossings(np.exp(1j * turn) * arr, best * (1.0 + 1e-12))
+        if not above.size:
+            return math.ldexp(best, exponent)
+        best = max(best, float(values.max()), _newton_peaks(arr, above + turn, step))
+    raise ArithmeticError(
+        f"numerical_radius: the level-set test still found a larger value after"
+        f" {_ROUNDS} rounds"
+    )
 
 
 @dataclass(frozen=True)

@@ -497,8 +497,12 @@ def test_bad_trials_rejected(capsys, argv):
 )
 def test_counts_over_their_cap_rejected_at_parse_time(capsys, monkeypatch, argv, message):
     # over a cap, argparse stops before any subcommand builds anything
+    assert_rejected_at_parse_time(capsys, monkeypatch, argv, message)
+
+
+def assert_rejected_at_parse_time(capsys, monkeypatch, argv, message):
     def must_not_run(args):
-        raise AssertionError(f"{args.command} ran with a count over its cap")
+        raise AssertionError(f"{args.command} ran with a count out of range")
 
     monkeypatch.setattr(cli, "_COMMANDS", {
         name: dataclasses.replace(command, build=must_not_run)
@@ -508,6 +512,32 @@ def test_counts_over_their_cap_rejected_at_parse_time(capsys, monkeypatch, argv,
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify-bounds", "--poly", "0,1", "--n", "-2", "--trials", "1"),
+         "argument --n: must be at least 1, got -2"),
+        (("sweep-constants", "--poly", "0,1", "--n", "0"),
+         "argument --n: must be at least 1, got 0"),
+        (("verify-telescope", "--poly", "0,1", "--n", "0"),
+         "argument --n: must be at least 1, got 0"),
+        (("trace-witness", "--poly", "0,1", "--n", "0"),
+         "argument --n: must be at least 1, got 0"),
+    ],
+    ids=["bounds", "sweep", "telescope", "trace"],
+)
+def test_n_below_one_rejected_at_parse_time(capsys, monkeypatch, argv, message):
+    # numpy's "negative dimensions" and the matrix checks never see such an n
+    assert_rejected_at_parse_time(capsys, monkeypatch, argv, message)
+
+
+def test_trace_witness_keeps_its_own_size_check(capsys):
+    code, out, err = run_cli(capsys, "trace-witness", "--poly", "0,1", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert "need size at least 2" in err
 
 
 # Option values for the CLI contract property: valid, at a boundary, or

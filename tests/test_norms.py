@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycomm import norms
 from polycomm.cli import main
 from polycomm.matrix import CC, HQ, QQ, GenericMatrix
 from polycomm.norms import (
     BoundReport,
     SphereEstimate,
+    _level_crossings,
     as_complex_array,
     check_average_bound,
     check_bottcher_wenzel,
@@ -264,9 +266,9 @@ def test_numerical_radius_between_half_and_full_operator_norm():
 
 
 def count_eigensolves(monkeypatch):
-    """Record every numpy eigvalsh and eigh call by name."""
+    """Record every numpy eigvalsh, eigh and eigvals call by name."""
     calls = []
-    for name in ("eigvalsh", "eigh"):
+    for name in ("eigvalsh", "eigh", "eigvals"):
         original = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -283,9 +285,85 @@ def test_numerical_radius_eigensolve_count(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     for a in mats:
         numerical_radius(a)
-    # one batched eigvalsh grid per radius, then a few batched Newton eigh
+    # one batched eigvalsh grid and one level-set eigvals per radius, then a
+    # few batched Newton eigh; no level-set test finds a crossing to check
     assert calls.count("eigvalsh") == len(mats)
-    assert len(calls) / len(mats) <= 20
+    assert calls.count("eigvals") == len(mats)
+    assert calls.count("eigh") / len(mats) <= 6
+
+
+def many_peak_matrix(gen, m, jitter):
+    """U diag(lambda) U* with m eigenvalues of modulus 1 + jitter * N(0, 1) at
+    evenly spaced angles from a random offset, and its numerical radius: a
+    normal matrix's is its spectral radius.  Each eigenvalue is one peak of f,
+    and the peaks differ in height by about jitter."""
+    u, _ = np.linalg.qr(complex_gaussian_matrix(gen, m))
+    angles = gen.uniform(0.0, 2.0 * math.pi) + 2.0 * math.pi * np.arange(m) / m
+    lam = (1.0 + jitter * gen.standard_normal(m)) * np.exp(1j * angles)
+    return u @ np.diag(lam) @ u.conj().T, float(np.abs(lam).max())
+
+
+@pytest.mark.parametrize("jitter", [1e-3, 1e-6, 0.05])
+def test_numerical_radius_finds_the_highest_of_many_peaks(jitter):
+    # the 32-direction grid and its three Newton windows alone miss the
+    # highest of many near-equal peaks in 9 of these 42 cases; the level-set
+    # test finds it
+    gen = np_stream(SEED, f"numrad-many-peaks-{jitter}")
+    for m in range(3, 17):
+        a, expected = many_peak_matrix(gen, m, jitter)
+        w = numerical_radius(a)
+        assert abs(w - expected) <= 1e-12 * expected, (m, w, expected)
+        assert not _level_crossings(a, w * (1.0 + 1e-12))[0].size
+
+
+def test_level_crossings_on_a_two_peak_matrix():
+    # f peaks at theta = 0 (height 1) and theta = -2 (height 0.999); f(pi) is
+    # 0.999 |cos 2| = 0.416, below every level tried
+    gen = np_stream(SEED, "numrad-two-peaks")
+    u, _ = np.linalg.qr(complex_gaussian_matrix(gen, 4))
+    a = u @ np.diag([1.0, 0.999 * np.exp(2j), 0.2, 0.1j]) @ u.conj().T
+    w = numerical_radius(a)
+    assert abs(w - 1.0) <= 1e-15
+    assert not _level_crossings(a, w * (1.0 + 1e-12))[0].size
+
+    # a level 1e-3 below a peak of curvature 1 is crossed about 0.045 from it
+    def near(thetas, peak):
+        return np.abs(np.angle(np.exp(1j * (thetas - peak)))) < 0.05
+
+    for level, peaks in ((w * (1.0 - 1e-6), [0.0]), (0.999 * (1.0 - 1e-6), [0.0, -2.0])):
+        thetas, values = _level_crossings(a, level)
+        assert (values >= level).all()
+        assert np.allclose(values, support_values(a, thetas), rtol=1e-14)
+        for peak in peaks:
+            assert near(thetas, peak).any(), (level, peak, thetas)
+        assert all(any(near(t, p) for p in peaks) for t in thetas)
+
+
+def test_constant_f_certifies_without_a_restart(monkeypatch):
+    # f is 1/2 at every theta for E12, so no level above it is ever reached
+    levels = []
+
+    def recorded(arr, level):
+        levels.append(level)
+        return _level_crossings(arr, level)
+
+    monkeypatch.setattr(norms, "_level_crossings", recorded)
+    assert abs(numerical_radius(E12) - 0.5) <= 1e-15
+    assert len(levels) == 1
+
+
+def test_an_uncertified_radius_is_never_returned(monkeypatch, capsys):
+    # a level-set test that always finds a higher value exhausts the rounds
+    def always_above(arr, level):
+        return np.zeros(1), np.array([2.0 * level])
+
+    monkeypatch.setattr(norms, "_level_crossings", always_above)
+    with pytest.raises(ArithmeticError, match="level-set test"):
+        numerical_radius(E12)
+    code = main(["verify-bounds", "--poly", "0,1", "--n", "2", "--trials", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: numerical_radius: the level-set test")
 
 
 def support_values(a, thetas):
