@@ -316,6 +316,23 @@ def test_numerical_radius_finds_the_highest_of_many_peaks(jitter):
         assert not _level_crossings(a, w * (1.0 + 1e-12))[0].size
 
 
+def test_numerical_radius_finds_a_peak_beside_the_one_at_pi():
+    # f(pi) = 1 is the grid's best value and another peak is higher by
+    # 1e-11..1e-9; with theta = pi at that peak, H + level I is nearly
+    # singular and the test misses 4 of these 100 peaks, so it runs
+    # in the frame whose f(pi) is the grid's lowest
+    gen = np_stream(SEED, "numrad-beside-pi")
+    for _ in range(100):
+        m = int(gen.integers(6, 12))
+        angles = gen.uniform(0.0, 2.0 * math.pi, m)
+        moduli = 1.0 - 0.01 * gen.uniform(0.0, 1.0, m)
+        angles[0], moduli[0] = math.pi, 1.0
+        moduli[1] = 1.0 + 10.0 ** gen.uniform(-11, -9)
+        u, _ = np.linalg.qr(complex_gaussian_matrix(gen, m))
+        a = u @ np.diag(moduli * np.exp(1j * angles)) @ u.conj().T
+        assert abs(numerical_radius(a) - moduli[1]) <= 1e-12 * moduli[1]
+
+
 def test_level_crossings_on_a_two_peak_matrix():
     # f peaks at theta = 0 (height 1) and theta = -2 (height 0.999); f(pi) is
     # 0.999 |cos 2| = 0.416, below every level tried
