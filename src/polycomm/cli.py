@@ -82,7 +82,7 @@ def _write_csv(columns, rows) -> None:
     writer.writeheader()
     for row in rows:
         # booleans spelled as in JSON; csv writes None as an empty cell
-        bools = {k: json.dumps(v) for k, v in row.items() if isinstance(v, bool)}
+        bools = {k: "true" if v else "false" for k, v in row.items() if isinstance(v, bool)}
         writer.writerow({**row, **bools})
     sys.stdout.write(buf.getvalue())
 

@@ -45,7 +45,11 @@ def as_complex_array(a: MatrixLike) -> np.ndarray:
             raise ValueError("norm computations need a complex or rational backend")
         parts, den = a.component_form()
         a = parts[0] / den
-    arr = np.asarray(a, dtype=np.complex128)
+    return _checked(np.asarray(a, dtype=np.complex128))
+
+
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """arr itself, once it is a nonempty square matrix of finite entries."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
     if not np.isfinite(arr).all():
@@ -69,7 +73,10 @@ def _nonconstant_coeffs(p) -> list:
 def frobenius_norm(a: MatrixLike) -> float:
     """sqrt(sum |a_ij|^2), recomputed on A / max|a_ij| when the squares leave
     the double range (norms above about 1e154 or below about 1e-162)."""
-    arr = as_complex_array(a)
+    return _frobenius(as_complex_array(a))
+
+
+def _frobenius(arr: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         value = float(np.sqrt((np.abs(arr) ** 2).sum()))
         if math.isfinite(value) and (value or not arr.any()):
@@ -87,7 +94,11 @@ def commutator_array(a: MatrixLike, b: MatrixLike) -> np.ndarray:
 def poly_commutator_array(p, a: MatrixLike, b: MatrixLike) -> np.ndarray:
     """p(AB) - p(BA) as a complex ndarray, by poly.poly_commutator on A and B
     as CC matrices.  p is a Polynomial or a coefficient list, constant first."""
-    x, y = (GenericMatrix._of_parts(CC, as_complex_array(m)[None]) for m in (a, b))
+    return _poly_commutator(p, as_complex_array(a), as_complex_array(b))
+
+
+def _poly_commutator(p, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x, y = (GenericMatrix._of_parts(CC, m[None]) for m in (x, y))
     if not isinstance(p, Polynomial):
         p = Polynomial(p)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,6 +331,12 @@ def _weight_sum(p, fa: float, fb: float, base: float) -> float:
     return total
 
 
+# The checkers below convert A and B once and work on the arrays.  They still
+# enter numerical_radius and operator_norm by name, and these check their
+# argument again: the benchmark's tracer times those two layers by name, and
+# the checkers are their only callers.
+
+
 @_in_double_range
 def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundReport:
     """||p(AB)-p(BA)||_F <= ||[A,B]||_F * sum |c_k| k ||A||_F^(k-1) ||B||_F^(k-1).
@@ -327,11 +344,9 @@ def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundRe
     Follows from the telescoped expansion plus submultiplicativity of the
     Frobenius norm."""
     cs = _nonconstant_coeffs(p)
-    x = as_complex_array(a)
-    lhs = frobenius_norm(poly_commutator_array(p, a, b))
-    rhs = frobenius_norm(commutator_array(a, b)) * _weight_sum(
-        p, frobenius_norm(a), frobenius_norm(b), 1.0
-    )
+    x, y = as_complex_array(a), as_complex_array(b)
+    lhs = _frobenius(_poly_commutator(p, x, y))
+    rhs = _frobenius(_checked(x @ y - y @ x)) * _weight_sum(p, _frobenius(x), _frobenius(y), 1.0)
     return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
 
 
@@ -340,10 +355,10 @@ def check_numrad_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundRepor
     """Numerical-radius analogue with the power-inequality growth factor:
     h(p(AB)-p(BA)) <= h([A,B]) * sum |c_k| k 4^k / 2 * h(A)^(k-1) h(B)^(k-1)."""
     cs = _nonconstant_coeffs(p)
-    x = as_complex_array(a)
-    total = _weight_sum(p, numerical_radius(a), numerical_radius(b), 2.0)
-    lhs = numerical_radius(poly_commutator_array(p, a, b))
-    rhs = numerical_radius(commutator_array(a, b)) * total
+    x, y = as_complex_array(a), as_complex_array(b)
+    total = _weight_sum(p, numerical_radius(x), numerical_radius(y), 2.0)
+    lhs = numerical_radius(_poly_commutator(p, x, y))
+    rhs = numerical_radius(x @ y - y @ x) * total
     return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
 
 
@@ -398,7 +413,10 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
     range (entries from about 1e154), or an estimate that overflows when
     scaled back, is a ValueError.
     """
-    arr = as_complex_array(a)
+    return _sphere_estimate(as_complex_array(a), samples, seed)
+
+
+def _sphere_estimate(arr: np.ndarray, samples: int, seed: int) -> SphereEstimate:
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     scaled, exponent = _unit_scaled(arr)
@@ -431,11 +449,10 @@ def check_average_bound(
     degree-one p, so a one-sided floor would reject valid draws.
     """
     cs = _nonconstant_coeffs(p)
-    x = as_complex_array(a)
-    c = commutator_array(a, b)
-    est = spherical_average(c, samples, seed)
-    total = _weight_sum(p, operator_norm(a), operator_norm(b), 1.0)
-    lhs = frobenius_norm(poly_commutator_array(p, a, b)) ** 2
+    x, y = as_complex_array(a), as_complex_array(b)
+    est = _sphere_estimate(_checked(x @ y - y @ x), samples, seed)
+    total = _weight_sum(p, operator_norm(x), operator_norm(y), 1.0)
+    lhs = _frobenius(_poly_commutator(p, x, y)) ** 2
     rhs = est.mean * total**2
     margin = 4.0 * est.std_error * total**2
     return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed, mc_margin=margin)

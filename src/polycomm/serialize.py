@@ -3,16 +3,20 @@
 Exact rationals travel as "num/den" strings so nothing is lost to binary
 floats; plain ints are exact too.  Floats stay JSON numbers.  Complex
 values are [re, im] pairs, quaternions [w, x, y, z] arrays, matrices a
-ring tag plus nested entries.  Canonical dumps sort keys and use a fixed
-indent so identical objects serialize to identical bytes.
+ring tag plus nested entries, written straight from the component form.
+dumps_canonical reproduces the bytes of json.dumps(sort_keys=True,
+indent=2, allow_nan=False), so identical objects serialize to identical
+bytes, without the pure-Python encoder json falls back to when indenting.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+
+import numpy as np
 
 from .matrix import RINGS, GenericMatrix
 from .poly import Polynomial
@@ -40,13 +44,21 @@ def encode_scalar(x):
     raise TypeError(f"cannot encode scalar of type {type(x).__name__}")
 
 
+def _rational(token: str) -> Fraction:
+    """Fraction of a token that matches _RATIONAL_RE."""
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise DecodeError(f"zero denominator in {token!r}") from None
+
+
 def decode_rational(v) -> Fraction:
     if isinstance(v, bool):
         raise DecodeError("expected a rational, got a boolean")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str) and _RATIONAL_RE.match(v.strip()):
-        return Fraction(v.strip())
+        return _rational(v.strip())
     raise DecodeError(
         f"expected an integer or 'num/den' string, got {v!r}"
         " (floats need the complex or quaternion-float backend)"
@@ -96,7 +108,7 @@ def polynomial_from_text(text: str) -> Polynomial:
     if not tokens or any(not t for t in tokens):
         raise DecodeError(f"bad coefficient list {text!r}")
     if all(_RATIONAL_RE.match(t) for t in tokens):
-        return Polynomial([Fraction(t) for t in tokens])
+        return Polynomial([_rational(t) for t in tokens])
     try:
         coeffs = [float(t) for t in tokens]
     except ValueError as exc:
@@ -118,12 +130,6 @@ def decode_quaternion(v, exact=None) -> Quaternion:
     return Quaternion.of_floats(*(decode_float(c) for c in v))
 
 
-def _encode_entry(ring_name: str, v):
-    if ring_name.startswith("quaternion"):
-        return encode_quaternion(v)
-    return encode_scalar(v)
-
-
 def _decode_entry(ring_name: str, v):
     if ring_name == "rational":
         return decode_rational(v)
@@ -136,11 +142,28 @@ def _decode_entry(ring_name: str, v):
     raise DecodeError(f"unknown ring {ring_name!r}")
 
 
+def _ratio_text(v: int, den: int) -> str:
+    """str(Fraction(v, den)) for a positive den, at the cost of one gcd."""
+    g = math.gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+
+_ratio_texts = np.frompyfunc(_ratio_text, 2, 1)
+
+
 def encode_matrix(m: GenericMatrix) -> dict:
-    return {
-        "ring": m.ring.name,
-        "entries": [[_encode_entry(m.ring.name, v) for v in row] for row in m.rows],
-    }
+    """The entries as encode_scalar and encode_quaternion write them, read
+    off the component form (parts, den) without building a ring element.
+    Adding 0.0 turns a float -0.0 into 0.0 and keeps every other value."""
+    parts, den = m.component_form()
+    if m.ring.exact:
+        parts = _ratio_texts(parts, den)
+    elif parts.dtype.kind == "c":  # CC entries are [re, im] pairs
+        parts = np.stack([parts[0].real, parts[0].imag]) + 0.0
+    else:
+        parts = parts + 0.0
+    entries = parts[0] if len(parts) == 1 else np.moveaxis(parts, 0, -1)
+    return {"ring": m.ring.name, "entries": entries.tolist()}
 
 
 def decode_matrix(v) -> GenericMatrix:
@@ -196,5 +219,44 @@ def decode_witness(v, verify: bool = True) -> RealizationWitness:
 
 
 def dumps_canonical(obj) -> str:
-    """Stable bytes for identical objects: sorted keys, fixed indent."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\\n",
+    byte for byte: stable bytes for identical objects."""
+    return _write(obj, "\n") + "\n"
+
+
+def _write(obj, newline: str) -> str:
+    """obj as json.dumps writes it, each nested line starting with newline
+    plus two more spaces.  Bools are tested before ints, which they subclass;
+    strings in a list, the commonest items, are quoted in place."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_quote(v) if type(v) is str else _write(v, inner) for v in obj]
+        return ("[" + inner + ("," + inner).join(items) + newline + "]") if items else "[]"
+    if isinstance(obj, dict):
+        items = [_quote(_key(k)) + ": " + _write(v, inner) for k, v in sorted(obj.items())]
+        return ("{" + inner + ("," + inner).join(items) + newline + "}") if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    """A dict key as json names it: strings as they are, None, bools and
+    numbers by their JSON text."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _write(k, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")

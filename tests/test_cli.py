@@ -637,6 +637,26 @@ def test_non_finite_input_rejected(capsys, recwarn, argv):
     assert_one_error_line(code, out, err, recwarn, "non-finite input")
 
 
+ZERO_DENOMINATORS = [
+    ("realize-matrix", "--poly", "1/0,1",
+     "--input", '{"ring": "rational", "entries": [["0", "1"], ["1", "0"]]}'),
+    ("realize-matrix", "--poly", "0,1",
+     "--input", '{"ring": "rational", "entries": [["0", "1/0"], ["1", "0"]]}'),
+    ("realize-matrix", "--poly", "0,1", "--input",
+     '{"ring": "quaternion", "entries": [[[0, 0, 0, 0], [0, "1/0", 0, 0]], [[1, 0, 0, 0], [0, 0, 0, 0]]]}'),
+    ("probe-degree", "--input", '[0,"1/0",0,0]'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(argv, id=f"{argv[0]}-{i}") for i, argv in enumerate(ZERO_DENOMINATORS)],
+)
+def test_zero_denominator_is_an_input_error(capsys, recwarn, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err, recwarn, "zero denominator in '1/0'")
+
+
 def test_non_finite_tolerance_rejected(capsys):
     for value in ("inf", "nan", "-inf"):
         code, out, err = run_cli(

@@ -579,6 +579,67 @@ def test_numrad_bound_rejects_constant():
         check_numrad_bound([7], E12, E21)
 
 
+def _composed_reports(p, a, b, samples, seed):
+    """The three bound reports composed from the public helpers alone, each
+    of which converts and checks its own arguments."""
+    n, degree = len(a), len(p.coeffs) - 1
+    c = commutator_array(a, b)
+    frob = norms._report(
+        frobenius_norm(poly_commutator_array(p, a, b)),
+        frobenius_norm(c) * norms._weight_sum(p, frobenius_norm(a), frobenius_norm(b), 1.0),
+        n, degree, seed,
+    )
+    total = norms._weight_sum(p, numerical_radius(a), numerical_radius(b), 2.0)
+    numrad = norms._report(
+        numerical_radius(poly_commutator_array(p, a, b)), numerical_radius(c) * total,
+        n, degree, seed,
+    )
+    est = spherical_average(c, samples, seed)
+    total = norms._weight_sum(p, operator_norm(a), operator_norm(b), 1.0)
+    average = norms._report(
+        frobenius_norm(poly_commutator_array(p, a, b)) ** 2, est.mean * total**2,
+        n, degree, seed, mc_margin=4.0 * est.std_error * total**2,
+    )
+    return frob, numrad, average
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 5), degree=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_checkers_match_the_public_helpers(n, degree, seed):
+    gen = np_stream(seed, "checkers")
+    a, b = (complex_gaussian_matrix(gen, n).tolist() for _ in range(2))
+    p = Polynomial([0.5, *gen.normal(size=degree - 1).tolist(), 1.0])
+    reports = (
+        check_frobenius_bound(p, a, b, seed=seed),
+        check_numrad_bound(p, a, b, seed=seed),
+        check_average_bound(p, a, b, samples=1000, seed=seed),
+    )
+    assert reports == _composed_reports(p, a, b, 1000, seed)
+
+
+# numerical_radius and operator_norm, which the checkers enter by name, check
+# their argument again; every other step works on the converted arrays
+CONVERSIONS = {check_frobenius_bound: 2, check_numrad_bound: 6, check_average_bound: 4}
+
+
+@pytest.mark.parametrize("check", list(CONVERSIONS), ids=lambda check: check.__name__)
+def test_checkers_convert_each_input_once(monkeypatch, check):
+    gen = np_stream(SEED, "conversions")
+    a, b = (complex_gaussian_matrix(gen, 4).tolist() for _ in range(2))
+    seen = []
+    convert = norms.as_complex_array
+
+    def counting(m):
+        seen.append(m)
+        return convert(m)
+
+    monkeypatch.setattr(norms, "as_complex_array", counting)
+    check(Polynomial([0, 1, Fraction(1, 2)]), a, b)
+    assert len(seen) == CONVERSIONS[check]
+    assert [m is a for m in seen].count(True) == 1
+    assert [m is b for m in seen].count(True) == 1
+
+
 def test_spherical_average_identity_is_exact():
     est = spherical_average(np.eye(4), 2000, seed=SEED)
     assert est.mean == 4.0

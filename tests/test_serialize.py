@@ -1,9 +1,13 @@
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polycomm.matrix import CC, HF, HQ, QQ, GenericMatrix
+from polycomm.matrix import CC, HF, HQ, QQ, RINGS, GenericMatrix
 from polycomm.poly import Polynomial
 from polycomm.quat import QI, Quaternion, VerificationError
 from polycomm.realize import realize_zero_diagonal
@@ -224,3 +228,140 @@ def test_negative_zero_entries_encode_identically():
     m1 = GenericMatrix.from_rows(CC, [[0.0, 0], [0, 1]])
     m2 = GenericMatrix.from_rows(CC, [[-0.0, 0], [0, 1]])
     assert dumps_canonical(encode_matrix(m1)) == dumps_canonical(encode_matrix(m2))
+
+
+def test_zero_denominators_are_decode_errors():
+    for decode in (decode_rational, lambda v: decode_quaternion([0, v, 0, 0])):
+        with pytest.raises(DecodeError, match="zero denominator in '1/0'"):
+            decode(" 1/0 ")
+    with pytest.raises(DecodeError, match="zero denominator in '-3/0'"):
+        polynomial_from_text("1, -3/0")
+    with pytest.raises(DecodeError, match="zero denominator in '1/0'"):
+        decode_matrix({"ring": "rational", "entries": [["1/0"]]})
+    p = Polynomial([0, 0, 1])
+    a = GenericMatrix.from_rows(QQ, [[0, 1], [2, 0]])
+    for field in ("polynomial", "g"):
+        d = encode_witness(realize_zero_diagonal(p, a))
+        if field == "polynomial":
+            d[field][0] = "1/0"
+        else:
+            d[field]["entries"][0][1] = "1/0"
+        with pytest.raises(DecodeError, match="zero denominator in '1/0'"):
+            decode_witness(d)
+
+
+# JSON documents as the CLI builds them, and the corners of json's own
+# writer: escapes, non-ASCII text, big ints, bools, None, signed zeros,
+# extreme and subnormal floats, tuples and empty containers
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "\u2028", "é😀", ""])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 1e308, -1e308, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-7, 0.1]
+)
+_LEAVES = (
+    st.none() | st.booleans() | _TEXT | _FLOATS
+    | st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, kids, max_size=4)
+    | st.dictionaries(st.integers(-5, 5), kids, max_size=3),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_dumps_canonical_is_json_dumps(doc):
+    expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert dumps_canonical(doc) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [lambda x: x, lambda x: {"a": [1, {"b": x}]}, lambda x: {x: 1}])
+def test_dumps_canonical_rejects_non_finite_floats_as_json_does(bad, where):
+    with pytest.raises(ValueError) as expected:
+        json.dumps(where(bad), sort_keys=True, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        dumps_canonical(where(bad))
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
+
+
+def test_dumps_canonical_rejects_what_json_rejects():
+    for bad in ({"a": object()}, {(1, 2): 0}, [np.int64(3)]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(TypeError):
+            dumps_canonical(bad)
+
+
+def _rows_encoding(m):
+    """encode_matrix as it was written from m.rows: one ring element per entry."""
+    quat = m.ring.components == 4
+    return {
+        "ring": m.ring.name,
+        "entries": [[encode_quaternion(v) if quat else encode_scalar(v) for v in row]
+                    for row in m.rows],
+    }
+
+
+@st.composite
+def component_forms(draw):
+    """(ring, parts, den) of any ring: n from 1 to 4, zeros, numerators
+    near 2**200 over any denominator, and signed zeros on the float rings."""
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    n = draw(st.integers(1, 4))
+    size = ring.components * n * n
+    if ring.exact:
+        big = st.integers(2**200 - 2**20, 2**200 + 2**20)
+        num = st.integers(-3, 3) | st.integers() | big | big.map(lambda v: -v)
+        den = draw(st.sampled_from([1, 2, 6]) | st.integers(1, 2**64) | big)
+        values = draw(st.lists(num, min_size=size, max_size=size))
+        parts = np.array(values, dtype=object).reshape(ring.components, n, n)
+        return ring, parts, den
+    values = draw(st.lists(_FLOATS, min_size=size * (2 if ring is CC else 1),
+                           max_size=size * (2 if ring is CC else 1)))
+    parts = np.array(values).reshape(-1, ring.components, n, n)
+    if ring is CC:
+        parts = parts[0] + 0j
+        parts.imag = np.array(values[size:]).reshape(1, n, n)
+    else:
+        parts = parts[0]
+    return ring, parts, 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(form=component_forms())
+def test_encode_matrix_matches_the_rows_path(form):
+    ring, parts, den = form
+    m = GenericMatrix._of_parts(ring, parts, den)
+    expected = _rows_encoding(GenericMatrix._of_parts(ring, parts, den))
+    got = encode_matrix(m)
+    # json text, so that -0.0 and 0.0, or 1 and 1.0, would differ
+    assert json.dumps(got) == json.dumps(expected)
+    assert m._rows is None
+    # a matrix built from rows encodes the same
+    assert json.dumps(encode_matrix(GenericMatrix(ring, m.rows))) == json.dumps(expected)
+
+
+def test_zero_matrices_encode_as_zeros():
+    assert encode_matrix(GenericMatrix.zeros(QQ, 1)) == {"ring": "rational", "entries": [["0"]]}
+    assert encode_matrix(GenericMatrix.zeros(HF, 1))["entries"] == [[[0.0, 0.0, 0.0, 0.0]]]
+    assert encode_matrix(-GenericMatrix.zeros(CC, 1))["entries"] == [[[0.0, 0.0]]]
+
+
+@pytest.mark.parametrize("ring", [QQ, HQ])
+def test_witness_is_written_from_the_component_form(ring):
+    # no Fraction or Quaternion entry is built to print a matrix that holds
+    # only its parts
+    p = Polynomial([0, 1, 1])
+    a = GenericMatrix.from_rows(ring, [[0, 1, Fraction(-1, 2)], [2, 0, 3], [1, Fraction(1, 3), 0]])
+    w = realize_zero_diagonal(p, a)
+    mats = [w.a1, w.b1, w.g, w.g1, w.g2, w.d, w.target]
+    from_parts = [m for m in mats if m._rows is None]
+    assert len(from_parts) >= 4  # a1, b1, g1 and g2 at least
+    doc = encode_witness(w)
+    assert all(m._rows is None for m in from_parts)
+    assert decode_witness(doc) == w
