@@ -346,10 +346,14 @@ def test_encode_matrix_matches_the_rows_path(form):
     assert json.dumps(encode_matrix(GenericMatrix(ring, m.rows))) == json.dumps(expected)
 
 
-def test_zero_matrices_encode_as_zeros():
-    assert encode_matrix(GenericMatrix.zeros(QQ, 1)) == {"ring": "rational", "entries": [["0"]]}
-    assert encode_matrix(GenericMatrix.zeros(HF, 1))["entries"] == [[[0.0, 0.0, 0.0, 0.0]]]
-    assert encode_matrix(-GenericMatrix.zeros(CC, 1))["entries"] == [[[0.0, 0.0]]]
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("ring", [QQ, CC, HQ, HF], ids=lambda ring: ring.name)
+def test_zero_matrices_match_the_rows_path(ring, n):
+    # negated, so the float rings hold -0.0 in every part
+    m = -GenericMatrix.zeros(ring, n)
+    expected = _rows_encoding(-GenericMatrix.zeros(ring, n))
+    assert json.dumps(encode_matrix(m)) == json.dumps(expected)
+    assert "-0" not in json.dumps(expected)
 
 
 @pytest.mark.parametrize("ring", [QQ, HQ])
