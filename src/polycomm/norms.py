@@ -2,16 +2,18 @@
 
 The bound checkers compare ||p(AB) - p(BA)|| against commutator-controlled
 right-hand sides: a Frobenius bound through the telescoped expansion, a
-numerical-radius variant with 4^k growth, and a Monte Carlo form of the
-sphere-average identity ||A||_F^2 = n * integral of ||A v||^2 over unit
-vectors.  A violated bound is a build-breaking event, so every checker
-reports the full comparison, not just a verdict.  The operator norm is
+numerical-radius variant with 4^k growth, and a sphere-average form whose
+n * average of ||[A,B] v||^2 over unit vectors is read off the identity
+||C||_F^2 = n * integral of ||C v||^2; spherical_average estimates that
+integral by Monte Carlo, so the identity itself can be tested.  All four
+checkers are deterministic.  A violated bound is a build-breaking event,
+so every checker reports the full comparison, not just a verdict.  The operator norm is
 LAPACK's SVD; the numerical radius is a 32-direction eigenvalue grid refined
 by batched Newton steps on the top eigenvalue and certified by a level-set
 test, which proves it within 1e-12 relative of the true value (see
 numerical_radius).
-p(AB) - p(BA) itself comes from poly.poly_commutator on A and B as CC
-matrices, the evaluator every other ring uses.
+p(AB) - p(BA) itself is eval_poly, the evaluator every other ring uses, on
+the products AB and BA as CC matrices; a checker forms each product once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .matrix import CC, GenericMatrix
-from .poly import Polynomial, poly_commutator
+from .poly import Polynomial, eval_poly
 from .sampling import complex_gaussian_matrix, np_stream
 
 _REL_SLACK = 1e-10
@@ -92,17 +94,20 @@ def commutator_array(a: MatrixLike, b: MatrixLike) -> np.ndarray:
 
 
 def poly_commutator_array(p, a: MatrixLike, b: MatrixLike) -> np.ndarray:
-    """p(AB) - p(BA) as a complex ndarray, by poly.poly_commutator on A and B
-    as CC matrices.  p is a Polynomial or a coefficient list, constant first."""
-    return _poly_commutator(p, as_complex_array(a), as_complex_array(b))
+    """p(AB) - p(BA) as a complex ndarray, by poly.eval_poly on AB and BA as
+    CC matrices.  p is a Polynomial or a coefficient list, constant first."""
+    x, y = as_complex_array(a), as_complex_array(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _poly_commutator(p, x @ y, y @ x)
 
 
-def _poly_commutator(p, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x, y = (GenericMatrix._of_parts(CC, m[None]) for m in (x, y))
+def _poly_commutator(p, xy: np.ndarray, yx: np.ndarray) -> np.ndarray:
+    """p(XY) - p(YX) from the products XY and YX, which the caller holds."""
+    xy, yx = (GenericMatrix._of_parts(CC, m[None]) for m in (xy, yx))
     if not isinstance(p, Polynomial):
         p = Polynomial(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = poly_commutator(p, x, y).component_form()[0][0]
+        out = (eval_poly(p, xy) - eval_poly(p, yx)).component_form()[0][0]
     if not np.isfinite(out).all():
         raise ValueError(
             "p(AB) - p(BA) exceeds the double range (about 1.8e308); scale the"
@@ -252,13 +257,8 @@ def numerical_radius(a: MatrixLike) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One verified inequality: lhs <= rhs up to relative slack.
-
-    mc_margin widens the acceptance band by four standard errors when the
-    right side is itself a Monte Carlo estimate; it is zero for the
-    deterministic checkers, where satisfied means
-    lhs <= rhs * (1 + 1e-10) exactly as stated.
-    """
+    """One verified inequality: satisfied means lhs <= rhs * (1 + 1e-10),
+    exactly as stated, as every right side is computed, not estimated."""
 
     lhs: float
     rhs: float
@@ -267,16 +267,15 @@ class BoundReport:
     n: int
     degree: int
     seed: Optional[int] = None
-    mc_margin: float = 0.0
 
 
-def _report(lhs, rhs, n, degree, seed=None, mc_margin=0.0) -> BoundReport:
-    satisfied = lhs <= (rhs + mc_margin) * (1.0 + _REL_SLACK)
+def _report(lhs, rhs, n, degree, seed=None) -> BoundReport:
+    satisfied = lhs <= rhs * (1.0 + _REL_SLACK)
     if rhs > 0.0:
         ratio = lhs / rhs
     else:
         ratio = 0.0 if lhs == 0.0 else math.inf
-    return BoundReport(lhs, rhs, satisfied, ratio, n, degree, seed, mc_margin)
+    return BoundReport(lhs, rhs, satisfied, ratio, n, degree, seed)
 
 
 _DOUBLE_RANGE = (
@@ -298,9 +297,7 @@ def _in_double_range(check):
                 report = check(*args, **kwargs)
         except OverflowError:
             report = None
-        if report is None or not all(
-            map(math.isfinite, (report.lhs, report.rhs, report.mc_margin))
-        ):
+        if report is None or not all(map(math.isfinite, (report.lhs, report.rhs))):
             raise ValueError(f"{check.__name__}: {_DOUBLE_RANGE}")
         return report
 
@@ -345,8 +342,9 @@ def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundRe
     Frobenius norm."""
     cs = _nonconstant_coeffs(p)
     x, y = as_complex_array(a), as_complex_array(b)
-    lhs = _frobenius(_poly_commutator(p, x, y))
-    rhs = _frobenius(_checked(x @ y - y @ x)) * _weight_sum(p, _frobenius(x), _frobenius(y), 1.0)
+    xy, yx = x @ y, y @ x
+    lhs = _frobenius(_poly_commutator(p, xy, yx))
+    rhs = _frobenius(_checked(xy - yx)) * _weight_sum(p, _frobenius(x), _frobenius(y), 1.0)
     return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
 
 
@@ -356,9 +354,10 @@ def check_numrad_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundRepor
     h(p(AB)-p(BA)) <= h([A,B]) * sum |c_k| k 4^k / 2 * h(A)^(k-1) h(B)^(k-1)."""
     cs = _nonconstant_coeffs(p)
     x, y = as_complex_array(a), as_complex_array(b)
+    xy, yx = x @ y, y @ x
     total = _weight_sum(p, numerical_radius(x), numerical_radius(y), 2.0)
-    lhs = numerical_radius(_poly_commutator(p, x, y))
-    rhs = numerical_radius(x @ y - y @ x) * total
+    lhs = numerical_radius(_poly_commutator(p, xy, yx))
+    rhs = numerical_radius(xy - yx) * total
     return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
 
 
@@ -413,10 +412,7 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
     range (entries from about 1e154), or an estimate that overflows when
     scaled back, is a ValueError.
     """
-    return _sphere_estimate(as_complex_array(a), samples, seed)
-
-
-def _sphere_estimate(arr: np.ndarray, samples: int, seed: int) -> SphereEstimate:
+    arr = as_complex_array(a)
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     scaled, exponent = _unit_scaled(arr)
@@ -438,24 +434,23 @@ def _sphere_estimate(arr: np.ndarray, samples: int, seed: int) -> SphereEstimate
 
 
 @_in_double_range
-def check_average_bound(
-    p, a: MatrixLike, b: MatrixLike, samples: int = 4000, seed: int = 0
-) -> BoundReport:
+def check_average_bound(p, a: MatrixLike, b: MatrixLike, seed: int = 0) -> BoundReport:
     """Sphere-average form of the Frobenius bound.
 
     ||p(AB)-p(BA)||_F^2 <= n * avg ||[A,B] v||^2 * (sum |c_k| k ||A||_2^(k-1) ||B||_2^(k-1))^2,
-    with the average estimated by Monte Carlo.  The acceptance band grows
-    by four standard errors of the estimate; the bound is an equality for
-    degree-one p, so a one-sided floor would reject valid draws.
+    with n * avg ||[A,B] v||^2 over unit vectors read off as ||[A,B]||_F^2,
+    its exact value (the mean of Hutchinson's trace estimator for
+    tr([A,B]* [A,B]), Hutchinson 1990), so nothing is sampled.  The bound is
+    an equality for degree-one p.
     """
     cs = _nonconstant_coeffs(p)
     x, y = as_complex_array(a), as_complex_array(b)
-    est = _sphere_estimate(_checked(x @ y - y @ x), samples, seed)
+    xy, yx = x @ y, y @ x
+    c = _checked(xy - yx)
     total = _weight_sum(p, operator_norm(x), operator_norm(y), 1.0)
-    lhs = _frobenius(_poly_commutator(p, x, y)) ** 2
-    rhs = est.mean * total**2
-    margin = 4.0 * est.std_error * total**2
-    return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed, mc_margin=margin)
+    lhs = _frobenius(_poly_commutator(p, xy, yx)) ** 2
+    rhs = _frobenius(c) ** 2 * total**2
+    return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
 
 
 @dataclass(frozen=True)

@@ -311,8 +311,17 @@ def test_verify_bounds_json(capsys):
     for row in doc["checks"]:
         assert row["satisfied"] is True
         assert row["seed"] == 5
+    # the sphere-average bound reads ||[A,B]||_F^2, so no row carries a margin
     sphere_rows = [r for r in doc["checks"] if r["check"] == "sphere-average"]
-    assert all(r["mc_margin"] > 0 for r in sphere_rows)
+    assert sphere_rows and all(r["mc_margin"] == 0.0 for r in sphere_rows)
+
+
+def test_verify_bounds_checks_do_not_depend_on_samples(capsys):
+    argv = ("verify-bounds", "--poly", "0,1,1", "--n", "3", "--trials", "2", "--seed", "5")
+    _, few = run_json(capsys, *argv, "--samples", "1000")
+    _, many = run_json(capsys, *argv, "--samples", "64000")
+    assert (few["samples"], many["samples"]) == (1000, 64000)
+    assert json.dumps(few["checks"]) == json.dumps(many["checks"])
 
 
 def test_verify_bounds_csv(capsys):
@@ -530,6 +539,20 @@ def assert_rejected_at_parse_time(capsys, monkeypatch, argv, message):
 )
 def test_n_below_one_rejected_at_parse_time(capsys, monkeypatch, argv, message):
     # numpy's "negative dimensions" and the matrix checks never see such an n
+    assert_rejected_at_parse_time(capsys, monkeypatch, argv, message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-bounds", "--poly", "0,1", "--samples", "999"),
+        ("sphere-avg", "--input", "[[1,0],[0,1]]", "--samples", "999"),
+    ],
+    ids=["bounds", "sphere"],
+)
+def test_samples_below_1000_rejected_at_parse_time(capsys, monkeypatch, argv):
+    # verify-bounds no longer samples, so only argparse can refuse its --samples
+    message = "argument --samples: must be at least 1000, got 999"
     assert_rejected_at_parse_time(capsys, monkeypatch, argv, message)
 
 
