@@ -3,15 +3,13 @@
 The bound checkers compare ||p(AB) - p(BA)|| against commutator-controlled
 right-hand sides: a Frobenius bound through the telescoped expansion, a
 numerical-radius variant with 4^k growth, and a sphere-average form whose
-n * average of ||[A,B] v||^2 over unit vectors is read off the identity
-||C||_F^2 = n * integral of ||C v||^2; spherical_average estimates that
-integral by Monte Carlo, so the identity itself can be tested.  All four
-checkers are deterministic.  A violated bound is a build-breaking event,
-so every checker reports the full comparison, not just a verdict.  The operator norm is
-LAPACK's SVD; the numerical radius is a 32-direction eigenvalue grid refined
-by batched Newton steps on the top eigenvalue and certified by a level-set
-test, which proves it within 1e-12 relative of the true value (see
-numerical_radius).
+n * average of ||[A,B] v||^2 over unit vectors is read off as ||[A,B]||_F^2
+(spherical_average tests that identity by Monte Carlo).  A violated bound
+is a build-breaking event, so every checker reports the full comparison,
+not just a verdict.  The operator norm is LAPACK's SVD; the numerical
+radius is a 32-direction eigenvalue grid refined by batched Newton steps on
+the top eigenvalue and certified by a level-set test, which proves it
+within 1e-12 relative of the true value (see numerical_radius).
 p(AB) - p(BA) itself is eval_poly, the evaluator every other ring uses, on
 the products AB and BA as CC matrices; a checker forms each product once.
 """
@@ -446,10 +444,9 @@ def check_average_bound(p, a: MatrixLike, b: MatrixLike, seed: int = 0) -> Bound
     cs = _nonconstant_coeffs(p)
     x, y = as_complex_array(a), as_complex_array(b)
     xy, yx = x @ y, y @ x
-    c = _checked(xy - yx)
     total = _weight_sum(p, operator_norm(x), operator_norm(y), 1.0)
     lhs = _frobenius(_poly_commutator(p, xy, yx)) ** 2
-    rhs = _frobenius(c) ** 2 * total**2
+    rhs = _frobenius(_checked(xy - yx)) ** 2 * total**2
     return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
 
 

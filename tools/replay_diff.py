@@ -3,11 +3,12 @@
     python3 tools/replay_diff.py OLD_TREE NEW_TREE --workload float-verify --seeds 1-10
 
 OLD_TREE and NEW_TREE are checkouts of this repository (``git clone`` or
-``git archive`` a commit into a scratch directory).  The requests are the
-first ``--rounds`` rounds of ``bench/workloads.Plan`` for each seed, taken
-from the checkout that holds this script, so both trees answer the same
-argv lists.  Each tree replays them through ``polycomm.cli.main`` in one
-subprocess of its own, as both import a package named ``polycomm``.
+``git archive`` a commit into a scratch directory).  The requests are those
+``bench/run.py`` replays in-process: for each seed, the warm-up request and
+the first ``--rounds`` rounds of ``bench/workloads.Plan``, taken from the
+checkout that holds this script, so both trees answer the same argv lists.
+Each tree replays them through ``polycomm.cli.main`` in one subprocess of
+its own, as both import a package named ``polycomm``.
 
 Per subcommand the report gives how many documents (stdout texts) changed
 and, for each changed JSON path or CSV column, in how many documents it
@@ -50,16 +51,15 @@ def _replay(tree: Path, workload: str, seeds: range, rounds: int) -> None:
         sys.exit(f"polycomm came from {cli.__file__}, not from {tree}")
     for seed in seeds:
         plan = Plan(workload, seed)
-        for _ in range(rounds):
-            for req in plan.next_round():
-                out, err = io.StringIO(), io.StringIO()
-                try:
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        rc = cli.main(list(req.argv))
-                except Exception as exc:  # a crash is an outcome to compare, not a tool failure
-                    rc, err = None, io.StringIO(f"uncaught {exc!r}")
-                line = [seed, list(req.argv), rc, out.getvalue(), err.getvalue()]
-                sys.__stdout__.write(json.dumps(line) + "\n")
+        for req in [plan.warmup, *(r for _ in range(rounds) for r in plan.next_round())]:
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = cli.main(list(req.argv))
+            except Exception as exc:  # a crash is an outcome to compare, not a tool failure
+                rc, err = None, io.StringIO(f"uncaught {exc!r}")
+            line = [seed, list(req.argv), rc, out.getvalue(), err.getvalue()]
+            sys.__stdout__.write(json.dumps(line) + "\n")
 
 
 def _answers(tree: Path, args) -> list:
