@@ -6,10 +6,10 @@ numerical-radius variant with 4^k growth, and a sphere-average form whose
 n * average of ||[A,B] v||^2 over unit vectors is read off as ||[A,B]||_F^2
 (spherical_average tests that identity by Monte Carlo).  A violated bound
 is a build-breaking event, so every checker reports the full comparison,
-not just a verdict.  The operator norm is LAPACK's SVD; the numerical
-radius is a 32-direction eigenvalue grid refined by batched Newton steps on
-the top eigenvalue and certified by a level-set test, which proves it
-within 1e-12 relative of the true value (see numerical_radius).
+not just a verdict.  The operator norm is LAPACK's SVD; the numerical radius
+is a 32-direction eigenvalue grid refined by Newton steps and certified within
+1e-12 relative by a level-set test.  Both map a (k, n, n) stack to k values,
+as numpy.linalg does, and each checker passes its matrices in one stack.
 p(AB) - p(BA) itself is eval_poly, the evaluator every other ring uses, on
 the products AB and BA as CC matrices; a checker forms each product once.
 """
@@ -48,13 +48,20 @@ def as_complex_array(a: MatrixLike) -> np.ndarray:
     return _checked(np.asarray(a, dtype=np.complex128))
 
 
-def _checked(arr: np.ndarray) -> np.ndarray:
-    """arr itself, once it is a nonempty square matrix of finite entries."""
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+def _checked(arr: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """arr itself, once it is a nonempty square matrix (or stack) of finite entries."""
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or not arr.size:
         raise ValueError("expected a nonempty square matrix")
     if not np.isfinite(arr).all():
         raise ValueError("non-finite input: matrix entries must be finite numbers")
     return arr
+
+
+def _stacked(a: MatrixLike) -> tuple[np.ndarray, bool]:
+    """(stack, one): a 3-D ndarray as a (k, n, n) stack, else a stack of one."""
+    if isinstance(a, np.ndarray) and a.ndim == 3:
+        return _checked(a.astype(np.complex128, copy=False), 3), False
+    return as_complex_array(a)[None], True
 
 
 def _coeffs(p) -> list:
@@ -86,8 +93,7 @@ def _frobenius(arr: np.ndarray) -> float:
 
 
 def commutator_array(a: MatrixLike, b: MatrixLike) -> np.ndarray:
-    x = as_complex_array(a)
-    y = as_complex_array(b)
+    x, y = as_complex_array(a), as_complex_array(b)
     return x @ y - y @ x
 
 
@@ -114,37 +120,35 @@ def _poly_commutator(p, xy: np.ndarray, yx: np.ndarray) -> np.ndarray:
     return out
 
 
-def operator_norm(a: MatrixLike) -> float:
-    """Largest singular value by LAPACK's SVD, which scales the double range."""
-    return float(np.linalg.norm(as_complex_array(a), 2))
+def operator_norm(a: MatrixLike) -> Union[float, np.ndarray]:
+    """Largest singular value by LAPACK's SVD, which scales the double range;
+    a (k, n, n) ndarray gives its k norms from one batched SVD."""
+    stack, one = _stacked(a)
+    values = np.linalg.norm(stack, 2, axis=(-2, -1))
+    return float(values[0]) if one else values
 
 
 def _rotations(arr: np.ndarray, thetas: np.ndarray):
-    """e^(i theta) A and its adjoint, stacked over thetas."""
-    rotated = np.exp(1j * thetas)[:, None, None] * arr[None, :, :]
-    return rotated, rotated.conj().transpose(0, 2, 1)
+    """e^(i theta) A and its adjoint, thetas broadcast over A's stack axes."""
+    rotated = np.exp(1j * thetas)[..., None, None] * arr
+    return rotated, rotated.conj().swapaxes(-1, -2)
 
 
-def _hermitian_parts(arr: np.ndarray, thetas: np.ndarray):
-    """Herm(e^(i theta) A) and its theta-derivative, stacked over thetas."""
-    rotated, adjoint = _rotations(arr, thetas)
-    return (rotated + adjoint) / 2.0, (rotated - adjoint) * 0.5j
-
-
-def _newton_peaks(arr: np.ndarray, centers: np.ndarray, step: float) -> float:
-    """Largest f(theta) = lambda_max(H(theta)) that safeguarded Newton evaluates in
-    the windows [c - step, c + step]: one batched eigh per iteration, at most 16,
-    until every step is below 1e-9 radians.  With x the top eigenvector and
-    (lambda_j, v_j) the others, f' = x* H' x (Hellmann-Feynman) and, as H'' = -H,
-    f'' = -f + 2 sum_j |v_j* H' x|^2 / (f - lambda_j).  The sign of f' shrinks the
-    window; a step that leaves it, or f'' >= 0 (a double top eigenvalue), bisects."""
+def _newton_peaks(arr: np.ndarray, owner, centers, step: float) -> np.ndarray:
+    """Per matrix of arr, the largest f(theta) = lambda_max(H(theta)) evaluated by
+    safeguarded Newton in its windows [c - step, c + step], c in centers on
+    arr[owner] (-inf with none): one eigh over all windows per iteration, at
+    most 16, until every step is below 1e-9 radians.  With x the top eigenvector
+    and (lambda_j, v_j) the others, f' = x* H' x (Hellmann-Feynman) and, as
+    H'' = -H, f'' = -f + 2 sum_j |v_j* H' x|^2 / (f - lambda_j).  The sign of f'
+    shrinks the window; a step that leaves it, or f'' >= 0, bisects."""
     theta, lo, hi = centers, centers - step, centers + step
-    best = -math.inf
+    best = np.full(len(arr), -math.inf)
     for _ in range(16):
-        herm, dherm = _hermitian_parts(arr, theta)
-        lam, vec = np.linalg.eigh(herm)
-        top = lam[:, -1]
-        best = max(best, float(top.max()))
+        rotated, adjoint = _rotations(arr[owner], theta)
+        lam, vec = np.linalg.eigh((rotated + adjoint) / 2.0)
+        top, dherm = lam[:, -1], (rotated - adjoint) * 0.5j
+        np.maximum.at(best, owner, top)
         proj = (vec.conj().transpose(0, 2, 1) @ dherm @ vec[:, :, -1:])[:, :, 0]
         slope = proj[:, -1].real
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -158,21 +162,24 @@ def _newton_peaks(arr: np.ndarray, centers: np.ndarray, step: float) -> float:
         moving = np.abs(nxt - theta) >= 1e-9
         if not moving.any():
             break
-        theta, lo, hi = nxt[moving], lo[moving], hi[moving]
+        theta, lo, hi, owner = nxt[moving], lo[moving], hi[moving], owner[moving]
     return best
 
 
-def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
+def _unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A / 2^e, e) with e the binary exponent of A's largest real or imaginary
-    part, so that part lands in [1/2, 1).  Only exponents change, so the
-    scaling is exact for every part that does not fall below the double range."""
-    exponent = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))[1]
-    return np.ldexp(arr.real, -exponent) + 1j * np.ldexp(arr.imag, -exponent), exponent
+    part, so that part lands in [1/2, 1); a stack gets one e per matrix.  Only
+    exponents change, so the scaling is exact for every part that does not
+    fall below the double range."""
+    exponent = np.frexp(np.abs([arr.real, arr.imag]).max(axis=(0, -2, -1)))[1]
+    shift = -exponent[..., None, None]
+    return np.ldexp(arr.real, shift) + 1j * np.ldexp(arr.imag, shift), exponent
 
 
-def _level_crossings(arr: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Angles theta, with their f(theta), at which f reaches level; empty when
-    level exceeds max f.  level must exceed f(pi) = -lambda_min(H).
+def _level_crossings(arr: np.ndarray, level) -> tuple[np.ndarray, np.ndarray]:
+    """Angles theta, with their f(theta), at which f reaches a level above f(pi):
+    (..., m) arrays for a stack (..., n, n) at levels (...), f = -inf where only
+    other matrices reach theirs, and m = 0 when each level exceeds max f.
 
     With H = (A + A*)/2 and K = (A - A*)/2, H(theta) = cos(theta) H + i sin(theta) K
     has the eigenvalue level exactly when s = i tan(theta/2) solves
@@ -184,69 +191,83 @@ def _level_crossings(arr: np.ndarray, level: float) -> tuple[np.ndarray, np.ndar
     axis, and the midpoints of adjacent ones on the circle, are checked by one
     direct eigvalsh: the tolerance on |Re s| only sets how many angles are
     checked, and a peak above level shows at the midpoint of its crossings."""
-    n = arr.shape[0]
-    herm, skew = (arr + arr.conj().T) / 2.0, (arr - arr.conj().T) / 2.0
+    n, lev, adj = arr.shape[-1], np.asarray(level)[..., None, None], arr.conj().swapaxes(-1, -2)
+    herm, skew = (arr + adj) / 2.0, (arr - adj) / 2.0
     try:
-        inv = np.linalg.inv(np.linalg.cholesky(herm + level * np.eye(n)))
+        inv = np.linalg.inv(np.linalg.cholesky(herm + lev * np.eye(n)))
     except np.linalg.LinAlgError:
         raise ArithmeticError(
             "numerical_radius: the level-set test needs a level above f(pi)"
         ) from None
-    companion = np.zeros((2 * n, 2 * n), dtype=complex)
-    companion[:n, n:] = np.eye(n)
-    companion[n:, :n] = -inv @ (herm - level * np.eye(n)) @ inv.conj().T
-    companion[n:, n:] = -2.0 * inv @ skew @ inv.conj().T
+    adj = inv.conj().swapaxes(-1, -2)
+    companion = np.zeros(arr.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    companion[..., :n, n:] = np.eye(n)
+    companion[..., n:, :n] = -inv @ (herm - lev * np.eye(n)) @ adj
+    companion[..., n:, n:] = -2.0 * inv @ skew @ adj
     s = np.linalg.eigvals(companion)
     # rounding moves a crossing about 1e-13 off the axis; a peak 1e-12 below
-    # level splits its pair about 1e-6 off, which is then not checked
-    near = np.sort(2.0 * np.arctan(s[np.abs(s.real) <= 1e-8 * (1.0 + np.abs(s))].imag))
-    if not near.size:
-        return near, near
-    mids = (near + np.append(near[1:], near[0] + 2.0 * math.pi)) / 2.0
-    thetas = np.concatenate([near, mids])
-    rotated, adjoint = _rotations(arr, thetas)
-    tops = np.linalg.eigvalsh((rotated + adjoint) / 2.0)[:, -1]
-    return thetas[tops >= level], tops[tops >= level]
+    # level splits its pair about 1e-6 off, which is then not checked; the
+    # other s give nan angles, which sort last
+    near = np.abs(s.real) <= 1e-8 * (1.0 + np.abs(s))
+    near = np.sort(np.where(near, 2.0 * np.arctan(s.imag), np.nan))
+    wrap = near[..., :1] + 2.0 * math.pi
+    mids = (near + np.fmin(np.concatenate([near[..., 1:], wrap], -1), wrap)) / 2.0
+    thetas = np.concatenate([near, mids], -1)
+    tops, found = np.full(thetas.shape, -math.inf), ~np.isnan(thetas)
+    if found.any():
+        rotated, adjoint = _rotations(arr[np.nonzero(found)[:-1]], thetas[found])
+        tops[found] = np.linalg.eigvalsh((rotated + adjoint) / 2.0)[:, -1]
+    above = tops >= lev[..., 0]
+    cols = above.reshape(-1, above.shape[-1]).any(axis=0)  # angles some matrix reached
+    return thetas[..., cols], np.where(above, tops, -math.inf)[..., cols]
 
 
-def numerical_radius(a: MatrixLike) -> float:
+def numerical_radius(a: MatrixLike) -> Union[float, np.ndarray]:
     """max over unit vectors of |v* A v| = max over theta of f(theta), the top
-    eigenvalue of H(theta) = Herm(e^(i theta) A).  One batched eigvalsh on a half
-    circle gives the whole grid of _GRID_POINTS, as H(theta + pi) = -H(theta).
-    The best _WINDOWS grid points, pairwise more than one step apart, are refined
-    by safeguarded Newton where they are local maxima.  With r the largest f
-    evaluated, the level-set test (_level_crossings) at r (1 + 1e-12) then
-    proves w(A) < r (1 + 1e-12), or finds angles above that level, from which
-    Newton restarts and the test runs again, at most _ROUNDS times; past that
-    an ArithmeticError is raised, and no uncertified radius is returned.  The
-    result, the largest f evaluated, is thus within 1e-12 r below w(A) and
-    above it by rounding at most.  The work runs on A / 2^e, an exact
-    power-of-two scaling, so the whole double range works."""
-    arr = as_complex_array(a)
-    if not arr.any():
-        return 0.0
-    arr, exponent = _unit_scaled(arr)
+    eigenvalue of H(theta) = Herm(e^(i theta) A), for A or for each matrix of a
+    (k, n, n) ndarray, whose k radii are each that matrix's alone, bit for bit.
+    One eigvalsh on a half circle gives the grid of _GRID_POINTS, as H(theta +
+    pi) = -H(theta); the best _WINDOWS points, pairwise more than one step apart,
+    are refined by safeguarded Newton where they are local maxima.  With r the
+    largest f evaluated, the level-set test (_level_crossings) at r (1 + 1e-12)
+    then proves w(A) < r (1 + 1e-12), or finds angles above it, from which Newton
+    restarts and the test runs again on the matrices not yet certified, at most
+    _ROUNDS times; past that an ArithmeticError is raised, and no uncertified
+    radius is returned.  The result, the largest f evaluated, is thus within
+    1e-12 r below w(A) and above it by rounding at most.  The work runs on
+    A / 2^e, an exact power-of-two scaling, so the whole double range works."""
+    stack, one = _stacked(a)
+    radii = np.zeros(len(stack))
+    live = np.flatnonzero(stack.any(axis=(-2, -1)))
+    arr, exponent = _unit_scaled(stack[live])
     step = 2.0 * math.pi / _GRID_POINTS
-    rotated, adjoint = _rotations(arr, step * np.arange(_GRID_POINTS // 2))
+    rotated, adjoint = _rotations(arr[:, None], step * np.arange(_GRID_POINTS // 2))
     lam = np.linalg.eigvalsh((rotated + adjoint) / 2.0)
-    tops = np.concatenate([lam[:, -1], -lam[:, 0]])
-    chosen: list[int] = []
-    for idx in map(int, np.argsort(tops)[::-1]):
-        if all(min(abs(idx - c), _GRID_POINTS - abs(idx - c)) > 1 for c in chosen):
-            chosen.append(idx)
-        if len(chosen) >= _WINDOWS:
-            break
-    peak = (tops >= np.roll(tops, 1)) & (tops >= np.roll(tops, -1))
-    centers = step * np.array([i for i in chosen if peak[i]])
-    best = max(float(tops.max()), _newton_peaks(arr, centers, step))
+    tops = np.concatenate([lam[..., -1], -lam[..., 0]], axis=-1)
+    peak = (tops >= np.roll(tops, 1, axis=-1)) & (tops >= np.roll(tops, -1, axis=-1))
+    windows = []
+    for i, order in enumerate(np.argsort(tops, axis=-1)[:, ::-1].tolist()):
+        chosen: list[int] = []
+        for idx in order:  # taken when more than one step from each c taken
+            if len(chosen) < _WINDOWS and all((idx - c + 1) % _GRID_POINTS > 2 for c in chosen):
+                chosen.append(idx)
+        windows += [(i, c) for c in chosen if peak[i, c]]
+    owner, index = np.array(windows, dtype=int).reshape(-1, 2).T
+    best = np.maximum(tops.max(axis=-1), _newton_peaks(arr, owner, step * index, step))
     # the test runs on e^(i turn) A, whose f(pi) is the grid's lowest f, so
     # that H + level I is as far from singular as the grid can tell
-    turn = step * int(np.argmin(tops)) - math.pi
+    turn = step * np.argmin(tops, axis=-1) - math.pi
+    todo = np.arange(len(arr))
     for _ in range(_ROUNDS):
-        above, values = _level_crossings(np.exp(1j * turn) * arr, best * (1.0 + 1e-12))
-        if not above.size:
-            return math.ldexp(best, exponent)
-        best = max(best, float(values.max()), _newton_peaks(arr, above + turn, step))
+        turned = np.exp(1j * turn[todo])[:, None, None] * arr[todo]
+        thetas, values = _level_crossings(turned, best[todo] * (1.0 + 1e-12))
+        owner, col = np.nonzero(values > -math.inf)
+        if not owner.size:
+            radii[live] = list(map(math.ldexp, best.tolist(), exponent.tolist()))
+            return float(radii[0]) if one else radii
+        peaks = _newton_peaks(arr[todo], owner, thetas[owner, col] + turn[todo][owner], step)
+        best[todo] = np.maximum(best[todo], np.maximum(values.max(axis=-1), peaks))
+        todo = todo[np.unique(owner)]
     raise ArithmeticError(
         f"numerical_radius: the level-set test still found a larger value after"
         f" {_ROUNDS} rounds"
@@ -269,10 +290,7 @@ class BoundReport:
 
 def _report(lhs, rhs, n, degree, seed=None) -> BoundReport:
     satisfied = lhs <= rhs * (1.0 + _REL_SLACK)
-    if rhs > 0.0:
-        ratio = lhs / rhs
-    else:
-        ratio = 0.0 if lhs == 0.0 else math.inf
+    ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
     return BoundReport(lhs, rhs, satisfied, ratio, n, degree, seed)
 
 
@@ -308,8 +326,7 @@ def check_bottcher_wenzel(a: MatrixLike, b: MatrixLike, seed=None) -> BoundRepor
 
     Squared norms are summed directly, skipping the sqrt/square round trip
     so the equality pair comes out exact."""
-    x = as_complex_array(a)
-    y = as_complex_array(b)
+    x, y = as_complex_array(a), as_complex_array(b)
     c = x @ y - y @ x
     lhs = float((np.abs(c) ** 2).sum())
     rhs = 2.0 * float((np.abs(x) ** 2).sum()) * float((np.abs(y) ** 2).sum())
@@ -326,10 +343,9 @@ def _weight_sum(p, fa: float, fb: float, base: float) -> float:
     return total
 
 
-# The checkers below convert A and B once and work on the arrays.  They still
-# enter numerical_radius and operator_norm by name, and these check their
-# argument again: the benchmark's tracer times those two layers by name, and
-# the checkers are their only callers.
+# The checkers below convert A and B once and work on the arrays.  Each hands
+# numerical_radius or operator_norm all its matrices as one stack, by name, so
+# that the benchmark's tracer times those layers.
 
 
 @_in_double_range
@@ -353,10 +369,9 @@ def check_numrad_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundRepor
     cs = _nonconstant_coeffs(p)
     x, y = as_complex_array(a), as_complex_array(b)
     xy, yx = x @ y, y @ x
-    total = _weight_sum(p, numerical_radius(x), numerical_radius(y), 2.0)
-    lhs = numerical_radius(_poly_commutator(p, xy, yx))
-    rhs = numerical_radius(xy - yx) * total
-    return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
+    radii = numerical_radius(np.stack([x, y, _poly_commutator(p, xy, yx), xy - yx]))
+    wx, wy, lhs, wc = radii.tolist()
+    return _report(lhs, wc * _weight_sum(p, wx, wy, 2.0), x.shape[0], len(cs) - 1, seed)
 
 
 @dataclass(frozen=True)
@@ -395,12 +410,9 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
     uses ||A z||^2 / ||z||^2, so A = identity gives exactly n at every
     sample and a zero standard error.
 
-    The real parts of all samples are drawn first, in one samples x n call,
-    then the imaginary parts _ROWS rows at a time into one reused _ROWS x n
-    complex block; this order fixes the output bytes.  The only samples x n
-    array is the 8 * samples * n bytes of real parts, so a call peaks near
-    9.6 MiB at n = 16 and 64 000 samples and near 53 MiB at the CLI caps
-    (n = 32, 200 000 samples).
+    The only samples x n array is the 8 * samples * n bytes of real parts
+    (see _sphere_moments), so a call peaks near 9.6 MiB at n = 16 and 64 000
+    samples and near 53 MiB at the CLI caps (n = 32, 200 000 samples).
 
     An A whose largest part is 1/2 or more is sampled as A / 2^e, the exact
     scaling numerical_radius uses, and the mean and standard error are
@@ -420,7 +432,7 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
         moments = _sphere_moments(scaled, samples, seed)
         exact_value = float((np.abs(arr) ** 2).sum())
     try:
-        mean, std_error = (math.ldexp(v, 2 * exponent) for v in moments)
+        mean, std_error = (math.ldexp(v, 2 * int(exponent)) for v in moments)
     except OverflowError:
         mean, std_error = math.inf, math.inf
     if not all(map(math.isfinite, (mean, std_error, exact_value))):
@@ -444,7 +456,7 @@ def check_average_bound(p, a: MatrixLike, b: MatrixLike, seed: int = 0) -> Bound
     cs = _nonconstant_coeffs(p)
     x, y = as_complex_array(a), as_complex_array(b)
     xy, yx = x @ y, y @ x
-    total = _weight_sum(p, operator_norm(x), operator_norm(y), 1.0)
+    total = _weight_sum(p, *operator_norm(np.stack([x, y])).tolist(), 1.0)
     lhs = _frobenius(_poly_commutator(p, xy, yx)) ** 2
     rhs = _frobenius(_checked(xy - yx)) ** 2 * total**2
     return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
@@ -490,9 +502,7 @@ def empirical_constant(p, n: int, trials: int, seed: int = 0) -> ConstantEstimat
     over seeded Gaussian trials; near-commuting pairs skip the second ratio."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    best1 = 0.0
-    best2 = 0.0
-    skipped = 0
+    best1, best2, skipped = 0.0, 0.0, 0
     for row in constant_sweep_rows(p, n, trials, seed):
         best1 = max(best1, row["ratio"])
         if row["ratio_commutator"] is None:
