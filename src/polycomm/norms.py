@@ -199,11 +199,11 @@ def _level_crossings(arr: np.ndarray, level) -> tuple[np.ndarray, np.ndarray]:
         raise ArithmeticError(
             "numerical_radius: the level-set test needs a level above f(pi)"
         ) from None
-    adj = inv.conj().swapaxes(-1, -2)
+    inv_adj = inv.conj().swapaxes(-1, -2)
     companion = np.zeros(arr.shape[:-2] + (2 * n, 2 * n), dtype=complex)
     companion[..., :n, n:] = np.eye(n)
-    companion[..., n:, :n] = -inv @ (herm - lev * np.eye(n)) @ adj
-    companion[..., n:, n:] = -2.0 * inv @ skew @ adj
+    companion[..., n:, :n] = -inv @ (herm - lev * np.eye(n)) @ inv_adj
+    companion[..., n:, n:] = -2.0 * inv @ skew @ inv_adj
     s = np.linalg.eigvals(companion)
     # rounding moves a crossing about 1e-13 off the axis; a peak 1e-12 below
     # level splits its pair about 1e-6 off, which is then not checked; the
@@ -248,7 +248,7 @@ def numerical_radius(a: MatrixLike) -> Union[float, np.ndarray]:
     windows = []
     for i, order in enumerate(np.argsort(tops, axis=-1)[:, ::-1].tolist()):
         chosen: list[int] = []
-        for idx in order:  # taken when more than one step from each c taken
+        for idx in order:  # kept when more than one step from each kept c
             if len(chosen) < _WINDOWS and all((idx - c + 1) % _GRID_POINTS > 2 for c in chosen):
                 chosen.append(idx)
         windows += [(i, c) for c in chosen if peak[i, c]]
