@@ -137,49 +137,45 @@ class GenericMatrix:
     positive den in lowest terms, gcd(den, every numerator) = 1: den is then
     the lcm of the entry denominators and the form is unique, so ==
     compares den and the arrays.  CC keeps complex128
-    and HF float64 parts, over den = 1.  rows is a view built once, on first
-    read, of Fraction(v, den), Quaternion(*q) or Python-number entries; a
-    matrix built from rows keeps them and computes its parts at most once.
-    Neither is ever written in place.
+    and HF float64 parts, over den = 1.  A matrix built from rows converts
+    them to this form at once and keeps only it; rows, m[i, j] and
+    diagonal_entries build Fraction(v, den), Quaternion(*q) or Python-number
+    entries from the parts on each read.  The parts are never written in
+    place.
     """
 
-    __slots__ = ("ring", "n", "_rows", "_parts", "_den")
+    __slots__ = ("ring", "n", "_parts", "_den")
 
     def __init__(self, ring: ScalarRing, rows: Sequence[Sequence]):
         rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
+        n, c = len(rows), ring.components
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("rows must form a nonempty square matrix")
-        self.ring, self.n, self._rows, self._parts, self._den = ring, n, rows, None, 1
+        entries = [x.components() if c > 1 else (x,) for row in rows for x in row]
+        if ring.exact:
+            den = math.lcm(*(v.denominator for e in entries for v in e))
+            parts = np.array([[e[k].numerator * (den // e[k].denominator) for e in entries]
+                              for k in range(c)], dtype=object)
+        else:
+            den, parts = 1, np.array(entries, dtype=float if c > 1 else complex).T
+        self.ring, self.n, self._parts, self._den = ring, n, parts.reshape(c, n, n), den
 
     @classmethod
     def _of_parts(cls, ring: ScalarRing, parts: np.ndarray, den=1) -> "GenericMatrix":
         """The matrix parts / den, reduced to lowest terms on the exact rings."""
         g = math.gcd(den, *parts.flat) if ring.exact else 1
         m = cls.__new__(cls)
-        m.ring, m.n, m._rows = ring, parts.shape[1], None
+        m.ring, m.n = ring, parts.shape[1]
         m._parts, m._den = (parts // g, den // g) if g > 1 else (parts, den)
         return m
 
     @property
     def rows(self) -> tuple:
-        if self._rows is None:
-            n, entries = self.n, _entries(self.ring, self._parts, self._den)
-            self._rows = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
-        return self._rows
+        n, entries = self.n, _entries(self.ring, self._parts, self._den)
+        return tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
 
     def component_form(self):
         """(parts, den) of the class docstring, parts of shape (c, n, n)."""
-        if self._parts is None:
-            n, c = self.n, self.ring.components
-            entries = [x.components() if c > 1 else (x,) for row in self._rows for x in row]
-            if self.ring.exact:
-                den = self._den = math.lcm(*(v.denominator for e in entries for v in e))
-                parts = np.array([[e[k].numerator * (den // e[k].denominator) for e in entries]
-                                  for k in range(c)], dtype=object)
-            else:
-                parts = np.array(entries, dtype=float if c > 1 else complex).T
-            self._parts = parts.reshape(c, n, n)
         return self._parts, self._den
 
     @classmethod
@@ -203,7 +199,7 @@ class GenericMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return _entries(self.ring, self._parts[:, i, [j]], self._den)[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GenericMatrix):
@@ -280,9 +276,7 @@ class GenericMatrix:
         return sum(self.diagonal_entries(), self.ring.zero())
 
     def diagonal_entries(self):
-        """The n diagonal entries, off rows once built and off parts before."""
-        if self._rows is not None:
-            return tuple(self._rows[i][i] for i in range(self.n))
+        """The n diagonal entries, built from the parts of the diagonal alone."""
         return tuple(_entries(self.ring, self._parts.diagonal(0, 1, 2), self._den))
 
     def is_zero(self) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -277,7 +277,8 @@ def numerical_radius(a: MatrixLike) -> Union[float, np.ndarray]:
 @dataclass(frozen=True)
 class BoundReport:
     """One verified inequality: satisfied means lhs <= rhs * (1 + 1e-10),
-    exactly as stated, as every right side is computed, not estimated."""
+    exactly as stated, as every right side is computed, not estimated.  It
+    depends on p, A and B alone; whoever drew A and B records the seed."""
 
     lhs: float
     rhs: float
@@ -285,13 +286,12 @@ class BoundReport:
     ratio: float
     n: int
     degree: int
-    seed: Optional[int] = None
 
 
-def _report(lhs, rhs, n, degree, seed=None) -> BoundReport:
+def _report(lhs, rhs, n, degree) -> BoundReport:
     satisfied = lhs <= rhs * (1.0 + _REL_SLACK)
     ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
-    return BoundReport(lhs, rhs, satisfied, ratio, n, degree, seed)
+    return BoundReport(lhs, rhs, satisfied, ratio, n, degree)
 
 
 _DOUBLE_RANGE = (
@@ -321,7 +321,7 @@ def _in_double_range(check):
 
 
 @_in_double_range
-def check_bottcher_wenzel(a: MatrixLike, b: MatrixLike, seed=None) -> BoundReport:
+def check_bottcher_wenzel(a: MatrixLike, b: MatrixLike) -> BoundReport:
     """||AB - BA||_F^2 <= 2 ||A||_F^2 ||B||_F^2.
 
     Squared norms are summed directly, skipping the sqrt/square round trip
@@ -330,7 +330,7 @@ def check_bottcher_wenzel(a: MatrixLike, b: MatrixLike, seed=None) -> BoundRepor
     c = x @ y - y @ x
     lhs = float((np.abs(c) ** 2).sum())
     rhs = 2.0 * float((np.abs(x) ** 2).sum()) * float((np.abs(y) ** 2).sum())
-    return _report(lhs, rhs, x.shape[0], 1, seed)
+    return _report(lhs, rhs, x.shape[0], 1)
 
 
 def _weight_sum(p, fa: float, fb: float, base: float) -> float:
@@ -349,7 +349,7 @@ def _weight_sum(p, fa: float, fb: float, base: float) -> float:
 
 
 @_in_double_range
-def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundReport:
+def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     """||p(AB)-p(BA)||_F <= ||[A,B]||_F * sum |c_k| k ||A||_F^(k-1) ||B||_F^(k-1).
 
     Follows from the telescoped expansion plus submultiplicativity of the
@@ -359,11 +359,11 @@ def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundRe
     xy, yx = x @ y, y @ x
     lhs = _frobenius(_poly_commutator(p, xy, yx))
     rhs = _frobenius(_checked(xy - yx)) * _weight_sum(p, _frobenius(x), _frobenius(y), 1.0)
-    return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
+    return _report(lhs, rhs, x.shape[0], len(cs) - 1)
 
 
 @_in_double_range
-def check_numrad_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundReport:
+def check_numrad_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     """Numerical-radius analogue with the power-inequality growth factor:
     h(p(AB)-p(BA)) <= h([A,B]) * sum |c_k| k 4^k / 2 * h(A)^(k-1) h(B)^(k-1)."""
     cs = _nonconstant_coeffs(p)
@@ -371,7 +371,7 @@ def check_numrad_bound(p, a: MatrixLike, b: MatrixLike, seed=None) -> BoundRepor
     xy, yx = x @ y, y @ x
     radii = numerical_radius(np.stack([x, y, _poly_commutator(p, xy, yx), xy - yx]))
     wx, wy, lhs, wc = radii.tolist()
-    return _report(lhs, wc * _weight_sum(p, wx, wy, 2.0), x.shape[0], len(cs) - 1, seed)
+    return _report(lhs, wc * _weight_sum(p, wx, wy, 2.0), x.shape[0], len(cs) - 1)
 
 
 @dataclass(frozen=True)
@@ -444,7 +444,7 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
 
 
 @_in_double_range
-def check_average_bound(p, a: MatrixLike, b: MatrixLike, seed: int = 0) -> BoundReport:
+def check_average_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     """Sphere-average form of the Frobenius bound.
 
     ||p(AB)-p(BA)||_F^2 <= n * avg ||[A,B] v||^2 * (sum |c_k| k ||A||_2^(k-1) ||B||_2^(k-1))^2,
@@ -459,7 +459,7 @@ def check_average_bound(p, a: MatrixLike, b: MatrixLike, seed: int = 0) -> Bound
     total = _weight_sum(p, *operator_norm(np.stack([x, y])).tolist(), 1.0)
     lhs = _frobenius(_poly_commutator(p, xy, yx)) ** 2
     rhs = _frobenius(_checked(xy - yx)) ** 2 * total**2
-    return _report(lhs, rhs, x.shape[0], len(cs) - 1, seed)
+    return _report(lhs, rhs, x.shape[0], len(cs) - 1)
 
 
 @dataclass(frozen=True)

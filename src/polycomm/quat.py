@@ -295,6 +295,16 @@ class QuatSolution:
     residual: float
 
 
+@dataclass(frozen=True)
+class QuatFactorization:
+    """Witness pairs (a_i, b_i), their differences d_i = p(a_i b_i) -
+    p(b_i a_i) as factors, and residual = |d1 d2 - alpha|, as checked."""
+
+    pairs: tuple
+    factors: tuple
+    residual: float
+
+
 def solve_poly_commutator(p: Polynomial, v: Quaternion, tol: float = 1e-8) -> QuatSolution:
     """Find (a, b) with p(ab) - p(ba) = v for purely imaginary v.
 
@@ -344,7 +354,8 @@ def factor_into_two_commutators(p: Polynomial, alpha: Quaternion, tol: float = 1
     imaginary, so each is a p-difference.  Conjugating the witness pairs by
     gamma (which maps the canonical form back to alpha) keeps them
     witnesses, since gamma p(ab)-p(ba) gamma^-1 = the same expression in
-    the conjugated pair.  Returns ((a1, b1), (a2, b2)).
+    the conjugated pair.  Returns the QuatFactorization, its residual
+    checked against tol * (1 + |alpha|).
     """
     af = alpha.to_float()
     gamma = complexifying_conjugator(af)
@@ -354,13 +365,13 @@ def factor_into_two_commutators(p: Polynomial, alpha: Quaternion, tol: float = 1
         sol = solve_poly_commutator(p, target, tol)
         pairs.append((conjugate_by(gamma, sol.a), conjugate_by(gamma, sol.b)))
 
-    prod = poly_commutator(p, *pairs[0]) * poly_commutator(p, *pairs[1])
-    residual = (prod - af).norm()
+    d1, d2 = (poly_commutator(p, a, b) for a, b in pairs)
+    residual = (d1 * d2 - af).norm()
     if residual > tol * (1.0 + af.norm()):
         raise VerificationError(
             f"two-factor residual {residual:.3e} exceeds {tol:.1e} * (1 + |alpha|)"
         )
-    return tuple(pairs)
+    return QuatFactorization(tuple(pairs), (d1, d2), residual)
 
 
 _POWER_GAP_CANDIDATES = (

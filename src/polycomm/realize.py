@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from .matrix import QQ, HQ, GenericMatrix, component_product
 from .poly import Polynomial, eval_poly, poly_commutator
 from .quat import ONE, QI, QJ, QK, Quaternion, VerificationError
-from .sampling import probe_like, stream
+from .sampling import exact_quaternion, probe_like, stream
 
 
 class DegreeNotBoundedError(ArithmeticError):
@@ -376,36 +376,30 @@ _TRACE_CANDIDATES = (
 
 
 def nonzero_trace_witness(p: Polynomial, n: int, seed: int = 0, attempts: int = 200):
-    """Quaternion diagonal pair (a, b) with trace(p(ab) - p(ba)) != 0.
+    """Quaternion diagonal pair (a, b) with trace(p(ab) - p(ba)) != 0, and
+    that trace: (a, b, trace).
 
     a = diag(1, .., 1, alpha) and b = diag(1, .., 1, beta) leave the trace
     equal to p(alpha beta) - p(beta alpha); fixed candidates are scanned
-    first, then seeded random rational quaternions.
+    first, then seeded random rational quaternions.  The trace of the n x n
+    p(ab) - p(ba) is checked against that difference before returning.
     """
     if p.is_constant():
         raise ValueError("polynomial must be nonconstant")
     if n < 2:
         raise ValueError("need size at least 2")
     rng = stream(seed, "trace-witness")
-
-    def candidates():
-        yield from _TRACE_CANDIDATES
-        for _ in range(attempts):
-            yield (
-                Quaternion.exact(*(rng.randint(-3, 3) for _ in range(4))),
-                Quaternion.exact(*(rng.randint(-3, 3) for _ in range(4))),
-            )
-
-    for alpha, beta in candidates():
-        delta = eval_poly(p, alpha * beta) - eval_poly(p, beta * alpha)
+    draws = ((exact_quaternion(rng), exact_quaternion(rng)) for _ in range(attempts))
+    for alpha, beta in chain(_TRACE_CANDIDATES, draws):
+        delta = poly_commutator(p, alpha, beta)
         if delta.is_zero():
             continue
         a = GenericMatrix.diagonal(HQ, [1] * (n - 1) + [alpha])
         b = GenericMatrix.diagonal(HQ, [1] * (n - 1) + [beta])
-        tr = poly_commutator(p, a, b).trace()
-        if tr != delta:
+        trace = poly_commutator(p, a, b).trace()
+        if trace != delta:
             raise VerificationError("diagonal trace identity failed")
-        return a, b
+        return a, b, trace
     raise VerificationError(
         f"no trace witness found after {len(_TRACE_CANDIDATES)} fixed and "
         f"{attempts} random candidates"

@@ -193,7 +193,7 @@ def test_criterion_04_product_factorization():
         rng = rng_for(f"c4:{degree}")
         for _ in range(20):
             alpha = Quaternion.of_floats(*(rng.uniform(-4, 4) for _ in range(4)))
-            (a1, b1), (a2, b2) = factor_into_two_commutators(p, alpha)
+            (a1, b1), (a2, b2) = factor_into_two_commutators(p, alpha).pairs
             f1 = poly_commutator(p, a1, b1)
             f2 = poly_commutator(p, a2, b2)
             assert abs(f1.w) <= 1e-10 and abs(f2.w) <= 1e-10, (degree, alpha)
@@ -310,11 +310,12 @@ def test_criterion_07_nonzero_trace_witnesses():
     found = 0
     for p in family:
         for n in (2, 3):
-            a, b = nonzero_trace_witness(p, n)
+            a, b, trace = nonzero_trace_witness(p, n)
             tr = poly_commutator(p, a, b).trace()
             assert isinstance(tr, Quaternion) and not tr.is_zero(), (p.coeffs, n)
+            assert trace == tr, (p.coeffs, n)
             found += 1
-    a, b = nonzero_trace_witness(Polynomial([0, 0, 1]), 2)
+    a, b, _ = nonzero_trace_witness(Polynomial([0, 0, 1]), 2)
     square_trace = poly_commutator(Polynomial([0, 0, 1]), a, b).trace()
     pinned = square_trace == Quaternion(0, 0, 0, -4)
     report(

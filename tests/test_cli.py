@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycomm import cli, norms, realize
+from polycomm import cli, norms, poly, realize
 from polycomm.cli import build_parser, main
 from polycomm.matrix import QQ, GenericMatrix
 from polycomm.poly import Polynomial
-from polycomm.quat import Quaternion
+from polycomm.quat import Quaternion, factor_into_two_commutators
 from polycomm.realize import RealizationWitness, realize_zero_diagonal
 from polycomm.serialize import encode_witness
 
@@ -778,6 +778,40 @@ def test_realization_is_verified_once(capsys, monkeypatch, argv):
     code, doc = run_json(capsys, *argv)
     assert code == 0 and doc["verified"] is True
     assert len(calls) == 1
+
+
+def counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that appends to the returned list."""
+    calls, fn = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_factor_quat_evaluates_only_in_its_builder(capsys, monkeypatch):
+    # the document prints the factors and residual the builder checked, so
+    # the command makes no Horner evaluation of its own
+    horner = counted(monkeypatch, poly, "eval_poly")
+    factor_into_two_commutators(Polynomial([0, 1, 0, 1]), Quaternion.of_floats(1, 2, 3, 4))
+    alone = len(horner)
+    code, doc = run_json(capsys, "factor-quat", "--poly", "0,1,0,1", "--input", "[1,2,3,4]")
+    assert code == 0 and doc["verified"] is True
+    assert len(horner) - alone == alone > 0
+
+
+def test_trace_witness_multiplies_only_in_its_builder(capsys, monkeypatch):
+    # the document prints the trace the builder checked, so the command
+    # makes no matrix product of its own
+    products = counted(monkeypatch, GenericMatrix, "__mul__")
+    realize.nonzero_trace_witness(Polynomial([0, 1, 1]), 3)
+    alone = len(products)
+    code, doc = run_json(capsys, "trace-witness", "--poly", "0,1,1", "--n", "3")
+    assert code == 0 and doc["verified"] is True
+    assert len(products) - alone == alone > 0
 
 
 @pytest.mark.parametrize("argv", REALIZE_CALLS, ids=lambda argv: argv[0])

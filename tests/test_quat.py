@@ -287,7 +287,7 @@ def test_solver_residual_sweep():
 
 
 def test_factor_frozen_real_one():
-    (a1, b1), (a2, b2) = factor_into_two_commutators(Polynomial([0, 1]), ONE)
+    (a1, b1), (a2, b2) = factor_into_two_commutators(Polynomial([0, 1]), ONE).pairs
     d1 = poly_commutator(Polynomial([0, 1]), a1, b1)
     d2 = poly_commutator(Polynomial([0, 1]), a2, b2)
     assert d1.approx_eq(QJ.to_float(), 1e-12)
@@ -297,7 +297,7 @@ def test_factor_frozen_real_one():
 
 def test_factor_frozen_imaginary_unit():
     p = Polynomial([0, 1])
-    (a1, b1), (a2, b2) = factor_into_two_commutators(p, QI)
+    (a1, b1), (a2, b2) = factor_into_two_commutators(p, QI).pairs
     d1 = poly_commutator(p, a1, b1)
     d2 = poly_commutator(p, a2, b2)
     assert d1.approx_eq(QJ.to_float(), 1e-12)
@@ -307,7 +307,7 @@ def test_factor_frozen_imaginary_unit():
 
 def test_factor_zero_alpha():
     p = Polynomial([0, 0, 1])
-    pairs = factor_into_two_commutators(p, Quaternion.exact())
+    pairs = factor_into_two_commutators(p, Quaternion.exact()).pairs
     assert pairs[1][0].is_zero() and pairs[1][1].is_zero()
     d1 = poly_commutator(p, *pairs[0])
     d2 = poly_commutator(p, *pairs[1])
@@ -321,7 +321,8 @@ def test_factor_sweep():
         alpha = Quaternion.of_floats(
             r.uniform(-2, 2), r.uniform(-2, 2), r.uniform(-2, 2), r.uniform(-2, 2)
         )
-        pairs = factor_into_two_commutators(p, alpha)
+        fac = factor_into_two_commutators(p, alpha)
+        pairs = fac.pairs
         assert len(pairs) == 2
         prod = ONE.to_float()
         for a, b in pairs:
@@ -329,11 +330,14 @@ def test_factor_sweep():
             assert abs(d.re()) <= 1e-10 * (1.0 + d.norm())
             prod = prod * d
         assert (prod - alpha).norm() <= 1e-8 * (1.0 + alpha.norm())
+        # the factorization carries the values its own check compared
+        assert fac.factors == tuple(poly_commutator(p, a, b) for a, b in pairs)
+        assert fac.residual == (fac.factors[0] * fac.factors[1] - alpha).norm()
 
 
 def test_factor_negative_real():
     p = Polynomial([0, 1, 0, 2])
-    pairs = factor_into_two_commutators(p, Quaternion.exact(-4))
+    pairs = factor_into_two_commutators(p, Quaternion.exact(-4)).pairs
     prod = poly_commutator(p, *pairs[0]) * poly_commutator(p, *pairs[1])
     assert (prod - Quaternion.of_floats(-4)).norm() <= 1e-8 * 5
 

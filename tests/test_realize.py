@@ -310,27 +310,27 @@ def test_realize_traceless_sweep():
 
 
 def test_trace_witness_frozen_linear():
-    a, b = nonzero_trace_witness(X, 2)
+    a, b, trace = nonzero_trace_witness(X, 2)
     assert a == GenericMatrix.diagonal(HQ, [1, QI])
     assert b == GenericMatrix.diagonal(HQ, [1, QJ])
-    assert poly_commutator(X, a, b).trace() == 2 * QK
+    assert poly_commutator(X, a, b).trace() == trace == 2 * QK
 
 
 def test_trace_witness_frozen_square():
     """x^2 kills the first candidate pair: (ij)^2 = (ji)^2 = -1.  The scan
     moves on to (i, i+j), whose squares differ by -4k."""
-    a, b = nonzero_trace_witness(X2, 2)
+    a, b, trace = nonzero_trace_witness(X2, 2)
     assert a == GenericMatrix.diagonal(HQ, [1, QI])
     assert b == GenericMatrix.diagonal(HQ, [1, QI + QJ])
-    assert poly_commutator(X2, a, b).trace() == -4 * QK
+    assert poly_commutator(X2, a, b).trace() == trace == -4 * QK
 
 
 def test_trace_witness_larger_size():
     p = Polynomial([0, 1, 1])
-    a, b = nonzero_trace_witness(p, 3)
+    a, b, trace = nonzero_trace_witness(p, 3)
     assert a.n == 3
     tr = poly_commutator(p, a, b).trace()
-    assert tr == 2 * QK
+    assert tr == trace == 2 * QK
     assert not tr.is_zero()
 
 
@@ -345,8 +345,9 @@ def test_trace_witness_sweep_of_polynomials():
     r = stream(SEED, "trace-sweep")
     for _ in range(30):
         p = exact_polynomial(r, r.randint(1, 5))
-        a, b = nonzero_trace_witness(p, 2, seed=SEED)
-        assert not poly_commutator(p, a, b).trace().is_zero()
+        a, b, trace = nonzero_trace_witness(p, 2, seed=SEED)
+        assert poly_commutator(p, a, b).trace() == trace
+        assert not trace.is_zero()
 
 
 def test_algebraicity_level_one_is_the_commutator():
