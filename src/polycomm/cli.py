@@ -98,15 +98,17 @@ def _require_exact(p: Polynomial, what: str) -> None:
         raise DecodeError(f"{what} needs exact integer or rational coefficients")
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a finite float (nan and inf are input errors)."""
+def _tolerance(text: str) -> float:
+    """argparse type: a finite, nonnegative float (nan, inf and negatives are input errors)."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"non-finite input: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
     return value
 
 
-_finite_float.__name__ = "float"  # argparse names the type in "invalid float value"
+_tolerance.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 # Largest accepted --n, --samples and --trials, so that no count can ask for
@@ -157,7 +159,7 @@ _OPTIONS = {
     "trials": ("--trials", {"type": _count(1, MAX_TRIALS)}),
     "attempts": ("--trials", {"type": _count(0, MAX_TRIALS)}),
     "samples": ("--samples", {"type": _count(1000, MAX_SAMPLES)}),
-    "tolerance": ("--tolerance", {"type": _finite_float}),
+    "tolerance": ("--tolerance", {"type": _tolerance}),
 }
 
 
@@ -364,16 +366,12 @@ def _sphere_avg(args) -> dict:
     """Monte Carlo check of the sphere-average identity for ||A||_F^2"""
     arr = _decode_sphere_input(_load_json(args.input))
     est = norms.spherical_average(arr, args.samples, args.seed)
-    deviation = abs(est.mean - est.exact_value)
     return {
         "n": int(arr.shape[0]),
         "seed": args.seed,
-        "samples": est.samples,
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "exact_value": est.exact_value,
-        "deviation": deviation,
-        "verified": deviation <= 4.0 * est.std_error + 1e-12 * (1.0 + est.exact_value),
+        **asdict(est),
+        "deviation": est.deviation,
+        "verified": est.verified,
     }
 
 

@@ -381,6 +381,15 @@ class SphereEstimate:
     std_error: float
     exact_value: float
 
+    @property
+    def deviation(self) -> float:
+        return abs(self.mean - self.exact_value)
+
+    @property
+    def verified(self) -> bool:
+        """the mean lies within four standard errors of the exact value"""
+        return self.deviation <= 4.0 * self.std_error + 1e-12 * (1.0 + self.exact_value)
+
 
 def _sphere_moments(arr: np.ndarray, samples: int, seed: int) -> tuple[float, float]:
     """Mean and standard error of n ||A z||^2 / ||z||^2 over samples rows

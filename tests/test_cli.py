@@ -93,14 +93,18 @@ def test_solve_quat_real_part_on_the_imaginary_bound(capsys):
     assert "target must be purely imaginary" in err
 
 
-def test_solve_quat_negative_tolerance_fails_verification(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "solve-quat", "--poly", "0,1", "--input", "[0,0,0,2]",
-        "--tolerance", "-1",
-    )
-    assert code == 3
-    assert "verification failed:" in err
+def test_negative_tolerance_is_an_input_error(capsys):
+    # no residual meets a negative bound, so it is bad input, not a failed check
+    for argv in (
+        ("solve-quat", "--poly", "0,1", "--input", "[0,0,0,2]"),
+        ("factor-quat", "--poly", "0,1", "--input", "[0,0,0,1]"),
+        ("verify-telescope", "--poly", "0,1", "--ring", "complex", "--trials", "1"),
+        ("verify-telescope", "--poly", "0,1", "--ring", "rational", "--trials", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--tolerance", "-1")
+        assert code == 2, argv
+        assert out == ""
+        assert "argument --tolerance: must be nonnegative, got -1" in err
 
 
 @pytest.mark.parametrize(

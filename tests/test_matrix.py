@@ -477,6 +477,35 @@ def test_telescoping_degree_zero():
     assert report.lhs.is_zero() and report.rhs.is_zero()
 
 
+TELESCOPE_PRODUCTS = [
+    (Polynomial([3]), 2),
+    (X, 2),
+    (Polynomial([0, 1, 1]), 6),
+    (Polynomial([1, 2, 3, 4]), 11),
+    (Polynomial([0, 1, 0, 0, 0, 1]), 21),
+]
+
+
+@pytest.mark.parametrize("ring", [QQ, HQ, CC], ids=lambda ring: ring.name)
+@pytest.mark.parametrize("p, expected", TELESCOPE_PRODUCTS, ids=lambda v: str(v))
+def test_telescoping_makes_max_2_5d_minus_4_products(monkeypatch, ring, p, expected):
+    # ab and ba, the d - 1 Horner products on each side, then per step i >= 2
+    # t_{i-1} (ba), (ab)^(i-1) (ab - ba) and, from i = 3, the running power
+    a = GenericMatrix.from_rows(ring, [[1, 2, 0], [0, 1, 3], [2, 0, 1]])
+    b = GenericMatrix.from_rows(ring, [[0, 1, 1], [1, 0, 2], [3, 1, 0]])
+    products = []
+    multiply = GenericMatrix.__mul__
+
+    def counting(m, other):
+        products.append(other)
+        return multiply(m, other)
+
+    monkeypatch.setattr(GenericMatrix, "__mul__", counting)
+    report = telescoping_expand(p, a, b)
+    assert report.equal
+    assert len(products) == expected == max(2, 5 * p.degree - 4)
+
+
 def test_deviation_and_magnitude():
     a = GenericMatrix.from_rows(CC, [[1, 2j], [0, -3]])
     assert a.max_magnitude() == 3.0

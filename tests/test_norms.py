@@ -770,6 +770,23 @@ def test_spherical_average_reproducible():
     assert c.mean != a.mean
 
 
+def test_sphere_estimate_verdict_at_its_boundary():
+    # verified: |mean - exact| <= 4 std_error + 1e-12 (1 + exact), equality included;
+    # exact 0 makes the deviation the mean itself, so the edge is hit to the bit
+    edge = 4.0 * 0.25 + 1e-12 * (1.0 + 0.0)
+    for mean in (edge, -edge):
+        at = SphereEstimate(1000, mean, 0.25, 0.0)
+        assert at.deviation == edge
+        assert at.verified is True
+    past = SphereEstimate(1000, math.nextafter(edge, math.inf), 0.25, 0.0)
+    assert past.deviation > edge
+    assert past.verified is False
+    # the 1e-12 margin scales with the exact value
+    assert SphereEstimate(1000, 1e6 + 5e-7, 0.0, 1e6).verified is True
+    assert SphereEstimate(1000, 1e6 + 2e-6, 0.0, 1e6).verified is False
+    assert SphereEstimate(1000, 4.0, 0.0, 4.0).deviation == 0.0
+
+
 def reference_spherical_average(a, samples, seed=0):
     """The one-shot estimate: z drawn whole, every temporary samples x n."""
     arr = as_complex_array(a)
