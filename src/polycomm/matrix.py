@@ -432,21 +432,20 @@ def telescoping_expand(
 
     X^i - Y^i = sum_k X^k (X - Y) Y^(i-1-k) at X = ab, Y = ba gives
     p(ab) - p(ba) = sum_i c_i t_i, a sum of multiples of the additive
-    commutator, where t_1 = ab - ba and t_i = t_{i-1} (ba) + (ab)^(i-1) t_1.
-    The left side is Horner's rule at ab and at ba; with the running power
-    of ab that makes max(2, 5d - 4) matrix products at degree d.  Equal
+    commutator, where t_1 = u_1 = ab - ba, u_i = (ab) u_{i-1} and
+    t_i = t_{i-1} (ba) + u_i.  The left side is Horner's rule at ab and at
+    ba; that makes max(2, 4d - 2) matrix products at degree d.  Equal
     means exact entrywise equality on exact backends and deviation
     <= tol * (1 + max |lhs|) on float backends.
     """
     ab = a * b
     ba = b * a
-    diff = ab - ba
     rhs = GenericMatrix.zeros(a.ring, a.n)
-    term = diff
+    term = step = ab - ba
     for i in range(1, p.degree + 1):
         if i > 1:
-            power = ab if i == 2 else power * ab
-            term = term * ba + power * diff
+            step = ab * step
+            term = term * ba + step
         if p.coeffs[i] != 0:
             rhs = rhs + p.coeffs[i] * term
     lhs = eval_poly(p, ab) - eval_poly(p, ba)

@@ -2,9 +2,10 @@
 solutions of p(ab) - p(ba) = v inside the quaternions.
 
 Every purely imaginary quaternion arises as such a difference for any
-nonconstant real polynomial p, and every quaternion is a product of two
-such differences; solve_poly_commutator and factor_into_two_commutators
-build explicit witnesses and verify them before returning.
+nonconstant real polynomial p, and every quaternion alpha is a product of
+two, u (-u alpha) for a unit imaginary u orthogonal to Im(alpha);
+solve_poly_commutator and factor_into_two_commutators build explicit
+witnesses and verify them before returning.
 """
 
 from __future__ import annotations
@@ -206,27 +207,27 @@ def _orthogonal_imaginary(w: Quaternion) -> Quaternion:
     """Unit imaginary quaternion orthogonal to imaginary w.
 
     Gram-Schmidt against the first standard unit (preference order i, j, k)
-    not parallel to w.  On the exact backend the result keeps exact
-    components and is normalized only when its norm is rational; any
-    nonzero scaling conjugates the same way, so callers never depend on
-    unit length.
+    not parallel to w.  On the float backend a remainder shorter than 1e-3
+    of its unit axis is rounding noise and the axis is skipped; the least
+    aligned axis keeps a remainder of at least sqrt(2/3).  On the exact
+    backend the result keeps exact components and is normalized only when
+    its norm is rational; any nonzero scaling conjugates the same way, so
+    callers never depend on unit length.
     """
     if not w.is_imaginary() or w.is_zero():
         raise ValueError("need a nonzero purely imaginary quaternion")
     n2 = w.norm2()
     for e in (QI, QJ, QK):
-        cand = e if w.is_exact() else e.to_float()
-        proj = cand.dot(w)
-        scale = Fraction(proj) / Fraction(n2) if w.is_exact() else proj / n2
-        g = cand - w * scale
-        if not g.is_zero():
-            if g.is_exact():
+        if w.is_exact():
+            g = e - w * (Fraction(e.dot(w)) / Fraction(n2))
+            if not g.is_zero():
                 root = _rational_sqrt(g.norm2())
-                if root is not None:
-                    g = g / root
-            else:
-                g = g / g.norm()
-            return g
+                return g if root is None else g / root
+        else:
+            cand = e.to_float()
+            g = cand - w * (cand.dot(w) / n2)
+            if g.norm2() > 1e-6:
+                return g / g.norm()
     raise ValueError("no orthogonal direction found")  # unreachable for nonzero w
 
 
@@ -246,53 +247,16 @@ def negating_conjugator(w: Quaternion) -> Quaternion:
     return b
 
 
-def complexifying_conjugator(alpha: Quaternion) -> Quaternion:
-    """gamma with gamma^-1 alpha gamma = Re(alpha) + |Im(alpha)| i.
-
-    Built from the half-angle rotation taking i to the imaginary axis of
-    alpha: gamma = 1 - n i for unit axis n, except gamma = j when n is
-    close to -i (there 1 - n i degenerates).  Returns 1 when alpha is real
-    or already along i.  On the exact backend the imaginary norm must be
-    rational for the target to be representable; otherwise a ValueError
-    asks for the float backend.
-    """
-    im = alpha.im()
-    if im.is_zero():
-        return ONE if alpha.is_exact() else ONE.to_float()
-    if alpha.is_exact():
-        root = _rational_sqrt(im.norm2())
-        if root is None:
-            raise ValueError(
-                "imaginary norm is irrational; convert to the float backend first"
-            )
-        n = im / root
-        one = ONE
-        unit_i, unit_j = QI, QJ
-    else:
-        n = im / im.norm()
-        one = ONE.to_float()
-        unit_i, unit_j = QI.to_float(), QJ.to_float()
-    if n == unit_i:
-        return one
-    if n.x >= -0.5:
-        gamma = one - n * unit_i
-    else:
-        # reflect n across the i axis first so 1 - n' i stays well away from 0
-        n_ref = conjugate_by(unit_j, n)
-        gamma = unit_j * (one - n_ref * unit_i)
-    if not gamma.is_exact():
-        gamma = gamma / gamma.norm()
-    return gamma
-
-
 @dataclass(frozen=True)
 class QuatSolution:
-    """Witness pair for p(ab) - p(ba) = v, with the scalar root used."""
+    """Witness pair for p(ab) - p(ba) = v, with the scalar root used, the
+    difference d = p(ab) - p(ba) and residual = |d - v|, as checked."""
 
     a: Quaternion
     b: Quaternion
     t: float
     residual: float
+    difference: Quaternion
 
 
 @dataclass(frozen=True)
@@ -316,20 +280,25 @@ def solve_poly_commutator(p: Polynomial, v: Quaternion, tol: float = 1e-8) -> Qu
     (2 t h(t^2)) v/|v| = v.  The residual is checked against
     tol * (1 + |v|) before returning.
     """
-    if p.is_constant():
-        raise ValueError("constant polynomial cannot reach a nonzero target")
     vf = v.to_float()
     vnorm = vf.norm()
     if abs(vf.w) > 1e-12 * (1.0 + vnorm):
         raise ValueError("target must be purely imaginary")
-    vf = vf.im()
-    if vf.is_zero():
+    return _solve_imaginary(p, vf.im(), vnorm, tol)
+
+
+def _solve_imaginary(p: Polynomial, v: Quaternion, vnorm: float, tol: float) -> QuatSolution:
+    """solve_poly_commutator for a float imaginary v whose magnitude vnorm
+    the caller knows; the scalar equation is solved at vnorm."""
+    if p.is_constant():
+        raise ValueError("constant polynomial cannot reach a nonzero target")
+    if v.is_zero():
         zero = Quaternion.of_floats()
-        return QuatSolution(zero, zero, 0.0, 0.0)
+        return QuatSolution(zero, zero, 0.0, 0.0, zero)
 
     factor = derive_odd_factor(p)
     t = solve_odd_equation(factor, vnorm)
-    w = vf * (t / vnorm)
+    w = v * (t / vnorm)
 
     if factor.case is OddCase.HAS_ODD_TERM:
         b = _orthogonal_imaginary(w)
@@ -338,40 +307,38 @@ def solve_poly_commutator(p: Polynomial, v: Quaternion, tol: float = 1e-8) -> Qu
         b = negating_conjugator(w)
         a = (1.0 + w) * b.inverse()
 
-    residual = (poly_commutator(p, a, b) - vf).norm()
+    d = poly_commutator(p, a, b)
+    residual = (d - v).norm()
     if residual > tol * (1.0 + vnorm):
         raise VerificationError(
             f"solver residual {residual:.3e} exceeds {tol:.1e} * (1 + |v|)"
         )
-    return QuatSolution(a, b, t, residual)
+    return QuatSolution(a, b, t, residual, d)
 
 
 def factor_into_two_commutators(p: Polynomial, alpha: Quaternion, tol: float = 1e-8):
     """Two pairs whose differences multiply to alpha.
 
-    With a1 = Re(alpha) and N = |Im(alpha)|, the canonical form satisfies
-    a1 + N i = j (-a1 j + N k), and both j and -a1 j + N k are purely
-    imaginary, so each is a p-difference.  Conjugating the witness pairs by
-    gamma (which maps the canonical form back to alpha) keeps them
-    witnesses, since gamma p(ab)-p(ba) gamma^-1 = the same expression in
-    the conjugated pair.  Returns the QuatFactorization, its residual
-    checked against tol * (1 + |alpha|).
+    Take u a unit imaginary quaternion orthogonal to Im(alpha) (j when alpha
+    is real).  Then u^2 = -1, so alpha = u (-u alpha), and -u alpha is
+    purely imaginary: its real part is u . Im(alpha) = 0.  Each factor is
+    therefore a p-difference, solved at its known magnitude, 1 for u and
+    |alpha| for -u alpha.  The differences the solver checked are the
+    factors.  Returns the QuatFactorization, its residual checked against
+    tol * (1 + |alpha|).
     """
     af = alpha.to_float()
-    gamma = complexifying_conjugator(af)
-    targets = (QJ.to_float(), Quaternion.of_floats(0.0, 0.0, -af.w, af.im().norm()))
-    pairs = []
-    for target in targets:
-        sol = solve_poly_commutator(p, target, tol)
-        pairs.append((conjugate_by(gamma, sol.a), conjugate_by(gamma, sol.b)))
-
-    d1, d2 = (poly_commutator(p, a, b) for a, b in pairs)
+    im = af.im()
+    u = QJ.to_float() if im.is_zero() else _orthogonal_imaginary(im)
+    first = _solve_imaginary(p, u, 1.0, tol)
+    second = _solve_imaginary(p, (-(u * af)).im(), af.norm(), tol)
+    d1, d2 = first.difference, second.difference
     residual = (d1 * d2 - af).norm()
     if residual > tol * (1.0 + af.norm()):
         raise VerificationError(
             f"two-factor residual {residual:.3e} exceeds {tol:.1e} * (1 + |alpha|)"
         )
-    return QuatFactorization(tuple(pairs), (d1, d2), residual)
+    return QuatFactorization(((first.a, first.b), (second.a, second.b)), (d1, d2), residual)
 
 
 _POWER_GAP_CANDIDATES = (

@@ -140,12 +140,12 @@ def test_factor_quat(capsys):
     [
         # alpha = 0: the second target is zero and its pair stays zero
         ("df35e481c32659de2d49d583a1f243ba0937bca60b1d1939ac2bd79fbf2f0d5a", "[0,0,0,0]"),
-        # a real alpha needs no conjugator
+        # a real alpha splits along u = j
         ("638e213a33f58c592602eeaea2cd695415eb28a60cc64343eb363c15848862eb", "[2,0,0,0]"),
-        # Im(alpha) along +i: the conjugator is 1
+        # Im(alpha) along +i: u = j, the first axis orthogonal to i
         ("6b70004a3a391be4633b4c97409ffbb0508e68fd225a8db75d7e5dd6a3b5109c", "[1,3,0,0]"),
-        # Im(alpha) along -i: the conjugator reflects across the i axis first
-        ("af4cdd7293e228b32ac38a84464a29e741362fc2d89b4a5f78be19cb03cd4250", "[0.5,-2,0,0]"),
+        # Im(alpha) along -i: u = j again, so the second factor is Im(-j alpha)
+        ("65ed7211e4b01313e22fd3fb999a983bbc67c24bbc2107f514687edb249d5e20", "[0.5,-2,0,0]"),
     ],
     ids=["zero", "real", "plus-i", "minus-i"],
 )
@@ -153,6 +153,27 @@ def test_factor_quat_output_is_pinned(capsys, digest, alpha):
     code, out, err = run_cli(capsys, "factor-quat", "--poly", "0,1,0,2", "--input", alpha)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("target", ["[0,1,0,0]", "[0,3,0,0]", "[0,3,1e-9,0]", "[0,1e40,0,0]"])
+def test_solve_quat_target_near_an_axis(capsys, target):
+    # the Gram-Schmidt remainder of i against a target (nearly) along i is
+    # rounding noise; taken as b, it left ab = ba and a residual of about |v|
+    code, doc = run_json(capsys, "solve-quat", "--poly", "0,1,0,1", "--input", target)
+    assert code == 0 and doc["verified"] is True
+    v = Quaternion.of_floats(*json.loads(target))
+    assert doc["residual"] <= 1e-8 * (1.0 + v.norm())
+
+
+@pytest.mark.parametrize("alpha", ["[2,49,0,0]", "[0.5,-2,0,0]", "[-4,0,0,0]", "[0,0,0,0]"])
+def test_factor_quat_splits_off_an_orthogonal_axis(capsys, alpha):
+    # u is orthogonal to Im(alpha) even when Im(alpha) lies along i, the first
+    # axis tried, so the printed factors multiply back to alpha
+    code, doc = run_json(capsys, "factor-quat", "--poly", "0,1,0,1", "--input", alpha)
+    assert code == 0 and doc["verified"] is True
+    target = Quaternion.of_floats(*json.loads(alpha))
+    d1, d2 = (Quaternion.of_floats(*d) for d in doc["factors"])
+    assert doc["residual"] == (d1 * d2 - target).norm() <= 1e-8 * (1.0 + target.norm())
 
 
 def test_realize_matrix_matches_library(capsys):

@@ -481,16 +481,16 @@ TELESCOPE_PRODUCTS = [
     (Polynomial([3]), 2),
     (X, 2),
     (Polynomial([0, 1, 1]), 6),
-    (Polynomial([1, 2, 3, 4]), 11),
-    (Polynomial([0, 1, 0, 0, 0, 1]), 21),
+    (Polynomial([1, 2, 3, 4]), 10),
+    (Polynomial([0, 1, 0, 0, 0, 1]), 18),
 ]
 
 
 @pytest.mark.parametrize("ring", [QQ, HQ, CC], ids=lambda ring: ring.name)
 @pytest.mark.parametrize("p, expected", TELESCOPE_PRODUCTS, ids=lambda v: str(v))
-def test_telescoping_makes_max_2_5d_minus_4_products(monkeypatch, ring, p, expected):
+def test_telescoping_makes_max_2_4d_minus_2_products(monkeypatch, ring, p, expected):
     # ab and ba, the d - 1 Horner products on each side, then per step i >= 2
-    # t_{i-1} (ba), (ab)^(i-1) (ab - ba) and, from i = 3, the running power
+    # u_i = (ab) u_{i-1} and t_{i-1} (ba)
     a = GenericMatrix.from_rows(ring, [[1, 2, 0], [0, 1, 3], [2, 0, 1]])
     b = GenericMatrix.from_rows(ring, [[0, 1, 1], [1, 0, 2], [3, 1, 0]])
     products = []
@@ -503,7 +503,7 @@ def test_telescoping_makes_max_2_5d_minus_4_products(monkeypatch, ring, p, expec
     monkeypatch.setattr(GenericMatrix, "__mul__", counting)
     report = telescoping_expand(p, a, b)
     assert report.equal
-    assert len(products) == expected == max(2, 5 * p.degree - 4)
+    assert len(products) == expected == max(2, 4 * p.degree - 2)
 
 
 def test_deviation_and_magnitude():

@@ -631,6 +631,19 @@ def test_numrad_bound_degree_one_ratio():
     assert report.satisfied
 
 
+@pytest.mark.parametrize(
+    "coeffs, rhs", [([0, 1, 1], 18.0), ([0, 1, 1, 1], 114.0), ([1, -2, 0.5], 12.0)]
+)
+def test_numrad_bound_reads_its_closed_form(coeffs, rhs):
+    """A = diag(2, 0), B = E12 have w(A) = 2, w(B) = 1/2 and [A, B] = 2 E12,
+    so w([A, B]) = 1 and the rhs is sum |c_k| k 2^(2k-1): 2 + 16 for x + x^2,
+    where halving the k >= 2 terms reads 10.  AB is nilpotent and BA = 0,
+    so the lhs is w(2 c_1 E12) = |c_1|."""
+    report = check_numrad_bound(coeffs, np.diag([2.0, 0.0]), E12)
+    assert abs(report.rhs - rhs) <= 1e-12 * rhs
+    assert abs(report.lhs - abs(coeffs[1])) <= 1e-12 * abs(coeffs[1])
+
+
 def test_numrad_bound_sweep():
     gen = np_stream(SEED, "numrad-sweep")
     rng = np_stream(SEED, "numrad-poly")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from polycomm import quat
 from polycomm.poly import OddCase, Polynomial, derive_odd_factor, eval_poly
 from polycomm.quat import (
     ONE,
@@ -11,7 +12,7 @@ from polycomm.quat import (
     QK,
     Quaternion,
     VerificationError,
-    complexifying_conjugator,
+    _orthogonal_imaginary,
     conjugate_by,
     factor_into_two_commutators,
     negating_conjugator,
@@ -162,56 +163,6 @@ def test_negating_conjugator_rejects_bad_input():
         negating_conjugator(Quaternion.exact())
 
 
-def test_complexifying_conjugator_frozen_exact():
-    alpha = Quaternion.exact(2, 0, 3, 4)
-    gamma = complexifying_conjugator(alpha)
-    assert gamma.is_exact()
-    assert conjugate_by(gamma.inverse(), alpha) == Quaternion.exact(2, 5)
-    assert conjugate_by(gamma, Quaternion.exact(2, 5)) == alpha
-
-
-def test_complexifying_conjugator_trivial_cases():
-    assert complexifying_conjugator(Quaternion.exact(7)) == ONE
-    assert complexifying_conjugator(Quaternion.exact(1, 3)) == ONE
-    gamma = complexifying_conjugator(ONE + QJ)
-    assert gamma == ONE + QK
-    assert conjugate_by(gamma, ONE + QI) == ONE + QJ
-
-
-def test_complexifying_conjugator_reflected_branch():
-    # axis close to -i, where 1 - n i degenerates; exactly -i lands on 2j
-    gamma = complexifying_conjugator(-QI)
-    assert conjugate_by(gamma.inverse(), -QI) == QI
-    alpha = Quaternion.of_floats(0.5, -1.0, 0.1, 0.0)
-    gamma = complexifying_conjugator(alpha)
-    assert abs(gamma.norm() - 1.0) <= 1e-12
-    mapped = conjugate_by(gamma.inverse(), alpha)
-    expected = Quaternion.of_floats(0.5, alpha.im().norm(), 0.0, 0.0)
-    assert mapped.approx_eq(expected, 1e-12)
-
-
-def test_complexifying_conjugator_exact_needs_rational_norm():
-    with pytest.raises(ValueError, match="float backend"):
-        complexifying_conjugator(ONE + QI + QJ)
-    gamma = complexifying_conjugator((ONE + QI + QJ).to_float())
-    assert abs(gamma.norm() - 1.0) <= 1e-12
-
-
-def test_complexifying_conjugator_float_sweep():
-    r = stream(SEED, "complexify")
-    for _ in range(200):
-        alpha = Quaternion.of_floats(
-            r.uniform(-2, 2), r.uniform(-2, 2), r.uniform(-2, 2), r.uniform(-2, 2)
-        )
-        if alpha.im().norm() < 1e-6:
-            continue
-        gamma = complexifying_conjugator(alpha)
-        assert abs(gamma.norm() - 1.0) <= 1e-12
-        mapped = conjugate_by(gamma.inverse(), alpha)
-        expected = Quaternion.of_floats(alpha.re(), alpha.im().norm(), 0.0, 0.0)
-        assert mapped.approx_eq(expected, 1e-10 * (1.0 + alpha.norm()))
-
-
 def test_even_only_shift_identity_exact():
     """p(1 + w) - p(1 - w) = 2 h(|w|^2) w for even p, exactly over the
     rationals."""
@@ -333,6 +284,29 @@ def test_factor_sweep():
         # the factorization carries the values its own check compared
         assert fac.factors == tuple(poly_commutator(p, a, b) for a, b in pairs)
         assert fac.residual == (fac.factors[0] * fac.factors[1] - alpha).norm()
+
+
+def test_factor_evaluates_each_difference_once(monkeypatch):
+    # the factors are the differences the two solves checked
+    calls = []
+    evaluate = quat.poly_commutator
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(quat, "poly_commutator", counting)
+    fac = factor_into_two_commutators(Polynomial([0, 1, 0, 1]), Quaternion.of_floats(1, 2, 3, 4))
+    assert len(calls) == 2
+    assert fac.factors == tuple(evaluate(*args) for args in calls)
+
+
+def test_orthogonal_axis_skips_a_nearly_parallel_remainder():
+    # i minus its projection on 49 i is rounding noise, not a direction
+    assert _orthogonal_imaginary(Quaternion.of_floats(0, 49, 0, 0)) == QJ.to_float()
+    w = Quaternion.of_floats(0, 3, 1e-9, 0)
+    u = _orthogonal_imaginary(w)
+    assert abs(u.dot(w)) <= 1e-15 and u.y == 1.0
 
 
 def test_factor_negative_real():
