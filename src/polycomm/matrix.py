@@ -10,8 +10,8 @@ solves chi(m), fraction-free on the exact rings and in numpy on the
 float ones.
 
 A base-field scalar c acts centrally: c * m scales every entry and m + c
-adds c to the diagonal, so poly.eval_poly and poly.poly_commutator serve
-matrices too.
+adds c to the diagonal, so poly.eval_poly, poly.poly_commutator and
+poly.poly_difference serve matrices too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, eval_poly, poly_commutator  # noqa: F401
+from .poly import Polynomial, eval_poly, poly_commutator, poly_difference  # noqa: F401
 from .quat import Quaternion
 
 
@@ -430,25 +430,17 @@ def telescoping_expand(
 ) -> TelescopeReport:
     """Compare p(ab) - p(ba) against its telescoped form.
 
-    X^i - Y^i = sum_k X^k (X - Y) Y^(i-1-k) at X = ab, Y = ba gives
-    p(ab) - p(ba) = sum_i c_i t_i, a sum of multiples of the additive
-    commutator, where t_1 = u_1 = ab - ba, u_i = (ab) u_{i-1} and
-    t_i = t_{i-1} (ba) + u_i.  The left side is Horner's rule at ab and at
-    ba; that makes max(2, 4d - 2) matrix products at degree d.  Equal
-    means exact entrywise equality on exact backends and deviation
-    <= tol * (1 + max |lhs|) on float backends.
+    The right side is poly_difference(p, ab, ba), the sum of multiples of
+    the additive commutator ab - ba.  The left side is Horner's rule at ab
+    and at ba for p - c_0, as c_0 cancels exactly in p(ab) - p(ba) and in a
+    float ring would only round the rest away.  That makes max(2, 4d - 2)
+    matrix products at degree d.  Equal means exact entrywise equality on
+    exact backends and deviation <= tol * (1 + max |lhs|) on float backends.
     """
-    ab = a * b
-    ba = b * a
-    rhs = GenericMatrix.zeros(a.ring, a.n)
-    term = step = ab - ba
-    for i in range(1, p.degree + 1):
-        if i > 1:
-            step = ab * step
-            term = term * ba + step
-        if p.coeffs[i] != 0:
-            rhs = rhs + p.coeffs[i] * term
-    lhs = eval_poly(p, ab) - eval_poly(p, ba)
+    ab, ba = a * b, b * a
+    rhs = poly_difference(p, ab, ba)
+    shifted = Polynomial((0,) + p.coeffs[1:])
+    lhs = eval_poly(shifted, ab) - eval_poly(shifted, ba)
     deviation = lhs.max_deviation(rhs)
     if a.ring.exact:
         equal = lhs == rhs

@@ -10,8 +10,8 @@ not just a verdict.  The operator norm is LAPACK's SVD; the numerical radius
 is a 32-direction eigenvalue grid refined by Newton steps and certified within
 1e-12 relative by a level-set test.  Both map a (k, n, n) stack to k values,
 as numpy.linalg does, and each checker passes its matrices in one stack.
-p(AB) - p(BA) itself is eval_poly, the evaluator every other ring uses, on
-the products AB and BA as CC matrices; a checker forms each product once.
+p(AB) - p(BA) is poly_difference on AB and BA as CC matrices, the sum of
+multiples of [A, B] the bounds are derived from; a checker forms each product once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .matrix import CC, GenericMatrix
-from .poly import Polynomial, eval_poly
+from .poly import Polynomial, poly_difference
 from .sampling import complex_gaussian_matrix, np_stream
 
 _REL_SLACK = 1e-10
@@ -64,17 +64,12 @@ def _stacked(a: MatrixLike) -> tuple[np.ndarray, bool]:
     return as_complex_array(a)[None], True
 
 
-def _coeffs(p) -> list:
-    if isinstance(p, Polynomial):
-        return [complex(float(c)) for c in p.coeffs]
-    return [complex(c) for c in p]
-
-
-def _nonconstant_coeffs(p) -> list:
-    cs = _coeffs(p)
-    if len(cs) < 2 or all(c == 0 for c in cs[1:]):
+def _polynomial(p, nonconstant: bool = False) -> Polynomial:
+    """p (a Polynomial or coefficients, constant first) as a trimmed complex Polynomial."""
+    p = Polynomial([complex(c) for c in (p.coeffs if isinstance(p, Polynomial) else p)])
+    if nonconstant and p.is_constant():
         raise ValueError("the bound needs a nonconstant polynomial")
-    return cs
+    return p
 
 
 def frobenius_norm(a: MatrixLike) -> float:
@@ -98,20 +93,17 @@ def commutator_array(a: MatrixLike, b: MatrixLike) -> np.ndarray:
 
 
 def poly_commutator_array(p, a: MatrixLike, b: MatrixLike) -> np.ndarray:
-    """p(AB) - p(BA) as a complex ndarray, by poly.eval_poly on AB and BA as
-    CC matrices.  p is a Polynomial or a coefficient list, constant first."""
+    """p(AB) - p(BA) as a complex ndarray, by poly.poly_difference on AB and BA
+    as CC matrices.  p is a Polynomial or a coefficient list, constant first."""
     x, y = as_complex_array(a), as_complex_array(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _poly_commutator(p, x @ y, y @ x)
+        return _poly_commutator(_polynomial(p), x @ y, y @ x)
 
 
-def _poly_commutator(p, xy: np.ndarray, yx: np.ndarray) -> np.ndarray:
-    """p(XY) - p(YX) from the products XY and YX, which the caller holds."""
+def _poly_commutator(p: Polynomial, xy: np.ndarray, yx: np.ndarray) -> np.ndarray:
+    """p(XY) - p(YX) from the caller's products XY and YX, under its np.errstate."""
     xy, yx = (GenericMatrix._of_parts(CC, m[None]) for m in (xy, yx))
-    if not isinstance(p, Polynomial):
-        p = Polynomial(p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (eval_poly(p, xy) - eval_poly(p, yx)).component_form()[0][0]
+    out = poly_difference(p, xy, yx).component_form()[0][0]
     if not np.isfinite(out).all():
         raise ValueError(
             "p(AB) - p(BA) exceeds the double range (about 1.8e308); scale the"
@@ -336,10 +328,9 @@ def check_bottcher_wenzel(a: MatrixLike, b: MatrixLike) -> BoundReport:
 def _weight_sum(p, fa: float, fb: float, base: float) -> float:
     """sum |c_k| k base^(2k-1) fa^(k-1) fb^(k-1): the growth factor of the
     bounds, base 1 for the Frobenius forms and 2 for the numerical radius."""
-    cs = _coeffs(p)
     total = 0.0
-    for k in range(1, len(cs)):
-        total += abs(cs[k]) * k * base ** (2 * k - 1) * fa ** (k - 1) * fb ** (k - 1)
+    for k, c in enumerate(p.coeffs[1:], 1):
+        total += abs(c) * k * base ** (2 * k - 1) * fa ** (k - 1) * fb ** (k - 1)
     return total
 
 
@@ -354,24 +345,24 @@ def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
 
     Follows from the telescoped expansion plus submultiplicativity of the
     Frobenius norm."""
-    cs = _nonconstant_coeffs(p)
+    p = _polynomial(p, nonconstant=True)
     x, y = as_complex_array(a), as_complex_array(b)
     xy, yx = x @ y, y @ x
     lhs = _frobenius(_poly_commutator(p, xy, yx))
     rhs = _frobenius(_checked(xy - yx)) * _weight_sum(p, _frobenius(x), _frobenius(y), 1.0)
-    return _report(lhs, rhs, x.shape[0], len(cs) - 1)
+    return _report(lhs, rhs, x.shape[0], p.degree)
 
 
 @_in_double_range
 def check_numrad_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     """Numerical-radius analogue with the power-inequality growth factor:
     h(p(AB)-p(BA)) <= h([A,B]) * sum |c_k| k 4^k / 2 * h(A)^(k-1) h(B)^(k-1)."""
-    cs = _nonconstant_coeffs(p)
+    p = _polynomial(p, nonconstant=True)
     x, y = as_complex_array(a), as_complex_array(b)
     xy, yx = x @ y, y @ x
     radii = numerical_radius(np.stack([x, y, _poly_commutator(p, xy, yx), xy - yx]))
     wx, wy, lhs, wc = radii.tolist()
-    return _report(lhs, wc * _weight_sum(p, wx, wy, 2.0), x.shape[0], len(cs) - 1)
+    return _report(lhs, wc * _weight_sum(p, wx, wy, 2.0), x.shape[0], p.degree)
 
 
 @dataclass(frozen=True)
@@ -462,13 +453,13 @@ def check_average_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     tr([A,B]* [A,B]), Hutchinson 1990), so nothing is sampled.  The bound is
     an equality for degree-one p.
     """
-    cs = _nonconstant_coeffs(p)
+    p = _polynomial(p, nonconstant=True)
     x, y = as_complex_array(a), as_complex_array(b)
     xy, yx = x @ y, y @ x
     total = _weight_sum(p, *operator_norm(np.stack([x, y])).tolist(), 1.0)
     lhs = _frobenius(_poly_commutator(p, xy, yx)) ** 2
     rhs = _frobenius(_checked(xy - yx)) ** 2 * total**2
-    return _report(lhs, rhs, x.shape[0], len(cs) - 1)
+    return _report(lhs, rhs, x.shape[0], p.degree)
 
 
 @dataclass(frozen=True)
@@ -484,7 +475,7 @@ class ConstantEstimate:
 def constant_sweep_rows(p, n: int, trials: int, seed: int = 0):
     """Per-trial rows behind empirical_constant (also used by the CLI)."""
     gen = np_stream(seed, "constants")
-    degree = len(_coeffs(p)) - 1
+    p = _polynomial(p)
     for trial in range(trials):
         a = complex_gaussian_matrix(gen, n)
         b = complex_gaussian_matrix(gen, n)
@@ -494,7 +485,7 @@ def constant_sweep_rows(p, n: int, trials: int, seed: int = 0):
         row = {
             "trial": trial,
             "n": n,
-            "degree": degree,
+            "degree": p.degree,
             "lhs": lhs,
             "rhs": rhs,
             "ratio": lhs / rhs if rhs > 0 else math.inf,

@@ -1,5 +1,5 @@
 """Polynomials over exact rational or float scalars, and their evaluation
-(p(x) and p(ab) - p(ba)) on every ring that takes those scalars centrally.
+(p(x), p(ab) - p(ba), p(x) - p(y)) on every ring taking them centrally.
 
 Also houses the odd-part reduction used by the quaternion solver: for a
 nonconstant real polynomial p and a purely imaginary quaternion w, the
@@ -101,8 +101,25 @@ def eval_poly(p: Polynomial, x):
 
 
 def poly_commutator(p: Polynomial, a, b):
-    """p(ab) - p(ba) over any ring eval_poly serves."""
+    """p(ab) - p(ba) over any ring eval_poly serves, as the witnesses define it."""
     return eval_poly(p, a * b) - eval_poly(p, b * a)
+
+
+def poly_difference(p: Polynomial, x, y):
+    """p(x) - p(y) over any ring eval_poly serves, as sum_i c_i t_i over i >= 1
+    with t_i = x^i - y^i telescoped: t_1 = u_1 = x - y, u_i = x u_(i-1) and
+    t_i = t_(i-1) y + u_i, 2 (d - 1) products at degree d.  Every term is a
+    multiple of x - y, so c_0 never enters and no large Horner partial sum
+    cancels; a constant p gives 0, +0.0 in every float entry."""
+    term = step = x - y
+    out = term - term
+    for i, c in enumerate(p.coeffs[1:], 1):
+        if i > 1:
+            step = x * step
+            term = term * y + step
+        if c != 0:
+            out = out + c * term
+    return out
 
 
 class OddCase(Enum):

@@ -445,6 +445,29 @@ def test_verify_telescope_rings(capsys):
     assert 0.0 <= doc["max_entry_deviation"] <= 1e-10
 
 
+@pytest.mark.parametrize("constant", ["1e8", "1e16", "1e300"])
+def test_degree_one_bounds_are_equalities_for_any_constant(capsys, constant):
+    # p(AB) - p(BA) = [A, B] exactly for p = c + x; a large c used to leave
+    # Horner's rounding in the difference and fail the equality
+    code, doc = run_json(
+        capsys, "verify-bounds", "--poly", f"{constant},1", "--n", "3", "--trials", "5"
+    )
+    assert code == 0 and doc["all_satisfied"] is True
+    ratios = [r["ratio"] for r in doc["checks"] if r["check"] in ("frobenius", "sphere-average")]
+    assert ratios == [1.0] * 10
+
+
+def test_verify_telescope_leaves_out_a_large_constant(capsys):
+    # c0 = 1e20 cancels exactly in p(AB) - p(BA); on the direct side it
+    # rounded [A, B] away (deviation 0.31)
+    code, doc = run_json(
+        capsys, "verify-telescope", "--poly", "1e20,1", "--ring", "complex",
+        "--n", "2", "--trials", "1",
+    )
+    assert code == 0 and doc["all_equal"] is True
+    assert doc["max_entry_deviation"] <= 1e-15
+
+
 def test_verify_telescope_float_poly_needs_float_ring(capsys):
     code, out, err = run_cli(
         capsys, "verify-telescope", "--poly", "0,0.5", "--ring", "rational"

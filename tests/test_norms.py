@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycomm import norms
+from polycomm import norms, poly
 from polycomm.cli import main
 from polycomm.matrix import CC, HQ, QQ, GenericMatrix
 from polycomm.norms import (
@@ -104,23 +104,22 @@ def test_poly_commutator_array_matches_direct():
 
 
 def reference_poly_commutator_array(p, a, b):
-    """p(AB) - p(BA) by a Horner loop on ndarrays: c_d I, then acc @ M + c I
-    for each lower coefficient c, with the double-range check of
-    poly_commutator_array."""
+    """p(AB) - p(BA) by the telescoped recurrence on ndarrays: with X = AB,
+    Y = BA, t_1 = u_1 = X - Y, u_i = X u_(i-1) and t_i = t_(i-1) Y + u_i, the
+    sum of c_i t_i over the nonzero c_i, i >= 1, from a zero start, with the
+    double-range check of poly_commutator_array."""
     x, y = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
-    if isinstance(p, Polynomial):
-        cs = [complex(float(c)) for c in p.coeffs]
-    else:
-        cs = [complex(c) for c in p]
-
-    def horner(m):
-        acc = cs[-1] * np.eye(m.shape[0], dtype=np.complex128)
-        for c in reversed(cs[:-1]):
-            acc = acc @ m + c * np.eye(m.shape[0], dtype=np.complex128)
-        return acc
-
+    cs = [complex(c) for c in (p.coeffs if isinstance(p, Polynomial) else p)]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = horner(x @ y) - horner(y @ x)
+        xy, yx = x @ y, y @ x
+        out = np.zeros_like(xy)
+        term = step = xy - yx
+        for i, c in enumerate(cs[1:], 1):
+            if i > 1:
+                step = xy @ step
+                term = term @ yx + step
+            if c != 0:
+                out = out + c * term
     if not np.isfinite(out).all():
         raise ValueError("double range")
     return out
@@ -141,7 +140,7 @@ COEFFICIENT = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
     exponent=st.integers(-520, 520),
     seed=st.integers(0, 2**16),
 )
-def test_poly_commutator_array_matches_the_ndarray_horner(
+def test_poly_commutator_array_matches_the_ndarray_recurrence(
     n, coeffs, kind, denominator, exponent, seed
 ):
     if kind == "fraction":
@@ -162,6 +161,66 @@ def test_poly_commutator_array_matches_the_ndarray_horner(
                 poly_commutator_array(p, a, b)
         else:
             assert np.array_equal(poly_commutator_array(p, a, b), expected)
+
+
+def exact_poly_commutator(p, a, b):
+    """p(AB) - p(BA) in Fractions for complex matrices of dyadic parts, through
+    the real 2n x 2n image [[Re, -Im], [Im, Re]] of each over QQ."""
+    n = len(a)
+
+    def image(m):
+        m = np.asarray(m, dtype=np.complex128)
+        rows = np.block([[m.real, -m.imag], [m.imag, m.real]]).tolist()
+        return GenericMatrix.from_rows(QQ, [[Fraction(v) for v in row] for row in rows])
+
+    d = poly.poly_commutator(Polynomial.exact(p), image(a), image(b))
+    return np.array([[complex(d[i, j], d[i + n, j]) for j in range(n)] for i in range(n)])
+
+
+# parts k / 4 with |k| <= 8 keep every product and sum of a degree-3 p at
+# n <= 3 exact in doubles, so the float result must be the exact one; a
+# constant term up to 1e300 would swamp a Horner value of the same floats
+DYADIC = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    c0=st.sampled_from([0.0, 5.0, 2.0**60, 1e20, 1e300]),
+    coeffs=st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_poly_commutator_array_is_exact_on_dyadic_inputs(n, c0, coeffs, data):
+    a, b = (
+        np.array(data.draw(st.lists(DYADIC, min_size=n * n, max_size=n * n))).reshape(n, n)
+        + 1j * np.array(data.draw(st.lists(DYADIC, min_size=n * n, max_size=n * n))).reshape(n, n)
+        for _ in range(2)
+    )
+    p = [c0, *coeffs]
+    assert np.array_equal(poly_commutator_array(p, a, b), exact_poly_commutator(p, a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    c0=COEFFICIENT,
+    coeffs=st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_poly_commutator_array_does_not_read_the_constant_term(n, c0, coeffs, seed):
+    a, b = gaussian_pair(np_stream(seed, "constant-term"), n)
+    assert np.array_equal(
+        poly_commutator_array([c0, *coeffs], a, b), poly_commutator_array([0.0, *coeffs], a, b)
+    )
+
+
+def test_commuting_one_by_one_inputs_give_zero():
+    # Horner's values of x^3 overflow at 1e120 and their difference was nan
+    a, b = [[1e120]], [[1.0 + 1j]]
+    for p in ([0, 0, 0, 1], [1e300, 2, 0, 1]):
+        assert np.array_equal(poly_commutator_array(p, a, b), np.zeros((1, 1)))
+    report = check_frobenius_bound([0, 1, 1], a, b)
+    assert report.lhs == 0.0 and report.satisfied
 
 
 def reference_complex_rows(m):
@@ -924,9 +983,43 @@ def test_average_bound_is_sharp_on_near_scalar_pairs(n, coeffs):
     assert 0.99 <= report.ratio <= 1.0 + 1e-10
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize("coeffs", [[0, 1, 1], [0, 1, 1, 1], [1, 2, 0, 0, 3]])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bounds_hold_on_near_scalar_pairs_down_to_eps_1e_8(n, coeffs, eps):
+    """Near A = B = I, AB and BA round by about as much as [A, B] itself; the
+    left sides are sums of multiples of the computed [A, B], as the right
+    sides are, so every check holds and the sphere average stays sharp."""
+    gen = np_stream(SEED, f"near-scalar-{n}-{coeffs}-{eps}")
+    e, f = gaussian_pair(gen, n)
+    a, b = np.eye(n) + eps * e, np.eye(n) + eps * f
+    checks = (check_frobenius_bound, check_numrad_bound, check_average_bound)
+    reports = [check(coeffs, a, b) for check in checks]
+    assert all(r.satisfied and r.ratio <= 1.0 + 1e-10 for r in reports), reports
+    assert reports[2].ratio >= 0.99
+
+
+def test_average_bound_near_scalar_repro():
+    # ROADMAP item 2: the exact ratio of these floats, in Fractions, is
+    # 0.99999998; the difference of two Horner values read 1.085
+    g = np.random.default_rng(0)
+    e, f = (g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2)) for _ in range(2))
+    report = check_average_bound([0, 1, 1], np.eye(2) + 1e-8 * e, np.eye(2) + 1e-8 * f)
+    assert report.satisfied and abs(report.ratio - 0.99999998) <= 1e-8
+
+
 def test_average_bound_rejects_constant():
     with pytest.raises(ValueError):
         check_average_bound([1], E12, E21)
+
+
+def test_degree_is_that_of_the_trimmed_polynomial():
+    a, b = gaussian_pair(np_stream(SEED, "trimmed"), 2)
+    for check in (check_frobenius_bound, check_numrad_bound, check_average_bound):
+        assert check([0, 1, 0], a, b).degree == 1
+        with pytest.raises(ValueError, match="nonconstant"):
+            check([2, 0, 0], a, b)
+    assert [row["degree"] for row in constant_sweep_rows([0, 1, 0], 2, 2)] == [1, 1]
 
 
 def test_constant_sweep_rows_shape():
