@@ -1,6 +1,8 @@
 """Polynomial commutators p(ab) - p(ba): witness constructions over
 quaternions and matrices, plus norm bounds for the complex case."""
 
+from types import ModuleType as _ModuleType
+
 from .matrix import (
     CC,
     HF,
@@ -45,10 +47,8 @@ from .quat import (
     QuatSolution,
     Quaternion,
     VerificationError,
-    conjugate_by,
     factor_into_two_commutators,
     negating_conjugator,
-    power_gap_witness,
     solve_poly_commutator,
 )
 from .realize import (
@@ -80,69 +80,9 @@ from .serialize import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "BracketError",
-    "CC",
-    "ConstantEstimate",
-    "DecodeError",
-    "DegreeNotBoundedError",
-    "DegreeProbeResult",
-    "GenericMatrix",
-    "HF",
-    "HQ",
-    "OddCase",
-    "OddFactor",
-    "Polynomial",
-    "QI",
-    "QJ",
-    "QK",
-    "QQ",
-    "QuatFactorization",
-    "QuatSolution",
-    "Quaternion",
-    "RINGS",
-    "RealizationWitness",
-    "ScalarRing",
-    "SingularMatrixError",
-    "SphereEstimate",
-    "TelescopeReport",
-    "VerificationError",
-    "algebraic_degree_probe",
-    "algebraicity_polynomial",
-    "check_average_bound",
-    "check_bottcher_wenzel",
-    "check_frobenius_bound",
-    "check_numrad_bound",
-    "conjugate_by",
-    "decode_matrix",
-    "decode_polynomial",
-    "decode_quaternion",
-    "decode_witness",
-    "derive_odd_factor",
-    "dumps_canonical",
-    "empirical_constant",
-    "encode_matrix",
-    "encode_polynomial",
-    "encode_quaternion",
-    "encode_witness",
-    "eval_poly",
-    "factor_into_two_commutators",
-    "frobenius_norm",
-    "negating_conjugator",
-    "nonzero_trace_witness",
-    "numerical_radius",
-    "operator_norm",
-    "pick_distinct_preimages",
-    "poly_commutator",
-    "polynomial_from_text",
-    "power_gap_witness",
-    "realize_traceless",
-    "realize_zero_diagonal",
-    "solve_odd_equation",
-    "solve_poly_commutator",
-    "spherical_average",
-    "telescoping_expand",
-    "traceless_to_zero_diagonal",
-    "triangular_diagonalize",
-]
+# every public name bound above, submodules aside
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -116,8 +116,8 @@ _tolerance.__name__ = "float"  # argparse names the type in "invalid float value
 # the tests and benchmark use: --n 16 (float-verify's verify-bounds request in
 # bench/workloads.py), --samples 100000 (criterion 11's sphere average) and
 # --trials 500 (criterion 10's bound checks).  At the caps the sphere average
-# peaks near 53 MiB: the 8 * samples * n bytes of real parts it draws whole,
-# plus one 2048-row block (norms.spherical_average).
+# peaks near 52 MiB: the 8 * samples * n bytes of real parts it draws whole,
+# plus one row block of 2^15 / n^2 rows, at most 2048 (norms.spherical_average).
 MAX_N, MAX_SAMPLES, MAX_TRIALS = 32, 200_000, 1000
 
 

@@ -30,7 +30,7 @@ from .sampling import complex_gaussian_matrix, np_stream
 _REL_SLACK = 1e-10
 # numerical_radius's circle grid, its Newton windows and its level-set rounds
 _GRID_POINTS, _WINDOWS, _ROUNDS = 32, 3, 8
-_ROWS = 2048  # spherical_average's row block: its complex temporaries are _ROWS x n
+_ROWS = 2048  # spherical_average's largest row block (see _sphere_moments)
 
 
 MatrixLike = Union[GenericMatrix, np.ndarray, Sequence[Sequence]]
@@ -356,12 +356,17 @@ def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
 @_in_double_range
 def check_numrad_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     """Numerical-radius analogue with the power-inequality growth factor:
-    h(p(AB)-p(BA)) <= h([A,B]) * sum |c_k| k 4^k / 2 * h(A)^(k-1) h(B)^(k-1)."""
+    h(p(AB)-p(BA)) <= h([A,B]) * sum |c_k| k 4^k / 2 * h(A)^(k-1) h(B)^(k-1).
+
+    One numerical_radius stack holds A, B, p(AB)-p(BA) and [A,B]; a linear p
+    needs no h(A) or h(B), whose powers are all 0, so its stack is the last two."""
     p = _polynomial(p, nonconstant=True)
     x, y = as_complex_array(a), as_complex_array(b)
     xy, yx = x @ y, y @ x
-    radii = numerical_radius(np.stack([x, y, _poly_commutator(p, xy, yx), xy - yx]))
-    wx, wy, lhs, wc = radii.tolist()
+    stack = [x, y] if p.degree > 1 else []
+    radii = numerical_radius(np.stack(stack + [_poly_commutator(p, xy, yx), xy - yx]))
+    *factors, lhs, wc = radii.tolist()
+    wx, wy = factors or (1.0, 1.0)
     return _report(lhs, wc * _weight_sum(p, wx, wy, 2.0), x.shape[0], p.degree)
 
 
@@ -386,19 +391,22 @@ def _sphere_moments(arr: np.ndarray, samples: int, seed: int) -> tuple[float, fl
     """Mean and standard error of n ||A z||^2 / ||z||^2 over samples rows
     z = x + i y.  All of x is drawn first, then y block by block: the
     generator fills sequentially, so each block pairs the same rows of x and
-    y as drawing both whole would."""
+    y as drawing both whole would.  A block has min(_ROWS, 2^15 / n^2) rows:
+    its product with A^T then has fewer than 2^16 rows * n^2 multiplies,
+    below which OpenBLAS leaves its worker threads asleep."""
     n = arr.shape[0]
+    rows = min(_ROWS, 2**15 // n**2)
     gen = np_stream(seed, "sphere-average")
     x = gen.standard_normal((samples, n))
-    block = np.empty((min(samples, _ROWS), n), dtype=complex)
+    block = np.empty((min(samples, rows), n), dtype=complex)
     vals = np.empty(samples)
-    for start in range(0, samples, _ROWS):
+    for start in range(0, samples, rows):
         z = block[: samples - start]
-        z.real = x[start : start + _ROWS]
+        z.real = x[start : start + rows]
         z.imag = gen.standard_normal(z.shape)
         num = (np.abs(z @ arr.T) ** 2).sum(axis=1)
         den = (np.abs(z) ** 2).sum(axis=1)
-        vals[start : start + _ROWS] = n * (num / den)
+        vals[start : start + rows] = n * (num / den)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
@@ -411,8 +419,9 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
     sample and a zero standard error.
 
     The only samples x n array is the 8 * samples * n bytes of real parts
-    (see _sphere_moments), so a call peaks near 9.6 MiB at n = 16 and 64 000
-    samples and near 53 MiB at the CLI caps (n = 32, 200 000 samples).
+    (see _sphere_moments, whose row block shrinks as n grows), so a call peaks
+    near 8.8 MiB at n = 16 and 64 000 samples and near 52 MiB at the CLI caps
+    (n = 32, 200 000 samples).
 
     An A whose largest part is 1/2 or more is sampled as A / 2^e, the exact
     scaling numerical_radius uses, and the mean and standard error are

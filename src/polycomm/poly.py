@@ -110,7 +110,10 @@ def poly_difference(p: Polynomial, x, y):
     with t_i = x^i - y^i telescoped: t_1 = u_1 = x - y, u_i = x u_(i-1) and
     t_i = t_(i-1) y + u_i, 2 (d - 1) products at degree d.  Every term is a
     multiple of x - y, so c_0 never enters and no large Horner partial sum
-    cancels; a constant p gives 0, +0.0 in every float entry."""
+    cancels.  A constant p gives 0 * x**0 without reading x - y: the ring's
+    zero, +0.0 in every float entry, even where x - y is not finite."""
+    if p.is_constant():
+        return 0 * x**0
     term = step = x - y
     out = term - term
     for i, c in enumerate(p.coeffs[1:], 1):

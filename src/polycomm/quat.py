@@ -186,11 +186,6 @@ QJ = Quaternion.exact(0, 0, 1)
 QK = Quaternion.exact(0, 0, 0, 1)
 
 
-def conjugate_by(g: Quaternion, q: Quaternion) -> Quaternion:
-    """g q g^-1.  Preserves the real part for any nonzero g."""
-    return g * q * g.inverse()
-
-
 def _rational_sqrt(value: Fraction):
     """Exact square root of a nonnegative rational, or None."""
     value = Fraction(value)
@@ -309,7 +304,7 @@ def _solve_imaginary(p: Polynomial, v: Quaternion, vnorm: float, tol: float) -> 
 
     d = poly_commutator(p, a, b)
     residual = (d - v).norm()
-    if residual > tol * (1.0 + vnorm):
+    if not residual <= tol * (1.0 + vnorm):  # a nan residual fails too
         raise VerificationError(
             f"solver residual {residual:.3e} exceeds {tol:.1e} * (1 + |v|)"
         )
@@ -334,30 +329,9 @@ def factor_into_two_commutators(p: Polynomial, alpha: Quaternion, tol: float = 1
     second = _solve_imaginary(p, (-(u * af)).im(), af.norm(), tol)
     d1, d2 = first.difference, second.difference
     residual = (d1 * d2 - af).norm()
-    if residual > tol * (1.0 + af.norm()):
+    if not residual <= tol * (1.0 + af.norm()):
         raise VerificationError(
             f"two-factor residual {residual:.3e} exceeds {tol:.1e} * (1 + |alpha|)"
         )
     return QuatFactorization(((first.a, first.b), (second.a, second.b)), (d1, d2), residual)
 
-
-_POWER_GAP_CANDIDATES = (
-    (QI, QJ),
-    (QI, QI + QJ),
-    (ONE + QI, ONE + QJ),
-    (ONE + 2 * QI, ONE + 2 * QJ),
-)
-
-
-def power_gap_witness(n: int):
-    """First candidate pair (alpha, beta) with (alpha beta)^n != (beta alpha)^n.
-
-    Checked exactly; the last candidate has an imaginary angle that is an
-    irrational multiple of pi, so some pair succeeds for every n >= 1.
-    """
-    if n < 1:
-        raise ValueError("power must be at least 1")
-    for alpha, beta in _POWER_GAP_CANDIDATES:
-        if (alpha * beta) ** n != (beta * alpha) ** n:
-            return alpha, beta
-    raise VerificationError(f"no candidate separates powers at n = {n}")

@@ -176,6 +176,19 @@ def test_factor_quat_splits_off_an_orthogonal_axis(capsys, alpha):
     assert doc["residual"] == (d1 * d2 - target).norm() <= 1e-8 * (1.0 + target.norm())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("solve-quat", "--poly", "0,1,1e240", "--input", "[0,0,1e66,0]"),
+     ("factor-quat", "--poly", "1,-2,6e234", "--input", "[8e82,6e119,0,0]")],
+    ids=["solve", "factor"],
+)
+def test_a_nan_residual_is_a_failed_verification(capsys, argv):
+    # p(ab) - p(ba) reads inf - inf; the check refuses it rather than print nan
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "residual nan exceeds 1.0e-08" in err.splitlines()[-1]
+
+
 def test_realize_matrix_matches_library(capsys):
     code, doc = run_json(
         capsys,

@@ -163,6 +163,15 @@ def test_poly_commutator_array_matches_the_ndarray_recurrence(
             assert np.array_equal(poly_commutator_array(p, a, b), expected)
 
 
+
+@pytest.mark.parametrize(
+    "coeffs,a", [([0.0], [[2.0**514]]), ([3.0], np.diag([1e200, 1.0]))], ids=["zero", "three"]
+)
+def test_a_constant_p_gives_zero_past_the_double_range(coeffs, a):
+    # AB = BA overflow, so AB - BA is not finite; a constant p never reads it
+    out = poly_commutator_array(coeffs, a, a)
+    assert np.array_equal(out, np.zeros_like(out)) and not np.signbit(out.real).any()
+
 def exact_poly_commutator(p, a, b):
     """p(AB) - p(BA) in Fractions for complex matrices of dyadic parts, through
     the real 2n x 2n image [[Re, -Im], [Im, Re]] of each over QQ."""
@@ -496,15 +505,22 @@ def test_a_restart_leaves_the_rest_of_the_stack_alone(monkeypatch):
 
 
 def test_a_numrad_trial_makes_one_grid_and_one_level_set_solve(monkeypatch):
-    # the four radii of a trial share one grid eigvalsh and one companion
-    # eigvals; no level-set test here finds a crossing to check
+    # the radii of a trial share one grid eigvalsh and one companion eigvals;
+    # no level-set test here finds a crossing to check.  A linear p needs no
+    # w(A) or w(B), so its stack is p(AB) - p(BA) and [A,B] alone
     gen = np_stream(SEED, "numrad-trial-count")
     pairs = [gaussian_pair(gen, int(gen.integers(2, 17))) for _ in range(10)]
     calls = count_eigensolves(monkeypatch)
-    for a, b in pairs:
-        del calls[:]
-        check_numrad_bound([0, 1, 0.5], a, b)
-        assert (calls.count("eigvalsh"), calls.count("eigvals")) == (1, 1)
+    stacks = []
+    radius = norms.numerical_radius
+    monkeypatch.setattr(norms, "numerical_radius", lambda s: stacks.append(len(s)) or radius(s))
+    for coeffs, size in (([0, 1, 0.5], 4), ([2, -3], 2)):
+        del stacks[:]
+        for a, b in pairs:
+            del calls[:]
+            check_numrad_bound(coeffs, a, b)
+            assert (calls.count("eigvalsh"), calls.count("eigvals")) == (1, 1)
+        assert stacks == [size] * len(pairs)
 
 
 def test_operator_norm_of_a_stack():
@@ -923,7 +939,7 @@ def test_spherical_average_memory_does_not_scale_with_samples_times_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 7.8 MiB of real parts plus one 2048-row block, 9.6 MiB in all; z drawn whole peaks at 39
+    # 7.8 MiB of real parts plus one 128-row block, 8.8 MiB in all; z drawn whole peaks at 39
     assert peak <= 12 * 2**20, peak
 
 
