@@ -31,7 +31,6 @@ from .norms import (
 )
 from .poly import (
     BracketError,
-    OddCase,
     OddFactor,
     Polynomial,
     derive_odd_factor,
@@ -48,7 +47,6 @@ from .quat import (
     Quaternion,
     VerificationError,
     factor_into_two_commutators,
-    negating_conjugator,
     solve_poly_commutator,
 )
 from .realize import (

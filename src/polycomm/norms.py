@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -73,16 +74,17 @@ def _polynomial(p, nonconstant: bool = False) -> Polynomial:
 
 
 def frobenius_norm(a: MatrixLike) -> float:
-    """sqrt(sum |a_ij|^2), recomputed on A / max|a_ij| when the squares leave
-    the double range (norms above about 1e154 or below about 1e-162)."""
+    """sqrt(sum |a_ij|^2), recomputed on A / max|a_ij| when the sum of squares
+    is not a finite normal double (norms above about 1e154 or below about
+    1.5e-154), whose subnormal squares keep few bits (Blue, ACM TOMS 4, 1978)."""
     return _frobenius(as_complex_array(a))
 
 
 def _frobenius(arr: np.ndarray) -> float:
     with np.errstate(over="ignore"):
-        value = float(np.sqrt((np.abs(arr) ** 2).sum()))
-        if math.isfinite(value) and (value or not arr.any()):
-            return value
+        squares = float((np.abs(arr) ** 2).sum())
+        if sys.float_info.min <= squares < math.inf or not arr.any():
+            return math.sqrt(squares)
         top = float(np.abs(arr).max())
         return top * float(np.sqrt((np.abs(arr / top) ** 2).sum()))
 
@@ -280,9 +282,11 @@ class BoundReport:
     degree: int
 
 
-def _report(lhs, rhs, n, degree) -> BoundReport:
-    satisfied = lhs <= rhs * (1.0 + _REL_SLACK)
-    ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
+def _report(lhs, rhs, n, degree, compared=None) -> BoundReport:
+    """The report on lhs <= rhs, judged on compared, (lhs, rhs) unless given."""
+    left, right = compared or (lhs, rhs)
+    satisfied = left <= right * (1.0 + _REL_SLACK)
+    ratio = left / right if right > 0.0 else (0.0 if left == 0.0 else math.inf)
     return BoundReport(lhs, rhs, satisfied, ratio, n, degree)
 
 
@@ -461,14 +465,23 @@ def check_average_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     its exact value (the mean of Hutchinson's trace estimator for
     tr([A,B]* [A,B]), Hutchinson 1990), so nothing is sampled.  The bound is
     an equality for degree-one p.
+
+    The squares are printed; one below the normal range (norms under about
+    1.5e-154) keeps few bits, so the verdict and ratio then square ||[A,B]||_F
+    and the weight sum each scaled by its own power of two, and the lhs by both.
     """
     p = _polynomial(p, nonconstant=True)
     x, y = as_complex_array(a), as_complex_array(b)
     xy, yx = x @ y, y @ x
     total = _weight_sum(p, *operator_norm(np.stack([x, y])).tolist(), 1.0)
-    lhs = _frobenius(_poly_commutator(p, xy, yx)) ** 2
-    rhs = _frobenius(_checked(xy - yx)) ** 2 * total**2
-    return _report(lhs, rhs, x.shape[0], p.degree)
+    diff, comm = _frobenius(_poly_commutator(p, xy, yx)), _frobenius(_checked(xy - yx))
+    lhs, comm2, total2 = diff**2, comm**2, total**2
+    compared = None
+    if min(lhs, comm2, total2, comm2 * total2) < sys.float_info.min:
+        ec, et = math.frexp(comm)[1], math.frexp(total)[1]
+        sd, sc, st = np.ldexp([diff, comm, total], [-ec - et, -ec, -et]).tolist()
+        compared = (sd * sd, sc * sc * (st * st))
+    return _report(lhs, comm2 * total2, x.shape[0], p.degree, compared)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,10 @@
 
 Also houses the odd-part reduction used by the quaternion solver: for a
 nonconstant real polynomial p and a purely imaginary quaternion w, the
-differences p(1 + w) - p(1 - w) (when p has only even-degree terms) and
-p(w) - p(-w) (when p has an odd-degree term) both collapse to
-2 * h(|w|^2) * w for a real polynomial h read off from the coefficients
-of p.  solve_odd_equation then solves the scalar equation
-2 * t * h(t^2) = target.
+difference p(s + w) - p(s - w) collapses to 2 * h(|w|^2) * w for a real
+shift s (0 when p has an odd-degree term, 1 when every term is even) and
+a real polynomial h read off from the coefficients of p.
+solve_odd_equation then solves the scalar equation 2 * t * h(t^2) = target.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -125,34 +123,29 @@ def poly_difference(p: Polynomial, x, y):
     return out
 
 
-class OddCase(Enum):
-    EVEN_ONLY = "even-only"
-    HAS_ODD_TERM = "has-odd-term"
-
-
 @dataclass(frozen=True)
 class OddFactor:
     """Reduced scalar data for the imaginary-target construction.
 
-    h is a real polynomial in tau = t^2 such that, for purely imaginary w
-    with |w|^2 = tau:
-      - HAS_ODD_TERM:  p(w) - p(-w) = 2 * h(tau) * w
-      - EVEN_ONLY:     p(s + w) - p(s - w) = 2 * h(tau) * w  with s = 1
+    h is a real polynomial in tau = t^2 and s a real shift, 0 when p has an
+    odd-degree term and 1 when every term is even, such that for purely
+    imaginary w with |w|^2 = tau:  p(s + w) - p(s - w) = 2 * h(tau) * w.
     """
 
-    case: OddCase
     h: Polynomial
-    s: int = 1
+    s: int
 
 
 def derive_odd_factor(p: Polynomial) -> OddFactor:
-    """Extract the odd factor h from a nonconstant real polynomial.
+    """Extract the odd factor h, and its shift s, from a nonconstant real
+    polynomial.
 
-    With an odd-degree term present, h collects the odd coefficients:
-    h(tau) = sum_m c_{2m+1} (-1)^m tau^m.  Otherwise every term has even
-    degree 2m and the binomial expansion of (1 + w)^{2m} - (1 - w)^{2m}
-    contributes C(2m, 2r+1) (-1)^r tau^r for each odd power 2r+1 <= 2m.
-    Either way the leading coefficient of h is nonzero.
+    With an odd-degree term present, s = 0 and h collects the odd
+    coefficients: h(tau) = sum_m c_{2m+1} (-1)^m tau^m.  Otherwise s = 1,
+    every term has even degree 2m, and the binomial expansion of
+    (1 + w)^{2m} - (1 - w)^{2m} contributes C(2m, 2r+1) (-1)^r tau^r for
+    each odd power 2r+1 <= 2m.  Either way the leading coefficient of h is
+    nonzero.
     """
     if p.is_constant():
         raise ValueError("constant polynomial has no odd factor")
@@ -160,7 +153,7 @@ def derive_odd_factor(p: Polynomial) -> OddFactor:
     zero = 0 if p.is_exact() else 0.0
     if any(c != 0 for c in odd):
         hs = [c * (-1) ** m for m, c in enumerate(odd)]
-        return OddFactor(OddCase.HAS_ODD_TERM, Polynomial(hs))
+        return OddFactor(Polynomial(hs), 0)
     top = p.degree // 2
     hs = [zero] * top
     for m in range(1, top + 1):
@@ -169,7 +162,7 @@ def derive_odd_factor(p: Polynomial) -> OddFactor:
             continue
         for r in range(m):
             hs[r] = hs[r] + c * math.comb(2 * m, 2 * r + 1) * (-1) ** r
-    return OddFactor(OddCase.EVEN_ONLY, Polynomial(hs))
+    return OddFactor(Polynomial(hs), 1)
 
 
 # Powers of two the scan for a root of 2 t h(t^2) = target may visit:

@@ -2,10 +2,12 @@
 solutions of p(ab) - p(ba) = v inside the quaternions.
 
 Every purely imaginary quaternion arises as such a difference for any
-nonconstant real polynomial p, and every quaternion alpha is a product of
-two, u (-u alpha) for a unit imaginary u orthogonal to Im(alpha);
-solve_poly_commutator and factor_into_two_commutators build explicit
-witnesses and verify them before returning.
+nonconstant real polynomial p, by one construction: with b a unit
+imaginary orthogonal to w and a = b (w - s), ab = s + w and ba = s - w.
+Every quaternion alpha is a product of two, u (-u alpha) for a unit
+imaginary u orthogonal to Im(alpha).  solve_poly_commutator and
+factor_into_two_commutators build explicit witnesses and verify them
+before returning.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from fractions import Fraction
 
 from .poly import (
     _EXACT_TYPES,
-    OddCase,
     Polynomial,
     derive_odd_factor,
     poly_commutator,
@@ -186,60 +187,23 @@ QJ = Quaternion.exact(0, 0, 1)
 QK = Quaternion.exact(0, 0, 0, 1)
 
 
-def _rational_sqrt(value: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    value = Fraction(value)
-    if value < 0:
-        return None
-    rn = math.isqrt(value.numerator)
-    rd = math.isqrt(value.denominator)
-    if rn * rn == value.numerator and rd * rd == value.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _orthogonal_imaginary(w: Quaternion) -> Quaternion:
-    """Unit imaginary quaternion orthogonal to imaginary w.
+    """Unit imaginary float quaternion orthogonal to imaginary w, so anticommuting with it.
 
     Gram-Schmidt against the first standard unit (preference order i, j, k)
-    not parallel to w.  On the float backend a remainder shorter than 1e-3
-    of its unit axis is rounding noise and the axis is skipped; the least
-    aligned axis keeps a remainder of at least sqrt(2/3).  On the exact
-    backend the result keeps exact components and is normalized only when
-    its norm is rational; any nonzero scaling conjugates the same way, so
-    callers never depend on unit length.
+    not parallel to w.  A remainder shorter than 1e-3 of its unit axis is
+    rounding noise and the axis is skipped; the least aligned axis keeps a
+    remainder of at least sqrt(2/3).
     """
     if not w.is_imaginary() or w.is_zero():
         raise ValueError("need a nonzero purely imaginary quaternion")
     n2 = w.norm2()
     for e in (QI, QJ, QK):
-        if w.is_exact():
-            g = e - w * (Fraction(e.dot(w)) / Fraction(n2))
-            if not g.is_zero():
-                root = _rational_sqrt(g.norm2())
-                return g if root is None else g / root
-        else:
-            cand = e.to_float()
-            g = cand - w * (cand.dot(w) / n2)
-            if g.norm2() > 1e-6:
-                return g / g.norm()
+        cand = e.to_float()
+        g = cand - w * (cand.dot(w) / n2)
+        if g.norm2() > 1e-6:
+            return g / g.norm()
     raise ValueError("no orthogonal direction found")  # unreachable for nonzero w
-
-
-def negating_conjugator(w: Quaternion) -> Quaternion:
-    """b with b w b^-1 = -w, for nonzero purely imaginary w.
-
-    Any unit imaginary b orthogonal to w anticommutes with it, which gives
-    the sign flip.  Deterministic via the i, j, k preference order.
-    """
-    b = _orthogonal_imaginary(w)
-    check = b * w - (-w) * b  # b w = -w b  <=>  b w b^-1 = -w
-    if b.is_exact() and w.is_exact():
-        if not check.is_zero():
-            raise VerificationError("orthogonal direction failed to negate w")
-    elif check.norm() > 1e-9 * (1.0 + w.norm()):
-        raise VerificationError("orthogonal direction failed to negate w")
-    return b
 
 
 @dataclass(frozen=True)
@@ -268,12 +232,12 @@ def solve_poly_commutator(p: Polynomial, v: Quaternion, tol: float = 1e-8) -> Qu
     """Find (a, b) with p(ab) - p(ba) = v for purely imaginary v.
 
     Writes w = t v/|v| where t solves 2 t h(t^2) = |v| for the odd factor h
-    of p.  With an odd-degree term present, b is a unit imaginary direction
-    orthogonal to v and a = b w, so ab = w and ba = -w.  With only
-    even-degree terms, b negates w under conjugation and a = (1 + w) b^-1,
-    so ab = 1 + w and ba = 1 - w.  Either way the difference collapses to
+    of p, with its shift s (0 when p has an odd-degree term, 1 when every
+    term is even).  b is a unit imaginary direction orthogonal to v, so it
+    anticommutes with w and b^2 = -1, and a = b (w - s) gives ab = s + w and
+    ba = s - w.  The difference p(s + w) - p(s - w) collapses to
     (2 t h(t^2)) v/|v| = v.  The residual is checked against
-    tol * (1 + |v|) before returning.
+    tol * (1 + |v|), which must be finite, before returning.
     """
     vf = v.to_float()
     vnorm = vf.norm()
@@ -294,17 +258,11 @@ def _solve_imaginary(p: Polynomial, v: Quaternion, vnorm: float, tol: float) -> 
     factor = derive_odd_factor(p)
     t = solve_odd_equation(factor, vnorm)
     w = v * (t / vnorm)
-
-    if factor.case is OddCase.HAS_ODD_TERM:
-        b = _orthogonal_imaginary(w)
-        a = b * w
-    else:
-        b = negating_conjugator(w)
-        a = (1.0 + w) * b.inverse()
-
+    b = _orthogonal_imaginary(w)
+    a = b * (w - factor.s)
     d = poly_commutator(p, a, b)
     residual = (d - v).norm()
-    if not residual <= tol * (1.0 + vnorm):  # a nan residual fails too
+    if not residual <= tol * (1.0 + vnorm) < math.inf:  # a nan residual or an inf bound fails
         raise VerificationError(
             f"solver residual {residual:.3e} exceeds {tol:.1e} * (1 + |v|)"
         )
@@ -329,7 +287,7 @@ def factor_into_two_commutators(p: Polynomial, alpha: Quaternion, tol: float = 1
     second = _solve_imaginary(p, (-(u * af)).im(), af.norm(), tol)
     d1, d2 = first.difference, second.difference
     residual = (d1 * d2 - af).norm()
-    if not residual <= tol * (1.0 + af.norm()):
+    if not residual <= tol * (1.0 + af.norm()) < math.inf:
         raise VerificationError(
             f"two-factor residual {residual:.3e} exceeds {tol:.1e} * (1 + |alpha|)"
         )

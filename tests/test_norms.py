@@ -629,6 +629,8 @@ def test_frobenius_norm_across_the_double_range(recwarn):
     assert frobenius_norm(np.diag([1e300, 1e300])) == math.sqrt(2.0) * 1e300
     assert frobenius_norm(np.diag([3e-300, 4e-300])) == 5e-300
     assert frobenius_norm([[1e-200j, 0.0], [0.0, 0.0]]) == 1e-200
+    # a subnormal sum of squares keeps few significant bits (6.6e-5 off here)
+    assert frobenius_norm(np.full((3, 3), 1.2345e-160)) == 3 * 1.2345e-160
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from polycomm import poly
 from polycomm.poly import (
     BracketError,
-    OddCase,
     OddFactor,
     Polynomial,
     derive_odd_factor,
@@ -75,22 +74,21 @@ def test_eval_matches_power_sum():
 
 
 @pytest.mark.parametrize(
-    "coeffs,case,h_coeffs",
+    "coeffs,s,h_coeffs",
     [
-        ([0, 1], OddCase.HAS_ODD_TERM, (1,)),
-        ([0, 0, 1], OddCase.EVEN_ONLY, (2,)),
-        ([0, 1, 0, 1], OddCase.HAS_ODD_TERM, (1, -1)),
-        ([0, 0, 1, 1], OddCase.HAS_ODD_TERM, (0, -1)),
-        ([0, 0, 0, 0, 1], OddCase.EVEN_ONLY, (4, -4)),
-        ([0, 0, 0, 0, 0, 0, 1], OddCase.EVEN_ONLY, (6, -20, 6)),
-        ([5, 0, 3], OddCase.EVEN_ONLY, (6,)),
+        ([0, 1], 0, (1,)),
+        ([0, 0, 1], 1, (2,)),
+        ([0, 1, 0, 1], 0, (1, -1)),
+        ([0, 0, 1, 1], 0, (0, -1)),
+        ([0, 0, 0, 0, 1], 1, (4, -4)),
+        ([0, 0, 0, 0, 0, 0, 1], 1, (6, -20, 6)),
+        ([5, 0, 3], 1, (6,)),
     ],
 )
-def test_odd_factor_table(coeffs, case, h_coeffs):
+def test_odd_factor_table(coeffs, s, h_coeffs):
     factor = derive_odd_factor(Polynomial(coeffs))
-    assert factor.case is case
     assert factor.h.coeffs == h_coeffs
-    assert factor.s == 1
+    assert factor.s == s
 
 
 def test_odd_factor_rejects_constant():
@@ -106,7 +104,8 @@ def test_odd_factor_never_zero():
 
 
 def test_odd_factor_identity_on_the_complex_line():
-    """p(w) - p(-w), or p(1+w) - p(1-w) for even p, equals 2 h(|w|^2) w.
+    """p(s + w) - p(s - w) equals 2 h(|w|^2) w, with s = 0 when p has an
+    odd-degree term and s = 1 when every term is even.
 
     Checked along w = it inside the complex plane, where the quaternion
     identity specializes with |w|^2 = t^2."""
@@ -117,10 +116,8 @@ def test_odd_factor_identity_on_the_complex_line():
         factor = derive_odd_factor(p)
         t = r.uniform(-2.0, 2.0)
         w = complex(0.0, t)
-        if factor.case is OddCase.HAS_ODD_TERM:
-            lhs = eval_poly(p, w) - eval_poly(p, -w)
-        else:
-            lhs = eval_poly(p, 1 + w) - eval_poly(p, 1 - w)
+        assert factor.s == (0 if any(p.coeffs[1::2]) else 1)
+        lhs = eval_poly(p, factor.s + w) - eval_poly(p, factor.s - w)
         rhs = 2.0 * eval_poly(factor.h, t * t) * w
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs))
 
@@ -135,7 +132,7 @@ def test_odd_factor_identity_even_only_forced():
         coeffs[2 * top] = r.choice([-1.0, 1.0]) * r.uniform(0.5, 2.0)
         p = Polynomial(coeffs)
         factor = derive_odd_factor(p)
-        assert factor.case is OddCase.EVEN_ONLY
+        assert factor.s == 1
         t = r.uniform(-1.5, 1.5)
         w = complex(0.0, t)
         lhs = eval_poly(p, 1 + w) - eval_poly(p, 1 - w)
@@ -166,7 +163,7 @@ def test_solve_rejects_negative_target():
 
 
 def test_solve_rejects_zero_factor():
-    bogus = OddFactor(OddCase.HAS_ODD_TERM, Polynomial([0]))
+    bogus = OddFactor(Polynomial([0]), 0)
     with pytest.raises(ValueError):
         solve_odd_equation(bogus, 1.0)
 
@@ -308,7 +305,7 @@ WIDE_TARGET = st.one_of(
 
 def _wide_poly(coeffs, even_only):
     """A nonconstant p from drawn coefficients; even_only zeroes the odd ones
-    (the EVEN_ONLY branch), and a zero leading coefficient becomes 1."""
+    (the shift s = 1), and a zero leading coefficient becomes 1."""
     if even_only:
         coeffs = [0.0 if k % 2 else c for k, c in enumerate(coeffs)]
         if len(coeffs) % 2 == 0:
@@ -329,7 +326,7 @@ def _wide_poly(coeffs, even_only):
 def test_solve_matches_the_full_scan_bit_for_bit(coeffs, even_only, target):
     factor = derive_odd_factor(_wide_poly(coeffs, even_only))
     if even_only:
-        assert factor.case is OddCase.EVEN_ONLY
+        assert factor.s == 1
     assert _outcome(solve_odd_equation, factor, target) == _outcome(
         reference_solve_odd_equation, factor, target
     )

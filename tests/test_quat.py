@@ -1,10 +1,12 @@
-import math
 from fractions import Fraction
 
 import pytest
+from fraction_judge import exact_difference, within
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycomm import quat
-from polycomm.poly import OddCase, Polynomial, derive_odd_factor, eval_poly
+from polycomm.poly import Polynomial, derive_odd_factor, eval_poly
 from polycomm.quat import (
     ONE,
     QI,
@@ -14,7 +16,6 @@ from polycomm.quat import (
     VerificationError,
     _orthogonal_imaginary,
     factor_into_two_commutators,
-    negating_conjugator,
     poly_commutator,
     solve_poly_commutator,
 )
@@ -130,37 +131,6 @@ def test_conjugation_preserves_real_part():
         assert (g * q * g.inverse()).re() == q.re()
 
 
-def test_negating_conjugator_frozen_values():
-    assert negating_conjugator(QI) == QJ
-    assert negating_conjugator(QK) == QI
-    # i + j projects i onto span{i + j}; the leftover is not unit length
-    # and stays unnormalized on the exact backend
-    b = negating_conjugator(QI + QJ)
-    assert b == Quaternion.exact(0, Fraction(1, 2), Fraction(-1, 2), 0)
-    bf = negating_conjugator((QI + QJ).to_float())
-    s = 1.0 / math.sqrt(2.0)
-    assert bf.approx_eq(Quaternion.of_floats(0, s, -s, 0), 1e-15)
-    assert abs(bf.norm() - 1.0) <= 1e-15
-
-
-def test_negating_conjugator_negates():
-    r = stream(SEED, "negate")
-    for _ in range(100):
-        w = exact_quaternion(r).im()
-        if w.is_zero():
-            continue
-        b = negating_conjugator(w)
-        assert b * w * b.inverse() == -w
-        assert b.is_imaginary()
-
-
-def test_negating_conjugator_rejects_bad_input():
-    with pytest.raises(ValueError):
-        negating_conjugator(ONE + QI)
-    with pytest.raises(ValueError):
-        negating_conjugator(Quaternion.exact())
-
-
 def test_even_only_shift_identity_exact():
     """p(1 + w) - p(1 - w) = 2 h(|w|^2) w for even p, exactly over the
     rationals."""
@@ -174,7 +144,7 @@ def test_even_only_shift_identity_exact():
             coeffs[2 * top] = 1
         p = Polynomial(coeffs)
         factor = derive_odd_factor(p)
-        assert factor.case is OddCase.EVEN_ONLY
+        assert factor.s == 1
         w = exact_quaternion(r).im()
         lhs = eval_poly(p, ONE + w) - eval_poly(p, ONE - w)
         rhs = 2 * eval_poly(factor.h, w.norm2()) * w
@@ -333,7 +303,43 @@ def test_residual_check_raises_verification_error():
         solve_poly_commutator(Polynomial([0, 1]), 2 * QK, tol=-1.0)
 
 
+def test_an_infinite_bound_fails_the_check():
+    # |alpha|^2 overflows, so u = i is not orthogonal to alpha and the factors
+    # multiply to 0; tol * (1 + |alpha|) = inf took residual inf as passing
+    with pytest.raises(VerificationError, match="two-factor residual inf exceeds"):
+        factor_into_two_commutators(Polynomial([0, 1]), Quaternion.of_floats(0, 1e155, 0, 0))
+    with pytest.raises(VerificationError, match="solver residual 0.000e[+]00 exceeds"):
+        solve_poly_commutator(Polynomial([0, 1]), Quaternion.of_floats(0, 1, 0, 0), tol=1e308)
+
+
 def test_a_nan_residual_fails_the_check():
     # c_2 t^2 overflows, so Re p(ab) - Re p(ba) is inf - inf
     with pytest.raises(VerificationError, match="residual nan exceeds"):
         solve_poly_commutator(Polynomial([0, 1, 1e240]), Quaternion.of_floats(0, 0, 1e66, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    degree=st.integers(1, 4),
+    even_only=st.booleans(),
+    coeffs=st.lists(st.integers(-8, 8).map(lambda k: k / 4.0), min_size=5, max_size=5),
+    exponent=st.floats(-3.0, 3.0),
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda u: sum(c * c for c in u) >= 1e-6
+    ),
+)
+def test_every_witness_passes_an_exact_judge(degree, even_only, coeffs, exponent, direction):
+    # one construction, a = b (w - s), for either shift s
+    if even_only:
+        degree += degree % 2
+        coeffs = [0.0 if k % 2 else c for k, c in enumerate(coeffs)]
+    else:
+        coeffs[1] = coeffs[1] or 1.0
+    coeffs = coeffs[: degree + 1]
+    coeffs[-1] = coeffs[-1] or 1.0
+    p = Polynomial(coeffs)
+    assert derive_odd_factor(p).s == (1 if even_only else 0)
+    u = Quaternion.of_floats(0.0, *direction)
+    v = u * (10.0**exponent / u.norm())
+    sol = solve_poly_commutator(p, v)
+    assert within(exact_difference(p.coeffs, sol.a, sol.b), v, 1e-8)
