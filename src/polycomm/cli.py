@@ -35,7 +35,6 @@ from .quat import (
     solve_poly_commutator,
 )
 from .realize import (
-    DegreeNotBoundedError,
     algebraic_degree_probe,
     nonzero_trace_witness,
     realize_traceless,
@@ -501,7 +500,7 @@ def main(argv=None) -> int:
             sys.stdout.write(
                 dumps_canonical({"schema": SCHEMA, "command": args.command, **doc})
             )
-    except (VerificationError, DegreeNotBoundedError) as exc:
+    except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -139,31 +139,25 @@ class GenericMatrix:
     compares den and the arrays.  CC keeps complex128
     and HF float64 parts, over den = 1.  A matrix built from rows converts
     them to this form at once and keeps only it; rows, m[i, j] and
-    diagonal_entries build Fraction(v, den), Quaternion(*q) or Python-number
-    entries from the parts on each read.  The parts are never written in
-    place.
+    diagonal_entries build Fraction(v, den), exact quaternions (int
+    components where integral), float quaternions or Python-number entries
+    from the parts on each read.  The parts are never written in place.
     """
 
     __slots__ = ("ring", "n", "_parts", "_den")
 
     def __init__(self, ring: ScalarRing, rows: Sequence[Sequence]):
         rows = tuple(tuple(r) for r in rows)
-        n, c = len(rows), ring.components
+        n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("rows must form a nonempty square matrix")
-        entries = [x.components() if c > 1 else (x,) for row in rows for x in row]
-        if ring.exact:
-            den = math.lcm(*(v.denominator for e in entries for v in e))
-            parts = np.array([[e[k].numerator * (den // e[k].denominator) for e in entries]
-                              for k in range(c)], dtype=object)
-        else:
-            den, parts = 1, np.array(entries, dtype=float if c > 1 else complex).T
-        self.ring, self.n, self._parts, self._den = ring, n, parts.reshape(c, n, n), den
+        parts, den = _pack(ring, [x for row in rows for x in row])
+        self.ring, self.n, self._parts, self._den = ring, n, parts.reshape(-1, n, n), den
 
     @classmethod
     def _of_parts(cls, ring: ScalarRing, parts: np.ndarray, den=1) -> "GenericMatrix":
         """The matrix parts / den, reduced to lowest terms on the exact rings."""
-        g = math.gcd(den, *parts.flat) if ring.exact else 1
+        g = math.gcd(den, *parts.flat) if ring.exact and den != 1 else 1
         m = cls.__new__(cls)
         m.ring, m.n = ring, parts.shape[1]
         m._parts, m._den = (parts // g, den // g) if g > 1 else (parts, den)
@@ -192,10 +186,15 @@ class GenericMatrix:
 
     @classmethod
     def diagonal(cls, ring: ScalarRing, entries: Iterable) -> "GenericMatrix":
+        """The diagonal matrix of the entries, written into the component form."""
         entries = [ring.coerce(v) for v in entries]
-        zero = ring.zero()
+        if not entries:
+            raise ValueError("rows must form a nonempty square matrix")
+        diag, den = _pack(ring, entries)
         n = len(entries)
-        return cls(ring, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
+        parts = np.zeros((len(diag), n, n), dtype=diag.dtype)
+        parts[:, range(n), range(n)] = diag
+        return cls._of_parts(ring, parts, den)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -336,18 +335,26 @@ class GenericMatrix:
         return GenericMatrix._of_parts(ring, x.reshape(n, c, n).transpose(1, 0, 2), den)
 
 
+_HAMILTON = np.array([[0, 5, 6, 7], [1, 0, 7, 2], [2, 3, 0, 5], [3, 6, 1, 0]])
+
+
 def _left_image(a: np.ndarray) -> np.ndarray:
     """The (c m) x (c k) left image chi(a) of a component stack a of shape
     (c, m, k) (Zhang, Linear Algebra Appl. 251, 1997): row c i + r, column
     c j + t holds the component r of a_ij e_t, so chi(a) times the stacked
     components of a k-vector v gives those of a v.  For c = 1 it is a[0];
-    for the quaternions, with a = w + x i + y j + z k, each entry's block is
-    Hamilton's left multiplication."""
+    for the quaternions each entry's block is Hamilton's left
+    multiplication, taken from (a, -a) stacked through the index table
+
+        [[0, 5, 6, 7],     [[w, -x, -y, -z],
+         [1, 0, 7, 2],  =   [x,  w, -z,  y],
+         [2, 3, 0, 5],      [y,  z,  w, -x],
+         [3, 6, 1, 0]]      [z, -y,  x,  w]]."""
     if len(a) == 1:
         return a[0]
-    w, x, y, z = a
-    blocks = np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
-    return blocks.transpose(2, 0, 3, 1).reshape(4 * w.shape[0], 4 * w.shape[1])
+    _, m, k = a.shape
+    blocks = np.concatenate([a, -a])[_HAMILTON]
+    return blocks.transpose(2, 0, 3, 1).reshape(4 * m, 4 * k)
 
 
 def component_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -358,12 +365,26 @@ def component_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(-1, c, l).transpose(1, 0, 2)
 
 
+def _pack(ring: ScalarRing, entries: list):
+    """(parts, den) with parts / den of shape (c, len(entries)) the components
+    of the ring elements entries, den as GenericMatrix's docstring states."""
+    c = ring.components
+    comps = [x.components() if c > 1 else (x,) for x in entries]
+    if ring.exact:
+        den = math.lcm(*(v.denominator for e in comps for v in e))
+        return np.array([[e[k].numerator * (den // e[k].denominator) for e in comps]
+                         for k in range(c)], dtype=object), den
+    return np.array(comps, dtype=float if c > 1 else complex).T, 1
+
+
 def _entries(ring: ScalarRing, parts: np.ndarray, den) -> list:
     """Ring elements of parts / den, flattened in C order over parts[0]:
-    Fraction(v, den), Quaternion(*q) or Python numbers."""
+    Fraction(v, den), Quaternion.exact of those, Quaternion(*q) or Python
+    numbers."""
     flat = [[Fraction(v, den) for v in p.flat] if ring.exact else p.ravel().tolist()
             for p in parts]
-    return flat[0] if len(flat) == 1 else [Quaternion(*q) for q in zip(*flat)]
+    make = Quaternion.exact if ring.exact else Quaternion
+    return flat[0] if len(flat) == 1 else [make(*q) for q in zip(*flat)]
 
 
 def _scalar(ring: ScalarRing, c):

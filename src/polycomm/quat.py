@@ -32,8 +32,12 @@ class VerificationError(ArithmeticError):
 class Quaternion:
     """w + x i + y j + z k with i^2 = j^2 = k^2 = ijk = -1.
 
-    Components are all exact (int / Fraction) or all float; mixed arithmetic
-    follows Python's numeric tower, so exact operands stay exact.
+    Components are all exact or all float; mixed arithmetic follows Python's
+    numeric tower, so exact operands stay exact.  An exact component is an
+    int when integral, else a Fraction, through exact() and every operation,
+    so integral quaternions multiply as ints.  An exact real scalar times an
+    exact quaternion scales its components; any other scalar c multiplies as
+    the quaternion (c, 0, 0, 0).
     """
 
     __slots__ = ("w", "x", "y", "z")
@@ -46,7 +50,7 @@ class Quaternion:
 
     @classmethod
     def exact(cls, w=0, x=0, y=0, z=0) -> "Quaternion":
-        return cls(*(c if isinstance(c, _EXACT_TYPES) else Fraction(c) for c in (w, x, y, z)))
+        return _quat(*(c if isinstance(c, _EXACT_TYPES) else Fraction(c) for c in (w, x, y, z)))
 
     @classmethod
     def of_floats(cls, w=0.0, x=0.0, y=0.0, z=0.0) -> "Quaternion":
@@ -73,7 +77,7 @@ class Quaternion:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Quaternion(self.w + o.w, self.x + o.x, self.y + o.y, self.z + o.z)
+        return _quat(self.w + o.w, self.x + o.x, self.y + o.y, self.z + o.z)
 
     __radd__ = __add__
 
@@ -81,7 +85,7 @@ class Quaternion:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Quaternion(self.w - o.w, self.x - o.x, self.y - o.y, self.z - o.z)
+        return _quat(self.w - o.w, self.x - o.x, self.y - o.y, self.z - o.z)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -93,12 +97,15 @@ class Quaternion:
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, d = self.components()
-        e, f, g, h = o.components()
-        return Quaternion(
+        if not isinstance(other, Quaternion):
+            if isinstance(other, _EXACT_TYPES) and self.is_exact():
+                return _quat(self.w * other, self.x * other, self.y * other, self.z * other)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d = self.w, self.x, self.y, self.z
+        e, f, g, h = other.w, other.x, other.y, other.z
+        return _quat(
             a * e - b * f - c * g - d * h,
             a * f + b * e + c * h - d * g,
             a * g - b * h + c * e + d * f,
@@ -106,6 +113,8 @@ class Quaternion:
         )
 
     def __rmul__(self, other):
+        if isinstance(other, _EXACT_TYPES) and self.is_exact():
+            return self * other  # an exact real scalar is central
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -115,7 +124,7 @@ class Quaternion:
         if isinstance(scalar, (int, float, Fraction)):
             if isinstance(scalar, int) and self.is_exact():
                 scalar = Fraction(scalar)  # keep int / int off the float path
-            return Quaternion(*(c / scalar for c in self.components()))
+            return _quat(*(c / scalar for c in self.components()))
         if isinstance(scalar, Quaternion):
             return self * scalar.inverse()
         return NotImplemented
@@ -170,7 +179,7 @@ class Quaternion:
             raise ZeroDivisionError("zero quaternion has no inverse")
         if isinstance(n2, int):
             n2 = Fraction(n2)  # an exact quaternion must invert exactly
-        return Quaternion(*(c / n2 for c in self.conjugate().components()))
+        return _quat(*(c / n2 for c in self.conjugate().components()))
 
     def dot(self, other: "Quaternion"):
         return (
@@ -179,6 +188,14 @@ class Quaternion:
 
     def approx_eq(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return (self - other).norm() <= tol
+
+
+def _quat(w, x, y, z) -> Quaternion:
+    """Quaternion(w, x, y, z) with each integral Fraction component an int."""
+    if type(w) is Fraction or type(x) is Fraction or type(y) is Fraction or type(z) is Fraction:
+        w, x, y, z = (c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                      for c in (w, x, y, z))
+    return Quaternion(w, x, y, z)
 
 
 ONE = Quaternion.exact(1)

@@ -37,12 +37,12 @@ from .sampling import exact_quaternion, probe_like, stream
 
 
 class DegreeNotBoundedError(ArithmeticError):
-    """Probe exhausted every degree level without finding vanishing."""
+    """a^0 .. a^m_max are independent: an input above the probe's limit, not a failed check."""
 
     def __init__(self, m_max: int, pattern: dict):
         self.m_max = m_max
         self.vanish_pattern = pattern
-        super().__init__(f"degree > {m_max}: no level vanished")
+        super().__init__(f"degree > {m_max}, the probe's limit: a^0 .. a^{m_max} are independent")
 
 
 def pick_distinct_preimages(p: Polynomial, n: int) -> list:
@@ -475,15 +475,15 @@ def _coordinates(x):
     rational vector space are the integers coords over den > 0.
 
     An int or Fraction is its own coordinate and an exact quaternion has its
-    four components; a matrix lists its entries' coordinates row by row
-    (n^2 of them over the rationals, 4 n^2 over the exact quaternions),
-    read off its component form.
+    four components, both read off directly; a matrix lists its entries'
+    coordinates row by row (n^2 of them over the rationals, 4 n^2 over the
+    exact quaternions), read off its component form.
     """
-    if isinstance(x, Quaternion) and x.is_exact():
-        x = GenericMatrix(HQ, [[x]])
-    elif isinstance(x, (int, Fraction)):
-        x = GenericMatrix(QQ, [[x]])
-    elif not isinstance(x, GenericMatrix):
+    if isinstance(x, Quaternion) and x.is_exact() or isinstance(x, (int, Fraction)):
+        parts = x.components() if isinstance(x, Quaternion) else (x,)
+        den = math.lcm(*(c.denominator for c in parts))
+        return [c.numerator * (den // c.denominator) for c in parts], den
+    if not isinstance(x, GenericMatrix):
         raise ValueError(
             "the degree probe needs an exact element: an int, a Fraction, an exact "
             "quaternion or a rational or exact-quaternion matrix"

@@ -337,6 +337,14 @@ def test_probe_degree_exits_three_when_the_lower_witness_fails(capsys, monkeypat
     assert len(failures) == 1 and "level 1" in failures[0], err
 
 
+def test_probe_degree_above_its_limit_is_an_input_range_error(capsys, recwarn):
+    # the 9 x 9 cyclic shift has degree 9: a^0 .. a^7 are independent
+    shift = [[int(i == (j + 1) % 9) for j in range(9)] for i in range(9)]
+    payload = json.dumps({"ring": "rational", "entries": shift})
+    code, out, err = run_cli(capsys, "probe-degree", "--input", payload)
+    assert_one_error_line(code, out, err, recwarn, "degree > 7, the probe's limit")
+
+
 def test_probe_degree_rejects_float_ring(capsys):
     payload = json.dumps({"ring": "complex", "entries": [[1, 0], [0, 1]]})
     code, out, err = run_cli(capsys, "probe-degree", "--input", payload)

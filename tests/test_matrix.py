@@ -748,6 +748,76 @@ def test_diagonal_coerces_its_entries():
     assert info.value.column == 0
 
 
+def assert_same_bits(a, b):
+    """Equal arrays of one dtype, float zeros equal in sign and object
+    entries equal in type."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if a.dtype == object:
+        assert a.tolist() == b.tolist()
+        assert [type(x) for x in a.flat] == [type(x) for x in b.flat]
+    else:
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+DIAGONALS = {
+    "rational": [Fraction(1, 2), Fraction(-2, 3), 5, Fraction(7, 4)],
+    "complex": [0.5 - 0.25j, complex(-0.0, 3.0), 2j, complex(1e300, -0.0)],
+    "quaternion": [Quaternion.exact(Fraction(1, 2), 0, 3, Fraction(-5, 6)), Quaternion.exact(2),
+                   Quaternion.exact(0, Fraction(4, 9), -1, 1), Quaternion.exact(Fraction(1, 4))],
+    "quaternion-float": [Quaternion.of_floats(0.5, -0.0, 3.0, 1e-310), Quaternion.of_floats(-2.0),
+                         Quaternion.of_floats(0.0, 4.5, -1.0, 1e300), Quaternion.of_floats(-0.0)],
+}
+
+
+@pytest.mark.parametrize("ring", [QQ, CC, HQ, HF], ids=lambda ring: ring.name)
+def test_diagonal_matches_the_row_built_matrix(ring):
+    for n in range(1, 5):
+        entries = DIAGONALS[ring.name][:n]
+        rows = [[entries[i] if i == j else ring.zero() for j in range(n)] for i in range(n)]
+        (got, got_den), (want, want_den) = (
+            m.component_form() for m in (GenericMatrix.diagonal(ring, entries), GenericMatrix(ring, rows)))
+        assert got_den == want_den
+        assert_same_bits(got, want)
+    assert_same_bits(GenericMatrix.identity(ring, 3).component_form()[0],
+                     GenericMatrix(ring, [[ring.one() if i == j else ring.zero() for j in range(3)]
+                                          for i in range(3)]).component_form()[0])
+    with pytest.raises(ValueError, match="nonempty square"):
+        GenericMatrix.diagonal(ring, [])
+
+
+def test_integral_quaternion_entries_have_int_components():
+    m = GenericMatrix(HQ, [[Quaternion.exact(1, 2, 3, 4), Quaternion.exact(Fraction(1, 2))],
+                           [Quaternion.exact(Fraction(6, 3)), Quaternion.exact(0, -1)]])
+    assert [type(c) for q in m.diagonal_entries() for c in q.components()] == [int] * 8
+    assert [type(c) for c in m[0, 1].components()] == [Fraction, int, int, int]
+
+
+def hamilton_block(q):
+    """Hamilton's left multiplication by q = (w, x, y, z), written out."""
+    w, x, y, z = q
+    return [[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]]
+
+
+@pytest.mark.parametrize("dtype", [object, float], ids=["object", "float64"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_left_image_matches_the_hamilton_blocks(n, dtype):
+    r = random.Random(SEED + n)
+    special = [-0.0, math.inf, -math.inf, 0.0] if dtype is float else [0, Fraction(-1, 3)]
+    for m, k in ((n, n), (1, n), (n, 1)):
+        values = [r.choice(special) if r.random() < 0.3 else r.randint(-9, 9)
+                  for _ in range(4 * m * k)]
+        a = np.array(values, dtype=dtype).reshape(4, m, k)
+        expected = np.empty((4 * m, 4 * k), dtype=dtype)
+        for i in range(m):
+            for j in range(k):
+                expected[4 * i:4 * i + 4, 4 * j:4 * j + 4] = hamilton_block(a[:, i, j])
+                if dtype is object:  # block column t is the entry times the unit e_t
+                    q = Quaternion(*a[:, i, j])
+                    for t, e in enumerate((Quaternion(1), QI, QJ, QK)):
+                        assert list(expected[4 * i:4 * i + 4, 4 * j + t]) == list((q * e).components())
+        assert_same_bits(matrix._left_image(a), expected)
+
+
 @pytest.mark.parametrize("ring", [QQ, CC, HQ, HF], ids=lambda ring: ring.name)
 def test_trace_and_diagonal_read_the_components(ring, monkeypatch):
     """diagonal_entries() and trace() of a fresh product build its n

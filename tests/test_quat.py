@@ -42,6 +42,71 @@ def test_scalars_mix_into_arithmetic():
     assert (q / 2) * 2 == q
 
 
+def test_exact_keeps_integral_components_as_ints():
+    q = Quaternion.exact(Fraction(6, 2), Fraction(1, 2), 0, "-4/2")
+    assert q.components() == (3, Fraction(1, 2), 0, -2)
+    assert [type(c) for c in q.components()] == [int, Fraction, int, int]
+
+
+def hamilton(a, b):
+    """The Hamilton product of two component 4-tuples."""
+    (w, x, y, z), (e, f, g, h) = a, b
+    return (w * e - x * f - y * g - z * h, w * f + x * e + y * h - z * g,
+            w * g - x * h + y * e + z * f, w * h + x * g - y * f + z * e)
+
+
+def assert_reduced(q, expected):
+    """q has the components expected, each an int when integral and a
+    Fraction otherwise."""
+    assert q.components() == tuple(expected)
+    for c in q.components():
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), q
+
+
+@pytest.mark.parametrize("c", [3, -1, 0, Fraction(1, 2), Fraction(-4, 2), Fraction(7, 3)])
+def test_an_exact_scalar_scales_the_components(c):
+    for q in (Quaternion.exact(2, 4, -6, 8), Quaternion.exact(Fraction(1, 3), 1, 0, Fraction(-3, 2))):
+        expected = hamilton((c, 0, 0, 0), q.components())
+        assert c * q == Quaternion(c) * q == q * Quaternion(c) == q * c
+        assert_reduced(c * q, expected)
+        assert_reduced(q * c, expected)
+
+
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+rational_quaternions = st.builds(Quaternion.exact, fractions, fractions, fractions, fractions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=rational_quaternions, b=rational_quaternions,
+       c=st.one_of(st.integers(-6, 6), fractions), k=st.integers(0, 4))
+def test_exact_arithmetic_matches_a_fraction_reference(a, b, c, k):
+    """Each operation agrees with all-Fraction 4-tuple arithmetic, and every
+    integral component of its result is an int."""
+    fa, fb = (tuple(Fraction(x) for x in q.components()) for q in (a, b))
+
+    def inverse(t):
+        n2 = sum(x * x for x in t)
+        return tuple(x / n2 for x in (t[0], -t[1], -t[2], -t[3]))
+
+    power = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    for _ in range(k):
+        power = hamilton(power, fa)
+    cases = [
+        (a + b, [x + y for x, y in zip(fa, fb)]),
+        (a - b, [x - y for x, y in zip(fa, fb)]),
+        (a * b, hamilton(fa, fb)),
+        (c * a, [c * x for x in fa]),
+        (a * c, [x * c for x in fa]),
+        (a ** k, power),
+    ]
+    if any(fb):
+        cases += [(b.inverse(), inverse(fb)), (a / b, hamilton(fa, inverse(fb)))]
+    if c:
+        cases.append((a / c, [x / c for x in fa]))
+    for got, expected in cases:
+        assert_reduced(got, expected)
+
+
 def test_norm_is_multiplicative():
     r = stream(SEED, "norm-mult")
     for _ in range(50):

@@ -648,6 +648,25 @@ def test_probe_runs_one_algebraicity_sum(monkeypatch):
     assert calls == []
 
 
+def test_integral_quaternion_probe_multiplies_no_fractions(monkeypatch):
+    """The probe of an integral quaternion takes every Hamilton product on
+    int components: its powers and probes stay integral, and the
+    annihilator's Fraction coefficients only scale components."""
+    calls, fraction_calls = [], []
+    mul = Quaternion.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Quaternion):
+            calls.append(1)
+            if any(type(c) is Fraction for q in (self, other) for c in q.components()):
+                fraction_calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Quaternion, "__mul__", counted)
+    assert algebraic_degree_probe(Quaternion.exact(1, 2, 3, 4)).estimated_degree == 2
+    assert calls and fraction_calls == []
+
+
 def test_probe_rejects_a_corrupted_annihilator(monkeypatch):
     annihilator = realize._annihilator
 

@@ -135,6 +135,14 @@ def test_quaternion_roundtrip():
     assert back == f and not back.is_exact()
 
 
+def test_exact_quaternion_decodes_integral_components_as_ints():
+    q = decode_quaternion(["1", "2", "3", "4"], exact=True)
+    assert q.components() == (1, 2, 3, 4)
+    assert all(type(c) is int for c in q.components())
+    assert [type(c) for c in decode_quaternion(["6/3", "1/2", 0, -1]).components()] == [
+        int, Fraction, int, int]
+
+
 def test_quaternion_decode_exact_override():
     assert decode_quaternion([1, 0, 0, 0], exact=False) == Quaternion.of_floats(1.0)
     with pytest.raises(DecodeError):
