@@ -86,12 +86,6 @@ def _write_csv(columns, rows) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _finite(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    return x
-
-
 def _require_exact(p: Polynomial, what: str) -> None:
     if not p.is_exact():
         raise DecodeError(f"{what} needs exact integer or rational coefficients")
@@ -328,9 +322,8 @@ def _verify_bounds(args) -> dict:
         for name, rep in zip(_CHECK_NAMES, reports):
             # no bound is a Monte Carlo estimate any more, so no row has a
             # margin; the column stays, as schema 1 and bench/oracle.py read it
-            row = {"check": name, "trial": trial, "seed": args.seed, **asdict(rep),
-                   "mc_margin": 0.0, "ratio": _finite(rep.ratio)}
-            rows.append(row)
+            rows.append({"check": name, "trial": trial, "seed": args.seed, **asdict(rep),
+                         "mc_margin": 0.0})
     return {
         "polynomial": encode_polynomial(p),
         "n": args.n,

@@ -12,10 +12,14 @@ float ones.
 A base-field scalar c acts centrally: c * m scales every entry and m + c
 adds c to the diagonal, so poly.eval_poly, poly.poly_commutator and
 poly.poly_difference serve matrices too.
+
+in_double_range guards every float report (telescoping_expand here, the
+norms reports too): one that left the double range is a ValueError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -285,21 +289,23 @@ class GenericMatrix:
         return (self - self._same_shape(other)).max_magnitude()
 
     def max_magnitude(self) -> float:
-        """Largest |entry|, the norm on the quaternions; inf when one lies
-        beyond the double range.  A quaternion's squared components are
-        summed over 4^e, e near the exponent of the largest, so no square of
-        an in-range component overflows or underflows."""
+        """Largest |entry| as a Python float, the norm on the quaternions: inf
+        when one lies beyond the double range, nan when a float entry holds
+        one (np.max, unlike max, sees a nan anywhere).  A quaternion's squared
+        components are summed over 4^e, e near the exponent of the largest, so
+        no square of an in-range component overflows or underflows."""
         parts, den = self.component_form()
         try:
             if len(parts) == 1:
-                return max(abs(v) for v in parts[0].ravel().tolist()) / den
+                values = [abs(v) for v in parts[0].ravel().tolist()]
+                return max(values) / den if self.ring.exact else float(np.max(values))
             if self.ring.exact:
                 top = max((parts * parts).sum(axis=0).flat)
                 e = (top.bit_length() + 1) // 2 - den.bit_length()
                 top = Fraction(top, den * den) / Fraction(4) ** e
             else:
                 e = math.frexp(np.abs(parts).max())[1]
-                top = max((np.ldexp(parts, -e) ** 2).sum(axis=0).flat)
+                top = (np.ldexp(parts, -e) ** 2).sum(axis=0).max()
             return math.ldexp(math.sqrt(top), e)
         except OverflowError:
             return math.inf
@@ -438,6 +444,29 @@ def _bareiss_solve(work: list, den: int, c: int):
 poly_eval_matrix = eval_poly
 
 
+def in_double_range(what: str):
+    """Decorator for a function returning a report (a dataclass): the call runs
+    with numpy's overflow, underflow and invalid warnings off, and a float
+    OverflowError, or a float field of the report that is not finite (other
+    fields are not read), becomes ValueError("<function name>: <what>")."""
+
+    def guard(fn):
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            try:
+                with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                    report = fn(*args, **kwargs)
+                if all(math.isfinite(v) for v in vars(report).values() if isinstance(v, float)):
+                    return report
+            except OverflowError:
+                pass
+            raise ValueError(f"{fn.__name__}: {what}")
+
+        return checked
+
+    return guard
+
+
 @dataclass(frozen=True)
 class TelescopeReport:
     lhs: GenericMatrix
@@ -446,6 +475,8 @@ class TelescopeReport:
     max_entry_deviation: float
 
 
+@in_double_range("p(AB) - p(BA) or its telescoped form exceeds the double range"
+                 " (about 1.8e308); scale the polynomial or the matrices down")
 def telescoping_expand(
     p: Polynomial, a: GenericMatrix, b: GenericMatrix, tol: float = 1e-10
 ) -> TelescopeReport:
@@ -457,6 +488,8 @@ def telescoping_expand(
     float ring would only round the rest away.  That makes max(2, 4d - 2)
     matrix products at degree d.  Equal means exact entrywise equality on
     exact backends and deviation <= tol * (1 + max |lhs|) on float backends.
+    An inf or nan entry on either side makes the deviation inf or nan, which
+    in_double_range refuses.
     """
     ab, ba = a * b, b * a
     rhs = poly_difference(p, ab, ba)

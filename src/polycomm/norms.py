@@ -12,11 +12,11 @@ is a 32-direction eigenvalue grid refined by Newton steps and certified within
 as numpy.linalg does, and each checker passes its matrices in one stack.
 p(AB) - p(BA) is poly_difference on AB and BA as CC matrices, the sum of
 multiples of [A, B] the bounds are derived from; a checker forms each product once.
+Checkers and spherical_average run under matrix.in_double_range: no report holds inf or nan.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .matrix import CC, GenericMatrix
+from .matrix import CC, GenericMatrix, in_double_range
 from .poly import Polynomial, poly_difference
 from .sampling import complex_gaussian_matrix, np_stream
 
@@ -229,7 +229,8 @@ def numerical_radius(a: MatrixLike) -> Union[float, np.ndarray]:
     _ROUNDS times; past that an ArithmeticError is raised, and no uncertified
     radius is returned.  The result, the largest f evaluated, is thus within
     1e-12 r below w(A) and above it by rounding at most.  The work runs on
-    A / 2^e, an exact power-of-two scaling, so the whole double range works."""
+    A / 2^e, an exact power-of-two scaling, so the whole double range works;
+    a radius past it is inf, as operator_norm's and frobenius_norm's are."""
     stack, one = _stacked(a)
     radii = np.zeros(len(stack))
     live = np.flatnonzero(stack.any(axis=(-2, -1)))
@@ -257,7 +258,8 @@ def numerical_radius(a: MatrixLike) -> Union[float, np.ndarray]:
         thetas, values = _level_crossings(turned, best[todo] * (1.0 + 1e-12))
         owner, col = np.nonzero(values > -math.inf)
         if not owner.size:
-            radii[live] = list(map(math.ldexp, best.tolist(), exponent.tolist()))
+            with np.errstate(over="ignore"):
+                radii[live] = np.ldexp(best, exponent)
             return float(radii[0]) if one else radii
         peaks = _newton_peaks(arr[todo], owner, thetas[owner, col] + turn[todo][owner], step)
         best[todo] = np.maximum(best[todo], np.maximum(values.max(axis=-1), peaks))
@@ -290,33 +292,11 @@ def _report(lhs, rhs, n, degree, compared=None) -> BoundReport:
     return BoundReport(lhs, rhs, satisfied, ratio, n, degree)
 
 
-_DOUBLE_RANGE = (
-    "a norm in the bound exceeds the double range (about 1.8e308); scale the"
-    " polynomial or the matrices down"
-)
+_DOUBLE_RANGE = ("a norm in the bound exceeds the double range (about 1.8e308); scale the"
+                 " polynomial or the matrices down")
 
 
-def _in_double_range(check):
-    """Run a bound checker with numpy overflow warnings off.  A float
-    OverflowError, or a side of the bound that is not finite, becomes a
-    ValueError naming the double range instead of a warning and an
-    unprintable report."""
-
-    @functools.wraps(check)
-    def checked(*args, **kwargs):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                report = check(*args, **kwargs)
-        except OverflowError:
-            report = None
-        if report is None or not all(map(math.isfinite, (report.lhs, report.rhs))):
-            raise ValueError(f"{check.__name__}: {_DOUBLE_RANGE}")
-        return report
-
-    return checked
-
-
-@_in_double_range
+@in_double_range(_DOUBLE_RANGE)
 def check_bottcher_wenzel(a: MatrixLike, b: MatrixLike) -> BoundReport:
     """||AB - BA||_F^2 <= 2 ||A||_F^2 ||B||_F^2.
 
@@ -343,7 +323,7 @@ def _weight_sum(p, fa: float, fb: float, base: float) -> float:
 # that the benchmark's tracer times those layers.
 
 
-@_in_double_range
+@in_double_range(_DOUBLE_RANGE)
 def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     """||p(AB)-p(BA)||_F <= ||[A,B]||_F * sum |c_k| k ||A||_F^(k-1) ||B||_F^(k-1).
 
@@ -357,7 +337,7 @@ def check_frobenius_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     return _report(lhs, rhs, x.shape[0], p.degree)
 
 
-@_in_double_range
+@in_double_range(_DOUBLE_RANGE)
 def check_numrad_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     """Numerical-radius analogue with the power-inequality growth factor:
     h(p(AB)-p(BA)) <= h([A,B]) * sum |c_k| k 4^k / 2 * h(A)^(k-1) h(B)^(k-1).
@@ -414,6 +394,8 @@ def _sphere_moments(arr: np.ndarray, samples: int, seed: int) -> tuple[float, fl
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
+@in_double_range("sphere average out of range: ||A||_F^2 or its estimate exceeds the double"
+                 " range (about 1.8e308; entries from about 1e154 overflow)")
 def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstimate:
     """Monte Carlo estimate of n * average of ||A v||^2 over unit vectors.
 
@@ -433,7 +415,7 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
     bytes of the unscaled arithmetic.  The samples and their variance thus
     stay in range for entries past 1e77, and only a ||A||_F^2 past the double
     range (entries from about 1e154), or an estimate that overflows when
-    scaled back, is a ValueError.
+    scaled back, is a ValueError, raised by matrix.in_double_range.
     """
     arr = as_complex_array(a)
     if samples < 1000:
@@ -441,22 +423,12 @@ def spherical_average(a: MatrixLike, samples: int, seed: int = 0) -> SphereEstim
     scaled, exponent = _unit_scaled(arr)
     if exponent < 0:
         scaled, exponent = arr, 0
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        moments = _sphere_moments(scaled, samples, seed)
-        exact_value = float((np.abs(arr) ** 2).sum())
-    try:
-        mean, std_error = (math.ldexp(v, 2 * int(exponent)) for v in moments)
-    except OverflowError:
-        mean, std_error = math.inf, math.inf
-    if not all(map(math.isfinite, (mean, std_error, exact_value))):
-        raise ValueError(
-            "sphere average out of range: ||A||_F^2 or its estimate exceeds the"
-            " double range (about 1.8e308; entries from about 1e154 overflow)"
-        )
-    return SphereEstimate(samples, mean, std_error, exact_value)
+    moments = _sphere_moments(scaled, samples, seed)
+    mean, std_error = (math.ldexp(v, 2 * int(exponent)) for v in moments)
+    return SphereEstimate(samples, mean, std_error, float((np.abs(arr) ** 2).sum()))
 
 
-@_in_double_range
+@in_double_range(_DOUBLE_RANGE)
 def check_average_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     """Sphere-average form of the Frobenius bound.
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 from fraction_judge import exact_difference, within
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycomm import cli, norms, poly, realize
@@ -793,6 +793,50 @@ def test_cli_fails_closed_over_the_whole_double_range(argv):
         assert any(uncertified(coeffs, *known) for known in zip(pairs, factors)), argv
 
 
+# verify-telescope --ring complex requests whose sides leave the double range:
+# both sides hold -inf, with a deviation whose nan a Python max would skip,
+# and a nan deviation that no JSON document can hold.
+TELESCOPE_OVERFLOWS = [
+    ["verify-telescope",
+     "--poly=4.951596225207876e+147,4.549526458309088e+307,1.5306457030451314e+23",
+     "--ring", "complex", "--n", "3", "--trials", "1", "--seed", "1950"],
+    ["verify-telescope", "--poly=0,0,1e308", "--ring", "complex", "--n", "3",
+     "--trials", "2", "--seed", "0"],
+]
+
+
+@st.composite
+def wide_float_argv(draw):
+    """sphere-avg with a WIDE matrix, or sweep-constants or verify-telescope
+    --ring complex with coefficients WIDE or near the top of the double range,
+    where their Gaussian matrices' p(AB) - p(BA) overflows."""
+    name = draw(st.sampled_from(["sphere-avg", "sweep-constants", "verify-telescope"]))
+    n, seed = draw(st.integers(1, 3)), str(draw(st.integers(0, 2**16)))
+    if name == "sphere-avg":
+        rows = draw(st.lists(st.lists(WIDE, min_size=n, max_size=n), min_size=n, max_size=n))
+        return [name, f"--input={json.dumps(rows)}", "--samples", "1000", "--seed", seed]
+    coeffs = st.one_of(WIDE, st.floats(1e290, 1.7e308))
+    poly = ",".join(map(repr, draw(st.lists(coeffs, min_size=2, max_size=5))))
+    argv = [name, f"--poly={poly}", "--n", str(n), "--trials", "2", "--seed", seed]
+    return argv + (["--ring", "complex"] if name == "verify-telescope" else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=wide_float_argv())
+@example(argv=TELESCOPE_OVERFLOWS[0])
+@example(argv=TELESCOPE_OVERFLOWS[1])
+def test_float_reports_fail_closed_over_the_whole_double_range(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    if code == 2:
+        assert not any(raw in err.splitlines()[-1] for raw in RAW_MESSAGES), (argv, err)
+    if out:
+        assert all(map(math.isfinite, _numbers(json.loads(out)))), argv
+
+
 NON_FINITE_INPUTS = [
     ("solve-quat", "--poly", "0,1", "--input", "[0,NaN,0,1]"),
     ("solve-quat", "--poly", "0,1", "--input", "[0,1e400,0,1]"),
@@ -908,6 +952,12 @@ def test_sweep_with_large_finite_norms(capsys, recwarn, fmt):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     # p(AB) - p(BA) is in range here, but its Frobenius norm is not
     code, out, err = sweep("3e306", 1)
+    assert_one_error_line(code, out, err, recwarn, "double range")
+
+
+@pytest.mark.parametrize("argv", TELESCOPE_OVERFLOWS, ids=["both-sides-inf", "nan-deviation"])
+def test_telescope_overflow_is_an_input_error(capsys, recwarn, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert_one_error_line(code, out, err, recwarn, "double range")
 
 

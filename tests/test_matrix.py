@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycomm import matrix
@@ -531,6 +532,16 @@ def test_quaternion_magnitude_spans_the_double_range(ring, q, expected):
     assert GenericMatrix.from_rows(ring, [[0, q], [0, 0]]).max_magnitude() == expected
 
 
+@pytest.mark.parametrize("ring, bad", [(CC, math.nan), (HF, [0.0, math.nan, 0.0, 0.0])])
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_max_magnitude_sees_a_nan_in_any_position(ring, bad, i, j):
+    # Python's max skips a nan unless it comes first
+    rows = [[1, 2], [3, 4]]
+    rows[i][j] = bad
+    magnitude = GenericMatrix.from_rows(ring, rows).max_magnitude()
+    assert type(magnitude) is float and math.isnan(magnitude)
+
+
 def test_mixed_ring_arithmetic_rejected():
     a = GenericMatrix.identity(QQ, 2)
     b = GenericMatrix.identity(CC, 2)
@@ -946,3 +957,72 @@ def test_quaternion_inverse_makes_no_quaternion_products(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert m * inverse == GenericMatrix.identity(HQ, 4)
+
+
+@dataclasses.dataclass(frozen=True)
+class Report:
+    value: float
+    count: int = 10**400  # no float holds it; the guard reads float fields only
+    flag: bool = False
+    side: object = None
+
+
+def guarded(make):
+    """make() under in_double_range, after numpy ops that overflow, underflow
+    and take the square root of -1; any RuntimeWarning fails the test."""
+
+    @matrix.in_double_range("out of range")
+    def build():
+        np.array([1e308]) * 10.0
+        np.array([1e-308]) * 1e-308
+        np.sqrt(np.array([-1.0]))
+        return make()
+
+    return build
+
+
+def test_in_double_range_returns_a_finite_report_as_it_is():
+    report = Report(1.5, side=GenericMatrix.from_rows(CC, [[math.inf]]))
+    before = np.geterr()
+    assert guarded(lambda: report)() is report
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_in_double_range_refuses_a_non_finite_float_field(bad):
+    with pytest.raises(ValueError, match=r"^build: out of range$"):
+        guarded(lambda: Report(bad))()
+
+
+def test_in_double_range_turns_an_overflow_error_into_the_same_refusal():
+    with pytest.raises(ValueError, match=r"^build: out of range$"):
+        guarded(lambda: Report(math.ldexp(1.0, 2000)))()
+    with pytest.raises(ZeroDivisionError):  # any other error passes through
+        guarded(lambda: Report(1.0 / 0))()
+
+
+# coefficients log-uniform up to the top of the double range, either sign
+HUGE = st.builds(
+    lambda e, sign: sign * 10.0**e,
+    st.floats(-300.0, 308.25),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 3),
+       coeffs=st.lists(HUGE, min_size=2, max_size=5))
+# verify-telescope --ring complex --n 3 --seed 1950 draws this pair: both
+# sides hold -inf, and Python's max once skipped the nan between them
+@example(seed=1950, n=3,
+         coeffs=[4.951596225207876e147, 4.549526458309088e307, 1.5306457030451314e23])
+def test_telescope_sides_are_finite_or_refused(seed, n, coeffs):
+    gen = np_stream(seed, "telescope")
+    a, b = cc_matrix(gen, n), cc_matrix(gen, n)
+    try:
+        report = telescoping_expand(Polynomial(coeffs), a, b)
+    except ValueError as exc:
+        assert "double range" in str(exc)
+        return
+    for side in (report.lhs, report.rhs):
+        assert np.isfinite(side.component_form()[0]).all()

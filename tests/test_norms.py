@@ -619,6 +619,26 @@ def test_numerical_radius_invariances(recwarn):
     assert not [x for x in recwarn if issubclass(x.category, RuntimeWarning)]
 
 
+def test_numerical_radius_past_the_double_range_is_inf(recwarn):
+    top = np.full((2, 2), 1e308)  # w = 2e308, as operator_norm's
+    assert numerical_radius(top) == math.inf == operator_norm(top)
+    gen = np_stream(SEED, "numrad-overflow")
+    a = complex_gaussian_matrix(gen, 3)
+    near_top = np.ldexp(a.real, 1000) + 1j * np.ldexp(a.imag, 1000)
+    others = [a, near_top, np.ldexp(a.real, -1000) + 0j]
+    radii = numerical_radius(np.stack([np.pad(top, (0, 1)), *others]))
+    assert radii[0] == math.inf
+    assert radii[1:].tolist() == [numerical_radius(m) for m in others]
+    assert radii[2] == math.ldexp(radii[1], 1000) < math.inf
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_an_infinite_bound_ratio_is_refused():
+    # ||A||_F^2 underflows to 0, so the right side is 0 below a positive left side
+    with pytest.raises(ValueError, match="check_bottcher_wenzel: .*double range"):
+        check_bottcher_wenzel(1e-170 * E12, 1e150 * E21)
+
+
 def test_operator_norm_across_the_double_range(recwarn):
     assert abs(operator_norm(np.diag([1e200, 1.0])) - 1e200) <= 1e-14 * 1e200
     assert abs(operator_norm(np.diag([1e-300, 1e-301])) - 1e-300) <= 1e-14 * 1e-300
