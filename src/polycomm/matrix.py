@@ -145,10 +145,13 @@ class GenericMatrix:
     them to this form at once and keeps only it; rows, m[i, j] and
     diagonal_entries build Fraction(v, den), exact quaternions (int
     components where integral), float quaternions or Python-number entries
-    from the parts on each read.  The parts are never written in place.
+    from the parts on each read.  The parts are never written in place.  The
+    one slot written after construction is _inverse, which inverse() fills
+    on its first success (a failure is never stored); a matrix derived from
+    this one starts without it.
     """
 
-    __slots__ = ("ring", "n", "_parts", "_den")
+    __slots__ = ("ring", "n", "_parts", "_den", "_inverse")
 
     def __init__(self, ring: ScalarRing, rows: Sequence[Sequence]):
         rows = tuple(tuple(r) for r in rows)
@@ -157,6 +160,7 @@ class GenericMatrix:
             raise ValueError("rows must form a nonempty square matrix")
         parts, den = _pack(ring, [x for row in rows for x in row])
         self.ring, self.n, self._parts, self._den = ring, n, parts.reshape(-1, n, n), den
+        self._inverse = None
 
     @classmethod
     def _of_parts(cls, ring: ScalarRing, parts: np.ndarray, den=1) -> "GenericMatrix":
@@ -165,6 +169,7 @@ class GenericMatrix:
         m = cls.__new__(cls)
         m.ring, m.n = ring, parts.shape[1]
         m._parts, m._den = (parts // g, den // g) if g > 1 else (parts, den)
+        m._inverse = None
         return m
 
     @property
@@ -321,7 +326,13 @@ class GenericMatrix:
         np.linalg.solve on finite entries (ValueError otherwise).  When LAPACK reports chi(m) singular, the
         error names the smallest j for which columns 0 .. c j + c - 1 of
         chi(m) are rank-deficient (np.linalg.matrix_rank).
+
+        The first inverse found is kept in the _inverse slot, so every later
+        call returns that same matrix without solving again; a matrix with no
+        inverse raises on every call.
         """
+        if self._inverse is not None:
+            return self._inverse
         ring, n, c = self.ring, self.n, self.ring.components
         parts, den = self.component_form()
         chi = _left_image(parts)  # chi(m) = chi / den
@@ -338,7 +349,8 @@ class GenericMatrix:
                 column = next((j for j, k in enumerate(ranks) if k < c * j + c), n - 1)
                 raise SingularMatrixError(column) from None
         # row c i + r of x holds component r of row i of the inverse
-        return GenericMatrix._of_parts(ring, x.reshape(n, c, n).transpose(1, 0, 2), den)
+        self._inverse = GenericMatrix._of_parts(ring, x.reshape(n, c, n).transpose(1, 0, 2), den)
+        return self._inverse
 
 
 _HAMILTON = np.array([[0, 5, 6, 7], [1, 0, 7, 2], [2, 3, 0, 5], [3, 6, 1, 0]])

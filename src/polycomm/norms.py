@@ -76,7 +76,9 @@ def _polynomial(p, nonconstant: bool = False) -> Polynomial:
 def frobenius_norm(a: MatrixLike) -> float:
     """sqrt(sum |a_ij|^2), recomputed on A / max|a_ij| when the sum of squares
     is not a finite normal double (norms above about 1e154 or below about
-    1.5e-154), whose subnormal squares keep few bits (Blue, ACM TOMS 4, 1978)."""
+    1.5e-154), whose subnormal squares keep few bits (Blue, ACM TOMS 4, 1978).
+    A subnormal max|a_ij| first scales A up by 2^1022, exactly, as numpy's
+    division by it would overflow."""
     return _frobenius(as_complex_array(a))
 
 
@@ -86,6 +88,8 @@ def _frobenius(arr: np.ndarray) -> float:
         if sys.float_info.min <= squares < math.inf or not arr.any():
             return math.sqrt(squares)
         top = float(np.abs(arr).max())
+        if top < sys.float_info.min:
+            return math.ldexp(_frobenius(arr * 2.0**1022), -1022)
         return top * float(np.sqrt((np.abs(arr / top) ** 2).sum()))
 
 

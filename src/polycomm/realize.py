@@ -9,9 +9,13 @@ are similar to D through the two unitriangular factors.  Then
 p(A1 B1) - p(B1 A1) = G L1 G^-1 - G U1 G^-1 = A exactly.  Only a given G
 is ever inverted: the substitution that builds each unitriangular factor
 also gives its inverse, on the integer numerators of the component form.
-The witness checks four identities, the two on A1 and B1 multiplied
-through (A1 == G G1 G2^-1 G^-1 as A1 G G2 == G G1), distinct diagonal
-entries of p(D), and the target.
+G is eliminated once, as a GenericMatrix keeps its inverse: the
+realization, its verification and a traceless input's reduction share it.
+A product on the right by the central diagonal (P diag(t) in the check of
+each factor, G2 D in B1) is a column scaling, and p(D) takes the values
+the preimage scan computed.  The witness checks four identities, the two
+on A1 and B1 multiplied through (A1 == G G1 G2^-1 G^-1 as
+A1 G G2 == G G1), distinct diagonal entries of p(D), and the target.
 
 Traceless matrices over the rationals reduce to the zero-diagonal case by
 a recursive change of basis, so every traceless rational matrix is a
@@ -49,25 +53,27 @@ def pick_distinct_preimages(p: Polynomial, n: int) -> list:
     """First n integers (scan order 0, 1, -1, 2, -2, ...) with pairwise
     distinct values under p.  Each value collides at most deg(p) times, so
     the scan always terminates for nonconstant p."""
+    return _distinct_preimages(p, n)[0]
+
+
+def _distinct_preimages(p: Polynomial, n: int):
+    """(preimages, values) of pick_distinct_preimages, values[i] = p(preimages[i])
+    as the scan evaluated it."""
     if p.is_constant():
         raise ValueError("constant polynomial has a single value")
     if n < 1:
         raise ValueError("need at least one preimage")
-    chosen: list = []
-    seen = set()
+    found: dict = {}  # each new value -> its first preimage, in scan order
     candidate = 0
     step = 0
-    while len(chosen) < n:
-        val = eval_poly(p, candidate)
-        if val not in seen:
-            seen.add(val)
-            chosen.append(candidate)
+    while len(found) < n:
+        found.setdefault(eval_poly(p, candidate), candidate)
         if candidate > 0:
             candidate = -candidate
         else:
             step += 1
             candidate = step
-    return chosen
+    return list(found.values()), list(found)
 
 
 def _check_triangular(t: GenericMatrix, shape: str):
@@ -84,9 +90,9 @@ def _check_triangular(t: GenericMatrix, shape: str):
     if bad:
         raise ValueError(f"diagonal entry {bad[0]} is not central")
     real = diag[0].tolist()
-    for i, j in combinations(range(t.n), 2):
-        if real[i] == real[j]:
-            raise ValueError(f"diagonal entries {i} and {j} coincide")
+    if len(set(real)) < t.n:
+        i, j = next((i, j) for i, j in combinations(range(t.n), 2) if real[i] == real[j])
+        raise ValueError(f"diagonal entries {i} and {j} coincide")
 
 
 def _unitriangular_solve(m: GenericMatrix, shape: str, divide: bool = False) -> GenericMatrix:
@@ -126,18 +132,28 @@ def _substitute(t: GenericMatrix, shape: str) -> GenericMatrix:
     return _unitriangular_solve(t, shape, divide=True)
 
 
+def _times_diagonal(m: GenericMatrix, t: GenericMatrix) -> GenericMatrix:
+    """m diag(t) for a t with central diagonal entries (the rest of t is not
+    read): column j of m's component form scaled by the numerator of t_jj,
+    over the product of the two denominators."""
+    parts, den = m.component_form()
+    t_parts, t_den = t.component_form()
+    return GenericMatrix._of_parts(m.ring, parts * t_parts[0].diagonal(), den * t_den)
+
+
 def triangular_diagonalize(t: GenericMatrix, shape: str) -> GenericMatrix:
     """Unitriangular P (same shape as t) with P^-1 t P = diag(t).
 
     Needs central, pairwise distinct diagonal entries.  P comes from a
     forward substitution and is checked as t P = P diag(t), which for the
-    invertible (unitriangular) P is the same identity without an inverse.
+    invertible (unitriangular) P is the same identity without an inverse;
+    P diag(t) is a column scaling of P.
     """
     if shape not in ("lower", "upper"):
         raise ValueError("shape must be 'lower' or 'upper'")
     _check_triangular(t, shape)
     p = _substitute(t, shape)
-    if t * p != p * GenericMatrix.diagonal(t.ring, t.diagonal_entries()):
+    if t * p != _times_diagonal(p, t):
         raise VerificationError("triangular diagonalization failed to verify")
     return p
 
@@ -155,6 +171,13 @@ def _is_unitriangular(m: GenericMatrix) -> bool:
     if (diag[0] != den).any() or (diag[1:] != 0).any():
         return False
     return not np.tril(parts, -1).any() or not np.triu(parts, 1).any()
+
+
+def _is_identity(m: GenericMatrix) -> bool:
+    """m == I, read off the component form: over den 1, exactly n nonzero
+    numerators, the real parts of the diagonal, all 1."""
+    parts, den = m.component_form()
+    return den == 1 and np.count_nonzero(parts) == m.n and bool((parts[0].diagonal() == 1).all())
 
 
 def _nonzero_diagonal(m: GenericMatrix):
@@ -201,7 +224,7 @@ class RealizationWitness:
         a1 b1 and b1 a1 similar to d through g g1 and g g2, so p(a1 b1) and
         p(b1 a1) are similar to p(d) and need no check of their own.
         """
-        trivial_g = self.g == GenericMatrix.identity(self.g.ring, self.g.n)
+        trivial_g = _is_identity(self.g)
         if not trivial_g:
             self.g.inverse()
         for m in (self.g1, self.g2):
@@ -243,16 +266,16 @@ def realize_zero_diagonal(
     if i is not None:
         raise ValueError(f"conjugated matrix has nonzero diagonal entry at {i}")
 
-    alphas = pick_distinct_preimages(p, a.n)
+    alphas, values = _distinct_preimages(p, a.n)
     d = GenericMatrix.diagonal(ring, alphas)
-    p_diag = GenericMatrix.diagonal(ring, [eval_poly(p, al) for al in alphas])
+    p_diag = GenericMatrix.diagonal(ring, values)
     lower, upper = _strict_parts(a_prime)
     l1 = lower + p_diag
     u1 = p_diag - upper
     g1 = triangular_diagonalize(l1, "lower")
     g2 = triangular_diagonalize(u1, "upper")
     a1 = g1 * _unitriangular_solve(g2, "upper")
-    b1 = g2 * d * _unitriangular_solve(g1, "lower")
+    b1 = _times_diagonal(g2, d) * _unitriangular_solve(g1, "lower")
     if g is None:
         g = GenericMatrix.identity(ring, a.n)
     else:

@@ -500,6 +500,15 @@ def test_degree_one_bounds_hold_below_the_normal_range(capsys, constant):
     assert len(ratios) == 10 and all(abs(r - 1.0) <= 1e-15 for r in ratios), ratios
 
 
+def test_degree_one_bounds_hold_with_a_subnormal_coefficient(capsys, recwarn):
+    # every entry of p(AB) - p(BA) is subnormal, so its Frobenius norm rescales
+    # by its largest entry, whose reciprocal is past the double range
+    code, doc = run_json(capsys, "verify-bounds", "--poly", "0,1e-310", "--n", "3", "--trials", "2")
+    assert code == 0 and doc["all_satisfied"] is True
+    assert len(doc["checks"]) == 8 and all(r["satisfied"] for r in doc["checks"])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_verify_telescope_leaves_out_a_large_constant(capsys):
     # c0 = 1e20 cancels exactly in p(AB) - p(BA); on the direct side it
     # rounded [A, B] away (deviation 0.31)
@@ -825,6 +834,8 @@ def wide_float_argv(draw):
 @given(argv=wide_float_argv())
 @example(argv=TELESCOPE_OVERFLOWS[0])
 @example(argv=TELESCOPE_OVERFLOWS[1])
+# a Frobenius norm whose largest entry is subnormal, where dividing by it overflowed
+@example(argv=["sweep-constants", "--poly=1.0,1e-322", "--n", "2", "--trials", "2", "--seed", "0"])
 def test_float_reports_fail_closed_over_the_whole_double_range(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -320,6 +320,34 @@ def test_singular_matrix_reports_column():
     assert info.value.column == 0
 
 
+@pytest.mark.parametrize("ring", [QQ, HQ], ids=["rational", "quaternion"])
+def test_inverse_is_kept_on_the_matrix(monkeypatch, ring):
+    """The first inverse() eliminates and keeps its result: every later call
+    returns the same object, equal to a fresh elimination of the same entries.
+    A singular matrix eliminates and raises on every call, and a matrix
+    derived from one with a kept inverse starts without it."""
+    eliminations = []
+    solve = matrix._bareiss_solve
+
+    def counted(*args):
+        eliminations.append(args)
+        return solve(*args)
+
+    r = stream(SEED, "inverse-memo-" + ring.name)
+    m = rational_matrix(r, 3) if ring is QQ else quaternion_matrix(r, 3)
+    fresh = GenericMatrix(ring, m.rows).inverse()
+    monkeypatch.setattr(matrix, "_bareiss_solve", counted)
+    inv = m.inverse()
+    assert m.inverse() is inv and inv == fresh and len(eliminations) == 1
+    derived = [-m, m * m, m + 1, 2 * m, m.transpose(), GenericMatrix(ring, m.rows), inv]
+    assert all(d._inverse is None for d in derived)
+    singular = GenericMatrix.from_rows(ring, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    for calls in (2, 3):
+        with pytest.raises(SingularMatrixError, match="column 1"):
+            singular.inverse()
+        assert len(eliminations) == calls and singular._inverse is None
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_inverse_roundtrip_float_quaternion(n):
     gen = np_stream(SEED + n, "inv-hf")

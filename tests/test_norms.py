@@ -654,6 +654,14 @@ def test_frobenius_norm_across_the_double_range(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_frobenius_norm_of_subnormal_entries(recwarn):
+    tiny = 2.0**-1074  # the least subnormal, whose reciprocal overflows
+    assert frobenius_norm(np.diag([3 * tiny, 4 * tiny])) == 5 * tiny
+    assert frobenius_norm([[0.0, 3e-320j], [4e-320, 0.0]]) == 5e-320
+    assert frobenius_norm(np.full((2, 2), 1e-310)) == 2e-310
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_constant_sweep_rows_name_the_double_range(recwarn):
     rows = list(constant_sweep_rows([0, 0, 0, 1e300], 4, 2, seed=0))
     assert all(1e301 < r["lhs"] < 1e303 and math.isfinite(r["ratio"]) for r in rows)

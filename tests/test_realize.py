@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycomm import realize
+from polycomm import matrix, realize
 from polycomm.matrix import CC, HF, HQ, QQ, GenericMatrix, SingularMatrixError
 from polycomm.poly import Polynomial, eval_poly, poly_commutator
 from polycomm.quat import QI, QJ, QK, Quaternion, VerificationError
@@ -162,6 +162,11 @@ def test_triangular_diagonalize_rejects_a_wrong_substitution(monkeypatch):
         triangular_diagonalize(lower.transpose(), "upper")
     with pytest.raises(VerificationError):
         realize_zero_diagonal(X2, qq([[0, 1, 2], [3, 0, 4], [5, 6, 0]]))
+    g = qq([[1, 1, 0], [0, 1, 0], [2, 0, 1]])
+    with pytest.raises(VerificationError):
+        realize_zero_diagonal(X2, g * qq([[0, 1, 2], [3, 0, 4], [5, 6, 0]]) * g.inverse(), g=g)
+    with pytest.raises(VerificationError):
+        realize_traceless(X2, qq([[1, 2, 0], [3, -4, 5], [6, 7, 3]]))
 
 
 def test_realization_worked_example():
@@ -811,6 +816,95 @@ def test_traceless_realization_inverts_only_its_change_of_basis(monkeypatch):
         check_witness(w, X2, a)
         assert w.g == change == traceless_to_zero_diagonal(a)[0]
         assert seen == [change] * 3
+
+
+def count_eliminations(monkeypatch):
+    """Record every Bareiss elimination (matrix._bareiss_solve) from now on."""
+    seen = []
+    solve = matrix._bareiss_solve
+
+    def counted(*args):
+        seen.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(matrix, "_bareiss_solve", counted)
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_each_change_of_basis_is_eliminated_once(monkeypatch, n):
+    """inverse() keeps its result on the matrix, so the traceless change of
+    basis, inverted by the reduction, by realize_zero_diagonal and in
+    verify(), is eliminated once, and a given conjugator, inverted by
+    realize_zero_diagonal and in verify(), once too.  Verifying the
+    returned witness again eliminates nothing, and without a conjugator
+    nothing is eliminated at all."""
+    r = stream(SEED, f"elimination-count-{n}")
+    p = exact_polynomial(r, r.randint(1, 3))
+    traceless = traceless_matrix(r, n)
+    cases = [(traceless, "traceless", 1)]
+    for ring in (QQ, HQ):
+        a, g = conjugated_target(r, ring, n)
+        # a copy of g, as conjugated_target has already inverted g itself
+        cases += [(a, GenericMatrix(ring, g.rows), 1),
+                  (random_entries(r, ring, n, zero_diagonal=True), None, 0)]
+    seen = count_eliminations(monkeypatch)
+    for a, g, eliminations in cases:
+        del seen[:]
+        w = realize_traceless(p, a) if g == "traceless" else realize_zero_diagonal(p, a, g=g)
+        assert len(seen) == eliminations
+        check_witness(w, p, a)
+        assert len(seen) == eliminations
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_products_per_realization(monkeypatch, degree):
+    """3 degree + 6 products without a conjugator: t P for each triangular
+    factor, one each for a1 and b1, then in verify() a1 (g g2), b1 (g g1),
+    (g g2) d, degree - 1 for p(d) and 2 degree for p(a1 b1) - p(b1 a1).
+    P diag(t) and g2 d are column scalings, not products.  A conjugator adds
+    8 (g^-1 a g, g a1 g^-1, g b1 g^-1, g g1 and g g2); a traceless n x n
+    input adds 2 n - 2 for its change of basis and 2 for the reduction."""
+    r = stream(SEED, f"product-count-{degree}")
+    p = Polynomial([1] * degree + [2])
+    cases = []
+    for n in (2, 3, 4, 5, 6):
+        for ring in (QQ, HQ):
+            a, g = conjugated_target(r, ring, n)
+            cases += [(random_entries(r, ring, n, zero_diagonal=True), None, 3 * degree + 6),
+                      (a, g, 3 * degree + 14)]
+        cases.append((traceless_matrix(r, n), "traceless", 3 * degree + 14 + 2 * n))
+    products = []
+    mul = GenericMatrix.__mul__
+
+    def counted(*args):
+        products.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(GenericMatrix, "__mul__", counted)
+    for a, g, expected in cases:
+        del products[:]
+        if g == "traceless":
+            realize_traceless(p, a)
+        else:
+            realize_zero_diagonal(p, a, g=g)
+        assert len(products) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring=st.sampled_from([QQ, HQ]), n=st.integers(1, 5), data=st.data())
+def test_column_scaling_is_the_product_with_the_diagonal(ring, n, data):
+    """m diag(t) as a column scaling of m equals the product with
+    GenericMatrix.diagonal of t's central diagonal entries, in the same
+    component form; t's other entries are not read."""
+    entry = mixed_entry[ring.name]
+    m = GenericMatrix.from_rows(ring, [[data.draw(entry) for _ in range(n)] for _ in range(n)])
+    diagonal = data.draw(st.lists(mixed_fraction, min_size=n, max_size=n))
+    t = triangular_with(data.draw, ring, n, data.draw(st.sampled_from(["lower", "upper"])),
+                        diagonal)
+    scaled = realize._times_diagonal(m, t)
+    expected = m * GenericMatrix.diagonal(ring, diagonal)
+    assert scaled == expected and scaled.rows == expected.rows
 
 
 def matrix_perturbations(m):
