@@ -300,17 +300,38 @@ _DOUBLE_RANGE = ("a norm in the bound exceeds the double range (about 1.8e308); 
                  " polynomial or the matrices down")
 
 
+def _scaled_squares(u: float, v: float, w: float, k: float = 1.0) -> tuple:
+    """(u^2, k v^2 w^2) over 4^(ev + ew), with ev and ew the binary exponents
+    of v and w: the two sides of u^2 <= k v^2 w^2 in the same ratio, where no
+    square falls below the normal range unless u / (v w) is that small."""
+    ev, ew = math.frexp(v)[1], math.frexp(w)[1]
+    su, sv, sw = np.ldexp([u, v, w], [-ev - ew, -ev, -ew]).tolist()
+    return su * su, k * (sv * sv * (sw * sw))
+
+
 @in_double_range(_DOUBLE_RANGE)
 def check_bottcher_wenzel(a: MatrixLike, b: MatrixLike) -> BoundReport:
     """||AB - BA||_F^2 <= 2 ||A||_F^2 ||B||_F^2.
 
     Squared norms are summed directly, skipping the sqrt/square round trip
-    so the equality pair comes out exact."""
+    so the equality pair comes out exact.  When a nonzero one of the four
+    sides leaves the normal range, A and B are scaled to unit size by
+    powers of two (_unit_scaled) and AB - BA is formed from them: the
+    printed squares are those of the scaled norms scaled back, and the
+    verdict and ratio compare the scaled norms through _scaled_squares."""
     x, y = as_complex_array(a), as_complex_array(b)
     c = x @ y - y @ x
-    lhs = float((np.abs(c) ** 2).sum())
-    rhs = 2.0 * float((np.abs(x) ** 2).sum()) * float((np.abs(y) ** 2).sum())
-    return _report(lhs, rhs, x.shape[0], 1)
+    lhs, sx, sy = (float((np.abs(m) ** 2).sum()) for m in (c, x, y))
+    rhs = 2.0 * sx * sy
+    nonzero = (c.any(), x.any(), y.any(), x.any() and y.any())
+    if all(sys.float_info.min <= s < math.inf
+           for s, live in zip((lhs, sx, sy, rhs), nonzero) if live):
+        return _report(lhs, rhs, x.shape[0], 1)
+    (xs, ex), (ys, ey) = _unit_scaled(x), _unit_scaled(y)
+    u, v, w = (_frobenius(m) for m in (xs @ ys - ys @ xs, xs, ys))
+    shift = 2 * int(ex + ey)
+    return _report(math.ldexp(u * u, shift), math.ldexp(2.0 * (v * v) * (w * w), shift),
+                   x.shape[0], 1, _scaled_squares(u, v, w, 2.0))
 
 
 def _weight_sum(p, fa: float, fb: float, base: float) -> float:
@@ -454,9 +475,7 @@ def check_average_bound(p, a: MatrixLike, b: MatrixLike) -> BoundReport:
     lhs, comm2, total2 = diff**2, comm**2, total**2
     compared = None
     if min(lhs, comm2, total2, comm2 * total2) < sys.float_info.min:
-        ec, et = math.frexp(comm)[1], math.frexp(total)[1]
-        sd, sc, st = np.ldexp([diff, comm, total], [-ec - et, -ec, -et]).tolist()
-        compared = (sd * sd, sc * sc * (st * st))
+        compared = _scaled_squares(diff, comm, total)
     return _report(lhs, comm2 * total2, x.shape[0], p.degree, compared)
 
 

@@ -17,6 +17,15 @@ the preimage scan computed.  The witness checks four identities, the two
 on A1 and B1 multiplied through (A1 == G G1 G2^-1 G^-1 as
 A1 G G2 == G G1), distinct diagonal entries of p(D), and the target.
 
+The target is certified on the triangular factors, without p at A1 B1
+and B1 A1, the witness's largest entries: for G1 lower and G2 upper
+triangular and D a central diagonal, the first two identities make
+p(A1 B1) - p(B1 A1) = G (G1 p(D) G1^-1 - G2 p(D) G2^-1) G^-1, so with
+M = G^-1 A G the target holds exactly when diag(M) = 0,
+(tril(M, -1) + p(D)) G1 = G1 p(D) and (p(D) - triu(M, 1)) G2 = G2 p(D)
+(see RealizationWitness.failed_identity).  A decoded witness of other
+shapes has its target evaluated directly.
+
 Traceless matrices over the rationals reduce to the zero-diagonal case by
 a recursive change of basis, so every traceless rational matrix is a
 p-commutator for every nonconstant p.  The trace obstruction is the only
@@ -26,6 +35,7 @@ builds diagonal quaternion pairs whose p-commutator has nonzero trace.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,35 +66,61 @@ def pick_distinct_preimages(p: Polynomial, n: int) -> list:
     return _distinct_preimages(p, n)[0]
 
 
+def _integer_coefficients(p: Polynomial):
+    """(q, e): p's coefficients, leading first, as the integers q over their
+    common denominator e."""
+    coeffs = [Fraction(c) for c in p.coeffs]
+    e = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (e // c.denominator) for c in reversed(coeffs)], e
+
+
 def _distinct_preimages(p: Polynomial, n: int):
-    """(preimages, values) of pick_distinct_preimages, values[i] = p(preimages[i])
-    as the scan evaluated it."""
+    """(preimages, values) of pick_distinct_preimages, values[i] = p(preimages[i]).
+
+    The scan runs Horner's rule on integers (_integer_coefficients), so
+    each candidate's value is an integer over e and only the n values kept
+    become Fractions."""
     if p.is_constant():
         raise ValueError("constant polynomial has a single value")
     if n < 1:
         raise ValueError("need at least one preimage")
-    found: dict = {}  # each new value -> its first preimage, in scan order
+    scaled, e = _integer_coefficients(p)
+    found: dict = {}  # each new value times e -> its first preimage, in scan order
     candidate = 0
     step = 0
     while len(found) < n:
-        found.setdefault(eval_poly(p, candidate), candidate)
+        value = 0
+        for c in scaled:
+            value = value * candidate + c
+        found.setdefault(value, candidate)
         if candidate > 0:
             candidate = -candidate
         else:
             step += 1
             candidate = step
-    return list(found.values()), list(found)
+    return list(found.values()), [Fraction(v, e) for v in found]
+
+
+@functools.cache
+def _wrong_side(n: int, shape: str):
+    """Row-major (rows, columns) of the entries that are zero in every n x n
+    matrix of the shape: above the diagonal for lower, below it for upper."""
+    return np.triu_indices(n, 1) if shape == "lower" else np.tril_indices(n, -1)
+
+
+def _is_triangular(m: GenericMatrix, shape: str) -> bool:
+    rows, cols = _wrong_side(m.n, shape)
+    return not np.count_nonzero(m.component_form()[0][:, rows, cols])
 
 
 def _check_triangular(t: GenericMatrix, shape: str):
     if not t.ring.exact:
         raise ValueError("triangular diagonalization requires an exact backend")
     parts, _ = t.component_form()
-    wrong_side = np.triu(parts, 1) if shape == "lower" else np.tril(parts, -1)
-    bad = np.argwhere((wrong_side != 0).any(axis=0)).tolist()
-    if bad:
-        i, j = bad[0]
-        raise ValueError(f"entry ({i},{j}) breaks {shape}-triangular shape")
+    if not _is_triangular(t, shape):
+        rows, cols = _wrong_side(t.n, shape)
+        k = np.flatnonzero((parts[:, rows, cols] != 0).any(axis=0))[0]
+        raise ValueError(f"entry ({rows[k]},{cols[k]}) breaks {shape}-triangular shape")
     diag = parts.diagonal(0, 1, 2)
     bad = np.flatnonzero((diag[1:] != 0).any(axis=0)).tolist()
     if bad:
@@ -106,7 +142,7 @@ def _unitriangular_solve(m: GenericMatrix, shape: str, divide: bool = False) -> 
     row i of m times the block of X already filled, divided entrywise by
     the gaps m_ii - m_jj.  The rows fill in on integer numerators over one
     denominator, which each row rescales by the lcm of its gaps (m's own
-    denominator cancels from them) and reduces by one gcd."""
+    denominator cancels from them); _of_parts reduces the result once."""
     ring, n = m.ring, m.n
     parts, den = m.component_form()
     x, x_den = np.zeros_like(parts), 1
@@ -122,8 +158,6 @@ def _unitriangular_solve(m: GenericMatrix, shape: str, divide: bool = False) -> 
         else:
             x, x_den = x * den, x_den * den
             x[:, i, block] = -s
-        g = math.gcd(x_den, *x.flat)
-        x, x_den = x // g, x_den // g
     return GenericMatrix._of_parts(ring, x, x_den)
 
 
@@ -158,19 +192,24 @@ def triangular_diagonalize(t: GenericMatrix, shape: str) -> GenericMatrix:
     return p
 
 
-def _strict_parts(m: GenericMatrix):
-    parts, den = m.component_form()
-    return (GenericMatrix._of_parts(m.ring, np.tril(parts, -1), den),
-            GenericMatrix._of_parts(m.ring, np.triu(parts, 1), den))
+def _lifts(a_prime: GenericMatrix, p_diag: GenericMatrix):
+    """(L1, U1) = (tril(a', -1) + p(D), p(D) - triu(a', 1)), the lower and
+    upper triangular matrices with L1 - U1 = a' for a zero-diagonal a' and
+    a diagonal p(D), each assembled over the lcm of the two denominators."""
+    (parts, den), (diag, d_den) = a_prime.component_form(), p_diag.component_form()
+    total = math.lcm(den, d_den)
+    parts, diag = parts * (total // den), diag * (total // d_den)
+    return (GenericMatrix._of_parts(a_prime.ring, np.tril(parts, -1) + diag, total),
+            GenericMatrix._of_parts(a_prime.ring, diag - np.triu(parts, 1), total))
 
 
 def _is_unitriangular(m: GenericMatrix) -> bool:
     """Unit diagonal and one strict triangle zero: invertible by its shape."""
     parts, den = m.component_form()
     diag = parts.diagonal(0, 1, 2)
-    if (diag[0] != den).any() or (diag[1:] != 0).any():
+    if (diag[0] != den).any() or np.count_nonzero(diag[1:]):
         return False
-    return not np.tril(parts, -1).any() or not np.triu(parts, 1).any()
+    return _is_triangular(m, "lower") or _is_triangular(m, "upper")
 
 
 def _is_identity(m: GenericMatrix) -> bool:
@@ -183,8 +222,25 @@ def _is_identity(m: GenericMatrix) -> bool:
 def _nonzero_diagonal(m: GenericMatrix):
     """Index of the first nonzero diagonal entry of m, or None."""
     diag = m.component_form()[0].diagonal(0, 1, 2)
-    bad = np.flatnonzero((diag != 0).any(axis=0)).tolist()
-    return bad[0] if bad else None
+    if not np.count_nonzero(diag):
+        return None
+    return int(np.flatnonzero((diag != 0).any(axis=0))[0])
+
+
+def _eval_on_diagonal(p: Polynomial, d: GenericMatrix) -> GenericMatrix:
+    """eval_poly(p, d) for an exact p and a central diagonal d, by Horner's
+    rule on integers: with d's diagonal numerators t over f and p's integer
+    coefficients q over e (_integer_coefficients), the diagonal of p(d) is
+    sum_k q_k t^k f^(m - k) over e f^m at degree m."""
+    q, e = _integer_coefficients(p)
+    parts, f = d.component_form()
+    t, acc, scale = parts[0].diagonal(), q[0], 1
+    for c in q[1:]:
+        scale *= f
+        acc = acc * t + c * scale
+    out = np.zeros_like(parts)
+    out[0, range(d.n), range(d.n)] = acc
+    return GenericMatrix._of_parts(d.ring, out, e * scale)
 
 
 @dataclass(frozen=True)
@@ -197,7 +253,9 @@ class RealizationWitness:
     diagonal entries of p(d), and the target itself.  The first two are
     checked multiplied through, so g1 and g2 are certified invertible by
     their unitriangular shape and g needs one inverse unless it is the
-    identity; failed_identity() names the first identity that fails.
+    identity; the target is certified on the triangular factors when
+    their shapes allow it.  failed_identity() names the first identity
+    that fails.
     """
 
     p: Polynomial
@@ -212,6 +270,17 @@ class RealizationWitness:
     def verify(self) -> bool:
         return self.failed_identity() is None
 
+    def _certifiable(self) -> bool:
+        """An exact p, one exact ring and size for all seven matrices, g1
+        lower and g2 upper triangular, d a central diagonal (its nonzero
+        numerators all real parts of diagonal entries)."""
+        ring, n, d = self.a1.ring, self.a1.n, self.d.component_form()[0]
+        same = all(m.ring.name == ring.name and m.n == n
+                   for m in (self.b1, self.g, self.g1, self.g2, self.d, self.target))
+        return (same and ring.exact and self.p.is_exact() and _is_triangular(self.g1, "lower")
+                and _is_triangular(self.g2, "upper")
+                and np.count_nonzero(d) == np.count_nonzero(d[0].diagonal()))
+
     def failed_identity(self) -> str | None:
         """Name of the first of the four identities that fails, or None.
 
@@ -221,27 +290,45 @@ class RealizationWitness:
         in this order: an identity g and a unitriangular g1 or g2 by their
         entries in O(n^2) comparisons, any other by one inverse, which
         raises SingularMatrixError if there is none.  Together they make
-        a1 b1 and b1 a1 similar to d through g g1 and g g2, so p(a1 b1) and
-        p(b1 a1) are similar to p(d) and need no check of their own.
+        a1 b1 = (g g1) d (g g1)^-1 and b1 a1 = (g g2) d (g g2)^-1, so
+        p(a1 b1) - p(b1 a1) = g (g1 p(d) g1^-1 - g2 p(d) g2^-1) g^-1.
+
+        The target is then certified without p(a1 b1) or p(b1 a1) when g1
+        is lower triangular, g2 upper triangular and d a central diagonal,
+        and p is exact (_certifiable reads that off the entries).  Then
+        g1 p(d) g1^-1 is lower and g2 p(d) g2^-1 upper triangular, both with
+        diagonal p(d), so with M = g^-1 target g (the inverse certified
+        above; M = target for an identity g) the target identity holds
+        exactly when diag(M) = 0, (tril(M, -1) + p(d)) g1 = g1 p(d) and
+        (p(d) - triu(M, 1)) g2 = g2 p(d).  The right sides and g g2 d are
+        column scalings, and p(d) is Horner's rule on d's diagonal.  Other
+        witnesses, such as one re-based as (g S, S^-1 g1, S^-1 g2), get
+        p(a1 b1) - p(b1 a1) evaluated.
         """
         trivial_g = _is_identity(self.g)
-        if not trivial_g:
-            self.g.inverse()
+        g_inv = None if trivial_g else self.g.inverse()
         for m in (self.g1, self.g2):
             if not _is_unitriangular(m):
                 m.inverse()
+        certified = self._certifiable()
         gg1 = self.g1 if trivial_g else self.g * self.g1
         gg2 = self.g2 if trivial_g else self.g * self.g2
         if self.a1 * gg2 != gg1:  # a1 (g g2) == g g1
             return "a1 == g g1 g2^-1 g^-1"
-        if self.b1 * gg1 != gg2 * self.d:  # b1 (g g1) == g g2 d
+        gg2_d = _times_diagonal(gg2, self.d) if certified else gg2 * self.d
+        if self.b1 * gg1 != gg2_d:  # b1 (g g1) == g g2 d
             return "b1 == g g2 d g1^-1 g^-1"
-        vals = eval_poly(self.p, self.d).diagonal_entries()
-        if any(x == y for x, y in combinations(vals, 2)):
+        p_d = (_eval_on_diagonal if certified else eval_poly)(self.p, self.d)
+        if any(x == y for x, y in combinations(p_d.diagonal_entries(), 2)):
             return "p(d) has pairwise distinct diagonal entries"
-        if poly_commutator(self.p, self.a1, self.b1) != self.target:
-            return "p(a1 b1) - p(b1 a1) == target"
-        return None
+        if certified:
+            m = self.target if trivial_g else g_inv * self.target * self.g
+            held = _nonzero_diagonal(m) is None and all(
+                t * f == _times_diagonal(f, p_d) for t, f in zip(_lifts(m, p_d), (self.g1, self.g2))
+            )
+        else:
+            held = poly_commutator(self.p, self.a1, self.b1) == self.target
+        return None if held else "p(a1 b1) - p(b1 a1) == target"
 
 
 def realize_zero_diagonal(
@@ -269,9 +356,7 @@ def realize_zero_diagonal(
     alphas, values = _distinct_preimages(p, a.n)
     d = GenericMatrix.diagonal(ring, alphas)
     p_diag = GenericMatrix.diagonal(ring, values)
-    lower, upper = _strict_parts(a_prime)
-    l1 = lower + p_diag
-    u1 = p_diag - upper
+    l1, u1 = _lifts(a_prime, p_diag)
     g1 = triangular_diagonalize(l1, "lower")
     g2 = triangular_diagonalize(u1, "upper")
     a1 = g1 * _unitriangular_solve(g2, "upper")

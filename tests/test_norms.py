@@ -633,10 +633,39 @@ def test_numerical_radius_past_the_double_range_is_inf(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_an_infinite_bound_ratio_is_refused():
-    # ||A||_F^2 underflows to 0, so the right side is 0 below a positive left side
+def test_bw_squares_past_the_double_range():
+    # ||A||_F^2 underflows to 0, yet both sides are 2e-40: the scaled squares
+    # judge the equality pair, and a bound past the double range is refused
+    report = check_bottcher_wenzel(1e-170 * E12, 1e150 * E21)
+    assert report.satisfied
+    assert math.isclose(report.lhs, 2e-40, rel_tol=1e-15)
+    assert math.isclose(report.rhs, 2e-40, rel_tol=1e-15)
+    assert abs(report.ratio - 1.0) <= 1e-15
     with pytest.raises(ValueError, match="check_bottcher_wenzel: .*double range"):
-        check_bottcher_wenzel(1e-170 * E12, 1e150 * E21)
+        check_bottcher_wenzel(1e200 * E12, 1e200 * E21)
+
+
+@settings(max_examples=200, deadline=None)
+@given(la=st.floats(-323.0, 308.0), lb=st.floats(-323.0, 308.0))
+def test_bw_equality_pair_over_the_double_range(la, lb):
+    """(a E12, b E21) meets the bound with equality, 2 (a b)^2 on both sides,
+    for a and b log-uniform over the doubles, subnormals included: a report
+    within the double range is satisfied with ratio 1, one past it refused."""
+    a, b = 10.0**la, 10.0**lb
+    exact = 2 * (Fraction(a) * Fraction(b)) ** 2
+    if exact >= 2**1024:
+        with pytest.raises(ValueError, match="check_bottcher_wenzel: .*double range"):
+            check_bottcher_wenzel(a * E12, b * E21)
+        return
+    if exact >= 2**1023:
+        return  # within rounding of the top of the range: either outcome
+    report = check_bottcher_wenzel(a * E12, b * E21)
+    assert report.satisfied and abs(report.ratio - 1.0) <= 1e-15
+    for side in (report.lhs, report.rhs):
+        if exact >= 2**-1000:
+            assert math.isclose(side, exact, rel_tol=1e-15)
+        else:
+            assert side <= 2**-1000
 
 
 def test_operator_norm_across_the_double_range(recwarn):

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -859,21 +861,23 @@ def test_each_change_of_basis_is_eliminated_once(monkeypatch, n):
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_products_per_realization(monkeypatch, degree):
-    """3 degree + 6 products without a conjugator: t P for each triangular
-    factor, one each for a1 and b1, then in verify() a1 (g g2), b1 (g g1),
-    (g g2) d, degree - 1 for p(d) and 2 degree for p(a1 b1) - p(b1 a1).
-    P diag(t) and g2 d are column scalings, not products.  A conjugator adds
-    8 (g^-1 a g, g a1 g^-1, g b1 g^-1, g g1 and g g2); a traceless n x n
-    input adds 2 n - 2 for its change of basis and 2 for the reduction."""
+    """8 products without a conjugator, at every degree: t P for each
+    triangular factor, one each for a1 and b1, then in verify() a1 (g g2),
+    b1 (g g1) and one for each lifted factor of the target certificate,
+    (tril(M, -1) + p(d)) g1 and (p(d) - triu(M, 1)) g2.  P diag(t), g2 d,
+    g1 p(d) and g2 p(d) are column scalings, not products, and p(d) is
+    Horner's rule on d's diagonal.  A
+    conjugator adds 10 (g^-1 a g, g a1 g^-1, g b1 g^-1, g g1, g g2 and
+    M = g^-1 target g); a traceless n x n input adds 2 n - 2 for its change
+    of basis and 2 for the reduction."""
     r = stream(SEED, f"product-count-{degree}")
     p = Polynomial([1] * degree + [2])
     cases = []
     for n in (2, 3, 4, 5, 6):
         for ring in (QQ, HQ):
             a, g = conjugated_target(r, ring, n)
-            cases += [(random_entries(r, ring, n, zero_diagonal=True), None, 3 * degree + 6),
-                      (a, g, 3 * degree + 14)]
-        cases.append((traceless_matrix(r, n), "traceless", 3 * degree + 14 + 2 * n))
+            cases += [(random_entries(r, ring, n, zero_diagonal=True), None, 8), (a, g, 18)]
+        cases.append((traceless_matrix(r, n), "traceless", 18 + 2 * n))
     products = []
     mul = GenericMatrix.__mul__
 
@@ -1144,3 +1148,177 @@ def test_probe_accepts_its_smallest_settings():
     result = algebraic_degree_probe(QJ, trials=1)
     assert (result.estimated_degree, result.trials_per_degree) == (2, 1)
     assert len(result.lower_probes) == 1
+
+
+def one_entry_changed(m, i, j, by):
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = rows[i][j] + by
+    return GenericMatrix(m.ring, rows)
+
+
+def realized(r, ring, n, conjugated, degree=None):
+    p = exact_polynomial(r, degree or r.randint(1, 3))
+    if conjugated:
+        a, g = conjugated_target(r, ring, n)
+        return realize_zero_diagonal(p, a, g=g)
+    return realize_zero_diagonal(p, random_entries(r, ring, n, zero_diagonal=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ring=st.sampled_from([QQ, HQ]),
+    n=st.integers(2, 4),
+    conjugated=st.booleans(),
+    degree=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_target_certificate_agrees_with_the_direct_evaluation(
+    ring, n, conjugated, degree, seed, data
+):
+    """On a realized witness, with its target kept, changed in one entry or
+    replaced by a random matrix, the certificate on the triangular factors
+    accepts exactly when poly_commutator(p, a1, b1) == target."""
+    r = stream(seed, "certificate")
+    w = realized(r, ring, n, conjugated, degree)
+    change = data.draw(st.sampled_from(["none", "entry", "random"]))
+    if change == "entry":
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        target = one_entry_changed(w.target, i, j, data.draw(mixed_entry[ring.name]))
+    else:
+        target = w.target if change == "none" else random_entries(r, ring, n)
+    tampered = dataclasses.replace(w, target=target)
+    assert tampered._certifiable()
+    direct = poly_commutator(w.p, w.a1, w.b1) == target
+    name = tampered.failed_identity()
+    assert name == (None if direct else "p(a1 b1) - p(b1 a1) == target")
+
+
+def count_direct_targets(monkeypatch):
+    """Record every direct evaluation of p(a1 b1) - p(b1 a1) in realize."""
+    seen = []
+    direct = realize.poly_commutator
+
+    def counted(*args):
+        seen.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(realize, "poly_commutator", counted)
+    return seen
+
+
+def unitriangular(r, ring, n, shape):
+    return GenericMatrix.from_rows(ring, [
+        [1 if i == j else random_entries(r, ring, 1)[0, 0] if (j < i) == (shape == "lower")
+         else 0 for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("ring", [QQ, HQ], ids=["rational", "quaternion"])
+def test_rebased_witness_verifies_through_the_direct_evaluation(monkeypatch, ring):
+    """(g S, S^-1 g1, S^-1 g2) keeps every identity for an invertible S, but
+    a general S leaves neither g1 nor g2 triangular, a lower unitriangular
+    one only g1 and an upper one only g2: verify() evaluates the target
+    directly, once, and a target changed in one entry still fails."""
+    r = stream(SEED, f"rebased-{ring.name}")
+    for conjugated, kind in ((False, "full"), (True, "full"), (False, "lower"), (True, "upper")):
+        w = realized(r, ring, 3, conjugated)
+        s = conjugated_target(r, ring, 3)[1] if kind == "full" else unitriangular(r, ring, 3, kind)
+        s_inv = s.inverse()
+        rebased = dataclasses.replace(w, g=w.g * s, g1=s_inv * w.g1, g2=s_inv * w.g2)
+        assert not rebased._certifiable()
+        seen = count_direct_targets(monkeypatch)
+        assert rebased.verify()
+        assert len(seen) == 1
+        bad = dataclasses.replace(rebased, target=one_entry_changed(w.target, 0, 1, 1))
+        assert bad.failed_identity() == "p(a1 b1) - p(b1 a1) == target"
+        monkeypatch.undo()
+        assert reference_failed_identity(rebased) is None
+        assert reference_failed_identity(bad) == "p(a1 b1) - p(b1 a1) == target"
+
+
+def test_changed_target_or_polynomial_fails_like_the_reference():
+    """Over Q and exact H, with and without g: a target changed in one entry
+    fails naming the target, and a witness whose p changed after it was
+    built fails (or holds) as the identities checked through inverses do;
+    a float p raises as they do."""
+    r = stream(SEED, "certificate-tamper")
+    names = set()
+    for ring in (QQ, HQ):
+        for conjugated in (False, True):
+            for n in (2, 3, 4):
+                w = realized(r, ring, n, conjugated)
+                assert w._certifiable()
+                for i, j in ((0, 0), (0, n - 1), (n - 1, 0)):
+                    bad = dataclasses.replace(w, target=one_entry_changed(w.target, i, j, 1))
+                    assert bad.failed_identity() == "p(a1 b1) - p(b1 a1) == target"
+                    assert reference_failed_identity(bad) == "p(a1 b1) - p(b1 a1) == target"
+                for q in (Polynomial([*w.p.coeffs, 1]), Polynomial([2 * c for c in w.p.coeffs]),
+                          Polynomial([c + 1 for c in w.p.coeffs]), X2, X3,
+                          Polynomial([float(c) for c in w.p.coeffs])):
+                    bad = dataclasses.replace(w, p=q)
+                    got = outcome(RealizationWitness.failed_identity, bad)
+                    assert got == outcome(reference_failed_identity, bad)
+                    names.add(got[1])
+    assert {"p(d) has pairwise distinct diagonal entries",
+            "p(a1 b1) - p(b1 a1) == target"} <= names
+
+
+@pytest.mark.parametrize("ring", [QQ, HQ], ids=["rational", "quaternion"])
+def test_witness_with_a_fractional_d_is_certified(ring):
+    """(b1 / 2, d / 2, q) with q(x) = p(2 x) keeps every identity, as
+    q(a1 b1 / 2) = p(a1 b1), and d / 2 has a denominator: p(d) on the
+    integer numerators of d's diagonal brings it in."""
+    r = stream(SEED, f"fractional-d-{ring.name}")
+    for conjugated in (False, True):
+        w = realized(r, ring, 4, conjugated, degree=3)
+        q = Polynomial([c * 2**k for k, c in enumerate(w.p.coeffs)])
+        half = dataclasses.replace(w, p=q, b1=Fraction(1, 2) * w.b1, d=Fraction(1, 2) * w.d)
+        assert half.d.component_form()[1] == 2 and half._certifiable()
+        assert half.verify() and reference_failed_identity(half) is None
+        bad = dataclasses.replace(half, target=one_entry_changed(w.target, 1, 0, 1))
+        assert bad.failed_identity() == "p(a1 b1) - p(b1 a1) == target"
+
+
+def per_row_reduced_solve(m, shape, divide):
+    """_unitriangular_solve with one gcd reduction of the whole array per
+    row, as it was first written: the oracle of its single reduction."""
+    ring, n = m.ring, m.n
+    parts, den = m.component_form()
+    x, x_den = np.zeros_like(parts), 1
+    x[0, np.arange(n), np.arange(n)] = 1
+    for i in range(1, n) if shape == "lower" else range(n - 2, -1, -1):
+        block = slice(0, i) if shape == "lower" else slice(i + 1, n)
+        s = matrix.component_product(parts[:, i:i + 1, block], x[:, block, block])[:, 0]
+        if divide:
+            gaps = [parts[0, i, i] - parts[0, j, j] for j in range(n)[block]]
+            scale = math.lcm(*gaps)
+            x, x_den = x * scale, x_den * scale
+            x[:, i, block] = -s * np.array([scale // g for g in gaps], dtype=object)
+        else:
+            x, x_den = x * den, x_den * den
+            x[:, i, block] = -s
+        g = math.gcd(x_den, *x.flat)
+        x, x_den = x // g, x_den // g
+    return GenericMatrix._of_parts(ring, x, x_den)
+
+
+@pytest.mark.parametrize("ring, n", [(QQ, 1), (QQ, 2), (QQ, 8), (QQ, 16), (QQ, 32),
+                                     (HQ, 2), (HQ, 8), (HQ, 16)])
+def test_single_reduction_matches_the_per_row_reduction(ring, n):
+    """Reducing X once, in _of_parts, gives the matrix (and component form)
+    that reducing after every row gave, for n up to 32."""
+    r = stream(SEED, f"single-reduction-{ring.name}-{n}")
+    for shape in ("lower", "upper"):
+        for divide in (False, True):
+            diagonal = [1] * n
+            if divide:
+                values = {Fraction(r.randint(-9 * n, 9 * n), r.choice((1, 2, 3)))
+                          for _ in range(3 * n)}
+                diagonal = r.sample(sorted(values), n)
+            rows = [[diagonal[i] if i == j
+                     else random_entries(r, ring, 1)[0, 0] if (j < i if shape == "lower" else j > i)
+                     else 0 for j in range(n)] for i in range(n)]
+            m = GenericMatrix.from_rows(ring, rows)
+            x = realize._unitriangular_solve(m, shape, divide)
+            expected = per_row_reduced_solve(m, shape, divide)
+            assert x == expected and x.component_form()[1] == expected.component_form()[1]

@@ -16,8 +16,23 @@ changed.  A list element that has a ``check`` key, or a CSV row with a
 ``check`` column, is named by it, so ``checks[sphere-average].rhs`` is the
 rhs of the sphere-average rows (``csv[sphere-average].rhs`` in CSV output).
 Every change of exit code or of a verdict (``verified``, ``all_satisfied``,
-``all_equal``, ``satisfied``, ``equal``) is listed with its argv.  Standard
-library only; not part of the tests.
+``all_equal``, ``satisfied``, ``equal``) is listed with its argv.
+
+    python3 tools/replay_diff.py OLD_TREE NEW_TREE --workload exact-construct --seeds 1-3 --time 5
+
+``--time K`` times the same requests instead of comparing their answers.
+Each tree's subprocess runs every seed's warm-up request once, then waits
+for rounds; the two trees take each round in turn, the first one
+alternating from round to round, so a change in the machine's load falls
+on both.  A tree runs each request of its round once untimed, counting
+matrix products (``GenericMatrix.__mul__``), ``inverse()`` calls and
+Bareiss eliminations (``matrix._bareiss_solve``, absent from old trees),
+then K times timed, and keeps the best of the K.  Per subcommand and in
+total the report gives, over rounds, the median of NEW's summed best times
+over OLD's with its quartiles, how many rounds each tree was faster, and
+each tree's counts.
+
+Standard library only; not part of the tests.
 """
 
 from __future__ import annotations
@@ -26,11 +41,14 @@ import argparse
 import contextlib
 import csv
 import io
+import hashlib
 import json
+import statistics
 import subprocess
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
+from time import perf_counter
 
 REPO = Path(__file__).resolve().parents[1]
 VERDICTS = {"verified", "all_satisfied", "all_equal", "satisfied", "equal"}
@@ -41,31 +59,104 @@ def _seeds(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
-def _replay(tree: Path, workload: str, seeds: range, rounds: int) -> None:
-    """Child side: one JSON line [seed, argv, exit code, stdout, stderr] per request."""
+def _import_cli(tree: Path):
+    """polycomm.cli from tree, and bench/workloads.Plan from this checkout."""
     sys.path[:0] = [str(tree / "src"), str(REPO / "bench")]
     from polycomm import cli
     from workloads import Plan
 
     if not Path(cli.__file__).resolve().is_relative_to(tree.resolve()):
         sys.exit(f"polycomm came from {cli.__file__}, not from {tree}")
+    return cli, Plan
+
+
+def _call(cli, argv) -> tuple:
+    """(exit code, stdout, stderr) of one request through cli.main."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(list(argv))
+    except Exception as exc:  # a crash is an outcome to compare, not a tool failure
+        rc, err = None, io.StringIO(f"uncaught {exc!r}")
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _replay(tree: Path, workload: str, seeds: range, rounds: int) -> None:
+    """Child side: one JSON line [seed, argv, exit code, stdout, stderr] per request."""
+    cli, Plan = _import_cli(tree)
     for seed in seeds:
         plan = Plan(workload, seed)
         for req in [plan.warmup, *(r for _ in range(rounds) for r in plan.next_round())]:
-            out, err = io.StringIO(), io.StringIO()
-            try:
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    rc = cli.main(list(req.argv))
-            except Exception as exc:  # a crash is an outcome to compare, not a tool failure
-                rc, err = None, io.StringIO(f"uncaught {exc!r}")
-            line = [seed, list(req.argv), rc, out.getvalue(), err.getvalue()]
+            line = [seed, list(req.argv), *_call(cli, req.argv)]
             sys.__stdout__.write(json.dumps(line) + "\n")
 
 
+# (class in polycomm.matrix or None for the module, function, report name)
+COUNTED = (("GenericMatrix", "__mul__", "products"),
+           ("GenericMatrix", "inverse", "inverse() calls"),
+           (None, "_bareiss_solve", "eliminations"))
+
+
+@contextlib.contextmanager
+def _counting(matrix, seen: Counter):
+    """Count the calls of COUNTED (those the tree has) into seen while inside."""
+    saved = []
+    for cls, name, key in COUNTED:
+        owner = getattr(matrix, cls) if cls else matrix
+        fn = getattr(owner, name, None)
+        if fn is None:
+            continue
+
+        def counted(*args, _fn=fn, _key=key):
+            seen[_key] += 1
+            return _fn(*args)
+
+        setattr(owner, name, counted)
+        saved.append((owner, name, fn))
+    try:
+        yield
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+
+
+def _time_child(tree: Path, workload: str, seeds: range, rounds: int, repeats: int) -> None:
+    """Child side of --time: for each round index read from stdin, one JSON
+    line listing [kind, argv digest, best seconds, counts] per request."""
+    cli, Plan = _import_cli(tree)
+    from polycomm import matrix
+
+    plan_rounds = []
+    for seed in seeds:
+        plan = Plan(workload, seed)
+        _call(cli, plan.warmup.argv)
+        plan_rounds += [plan.next_round() for _ in range(rounds)]
+    sys.__stdout__.write("ready\n")
+    sys.__stdout__.flush()
+    for line in sys.stdin:
+        timed = []
+        for req in plan_rounds[int(line)]:
+            seen = Counter()
+            with _counting(matrix, seen):
+                _call(cli, req.argv)
+            best = float("inf")
+            for _ in range(repeats):
+                t0 = perf_counter()
+                _call(cli, req.argv)
+                best = min(best, perf_counter() - t0)
+            digest = hashlib.sha256(json.dumps(req.argv).encode()).hexdigest()[:16]
+            timed.append([req.argv[0], digest, best, dict(seen)])
+        sys.__stdout__.write(json.dumps(timed) + "\n")
+        sys.__stdout__.flush()
+
+
+def _child_cmd(tree: Path, args) -> list:
+    return [sys.executable, __file__, "--child", str(tree), "--workload", args.workload,
+            "--seeds", args.seeds, "--rounds", str(args.rounds), "--time", str(args.time)]
+
+
 def _answers(tree: Path, args) -> list:
-    cmd = [sys.executable, __file__, "--child", str(tree), "--workload", args.workload,
-           "--seeds", args.seeds, "--rounds", str(args.rounds)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    proc = subprocess.run(_child_cmd(tree, args), capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         sys.exit(f"replay on {tree} failed:\n{proc.stderr}")
     return [json.loads(line) for line in proc.stdout.splitlines()]
@@ -96,20 +187,90 @@ def _is_verdict(path: str) -> bool:
     return path.rsplit(".", 1)[-1] in VERDICTS
 
 
+def _timings(trees, args) -> list:
+    """Per tree, per round, the child's list of timed requests; the trees
+    take the rounds in turn, the first alternating."""
+    procs = [subprocess.Popen(_child_cmd(tree, args), stdin=subprocess.PIPE,
+                              stdout=subprocess.PIPE, text=True) for tree in trees]
+    out = [[], []]
+    try:
+        for tree, proc in zip(trees, procs):
+            if proc.stdout.readline() != "ready\n":
+                sys.exit(f"timing on {tree} did not start")
+        for index in range(len(_seeds(args.seeds)) * args.rounds):
+            for t in (0, 1) if index % 2 == 0 else (1, 0):
+                procs[t].stdin.write(f"{index}\n")
+                procs[t].stdin.flush()
+                line = procs[t].stdout.readline()
+                if not line:
+                    sys.exit(f"timing on {trees[t]} stopped at round {index}")
+                out[t].append(json.loads(line))
+    finally:
+        for proc in procs:
+            proc.stdin.close()
+            proc.wait()
+    if [[r[:2] for r in rnd] for rnd in out[0]] != [[r[:2] for r in rnd] for rnd in out[1]]:
+        sys.exit("the two trees did not time the same requests")
+    return out
+
+
+def _spread(ratios: list) -> str:
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    return f"{median:.3f} (quartiles {q1:.3f}-{q3:.3f})"
+
+
+def _report_times(old: list, new: list, args) -> None:
+    """Per subcommand and in total: NEW / OLD time over rounds, rounds won, counts."""
+    ratios, wins, seconds = defaultdict(list), defaultdict(Counter), defaultdict(Counter)
+    counts = defaultdict(lambda: (Counter(), Counter()))
+    for old_round, new_round in zip(old, new):
+        spent = defaultdict(lambda: [0.0, 0.0])
+        for (kind, _, t_old, c_old), (_, _, t_new, c_new) in zip(old_round, new_round):
+            for key in (kind, "total"):
+                spent[key][0] += t_old
+                spent[key][1] += t_new
+                counts[key][0].update(c_old)
+                counts[key][1].update(c_new)
+        for key, (t_old, t_new) in spent.items():
+            ratios[key].append(t_new / t_old)
+            wins[key]["old" if t_old < t_new else "new" if t_new < t_old else "tie"] += 1
+            seconds[key]["old"] += t_old
+            seconds[key]["new"] += t_new
+    print(f"{args.workload}, seeds {args.seeds}, {args.rounds} rounds each, best of {args.time} "
+          f"per request: NEW / OLD time per round")
+    for key in [*sorted(k for k in ratios if k != "total"), "total"]:
+        print(f"  {key}: median {_spread(ratios[key])} over {len(ratios[key])} rounds; "
+              f"faster: old {wins[key]['old']}, new {wins[key]['new']}; "
+              f"best-time sum {seconds[key]['old']:.3f} s -> {seconds[key]['new']:.3f} s")
+        c_old, c_new = counts[key]
+        for _, _, name in COUNTED:
+            print(f"    {name}: {c_old[name]} -> {c_new[name]}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("trees", nargs="*", type=Path, metavar="TREE")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="1-10", help="A-B, inclusive")
     ap.add_argument("--rounds", type=int, default=60, help="rounds per seed")
+    ap.add_argument("--time", type=int, default=0, metavar="K",
+                    help="time each request as its best of K runs instead of comparing answers")
     ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child is not None:
-        _replay(args.child, args.workload, _seeds(args.seeds), args.rounds)
+        if args.time:
+            _time_child(args.child, args.workload, _seeds(args.seeds), args.rounds, args.time)
+        else:
+            _replay(args.child, args.workload, _seeds(args.seeds), args.rounds)
         return 0
     if len(args.trees) != 2:
         ap.error("give OLD_TREE and NEW_TREE")
+    if args.time < 0:
+        ap.error("--time takes a positive K")
     old_tree, new_tree = args.trees
+    if args.time:
+        _report_times(*_timings(args.trees, args), args)
+        return 0
     old, new = _answers(old_tree, args), _answers(new_tree, args)
     if [o[:2] for o in old] != [n[:2] for n in new]:
         sys.exit("the two replays did not answer the same requests")
