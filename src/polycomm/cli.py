@@ -474,13 +474,35 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(flag, **keywords, **dict(zip(("default", "help"), spec)))
         if command.csv_rows:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
+    ap.subparsers = sub.choices  # name -> subcommand parser, for main's dispatch
     return ap
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), parsed once: when argv[0] names a
+    subcommand its parser reads argv[1:], all the top-level parser would
+    hand it, and leftovers are the top-level parser's error, as there."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subparsers.get(argv[0]) if argv else None
+    if sub is None:  # empty, --help or an unknown name
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv=None) -> int:
+    """Run one subcommand and return its exit code: 0, 2 for an input or
+    usage error, 3 when a witness or verdict fails.
+
+    argv (sys.argv[1:] by default) is parsed once (_parse): when argv[0]
+    names a subcommand, that subcommand's parser reads the rest; any other
+    argv (empty, --help or an unknown name) goes to the top-level parser."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     command = _COMMANDS[args.command]

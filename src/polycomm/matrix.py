@@ -186,8 +186,26 @@ class GenericMatrix:
         return cls(ring, [[ring.coerce(v) for v in row] for row in rows])
 
     @classmethod
+    def _of_ratios(cls, ring: ScalarRing, rows) -> "GenericMatrix":
+        """The matrix over an exact ring of rows of (num, den) pairs of
+        integers, den != 0, one pair per entry or one per component: one
+        lcm, no ring element built."""
+        pairs = np.array(rows, dtype=object)
+        dens = pairs[..., 1]
+        den = math.lcm(*dens.flat)
+        parts = pairs[..., 0] * (den // dens)
+        return cls._of_parts(ring, parts.reshape(*parts.shape[:2], -1).transpose(2, 0, 1), den)
+
+    @classmethod
     def identity(cls, ring: ScalarRing, n: int) -> "GenericMatrix":
-        return cls.diagonal(ring, [ring.one()] * n)
+        """I, written straight into the component form: 1 on the diagonal of
+        the real parts, over den 1, in the ring's dtype."""
+        if n < 1:
+            raise ValueError("rows must form a nonempty square matrix")
+        dtype = object if ring.exact else float if ring.components > 1 else complex
+        parts = np.zeros((ring.components, n, n), dtype=dtype)
+        parts[0, range(n), range(n)] = 1
+        return cls._of_parts(ring, parts)
 
     @classmethod
     def zeros(cls, ring: ScalarRing, n: int) -> "GenericMatrix":
@@ -379,6 +397,8 @@ def component_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Components of the product of the stacks a (c, m, k) and b (c, k, l):
     chi(a) @ b, with the c components of each row of b stacked under it."""
     c, k, l = b.shape
+    if c == 1:
+        return (a[0] @ b[0])[np.newaxis]
     out = _left_image(a) @ b.transpose(1, 0, 2).reshape(k * c, l)
     return out.reshape(-1, c, l).transpose(1, 0, 2)
 

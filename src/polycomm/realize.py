@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -340,6 +341,11 @@ def realize_zero_diagonal(
     backends only; the witness's four identities are verified exactly
     before returning.
     """
+    return _realize(p, a, g)
+
+
+def _realize(p: Polynomial, a: GenericMatrix, g, a_prime=None) -> RealizationWitness:
+    """realize_zero_diagonal, given a checked a_prime = g^-1 a g if known."""
     if p.is_constant():
         raise ValueError("polynomial must be nonconstant")
     if not a.ring.exact:
@@ -348,10 +354,11 @@ def realize_zero_diagonal(
         raise ValueError("need size at least 2")
     ring = a.ring
     g_inv = None if g is None else g.inverse()
-    a_prime = a if g is None else g_inv * a * g
-    i = _nonzero_diagonal(a_prime)
-    if i is not None:
-        raise ValueError(f"conjugated matrix has nonzero diagonal entry at {i}")
+    if a_prime is None:
+        a_prime = a if g is None else g_inv * a * g
+        i = _nonzero_diagonal(a_prime)
+        if i is not None:
+            raise ValueError(f"conjugated matrix has nonzero diagonal entry at {i}")
 
     alphas, values = _distinct_preimages(p, a.n)
     d = GenericMatrix.diagonal(ring, alphas)
@@ -468,9 +475,10 @@ def traceless_to_zero_diagonal(a: GenericMatrix):
 
 
 def realize_traceless(p: Polynomial, a: GenericMatrix) -> RealizationWitness:
-    """Witness for a traceless rational matrix as p(A1 B1) - p(B1 A1)."""
-    change, _ = traceless_to_zero_diagonal(a)
-    return realize_zero_diagonal(p, a, g=change)
+    """Witness for a traceless rational matrix as p(A1 B1) - p(B1 A1),
+    through the change of basis P and the A' = P^-1 A P it checked."""
+    change, a_prime = traceless_to_zero_diagonal(a)
+    return _realize(p, a, change, a_prime)
 
 
 _TRACE_CANDIDATES = (
@@ -534,6 +542,14 @@ def algebraicity_polynomial(y0, probes: Sequence):
     Appending exponent e after S multiplies by r_|S| and y0^e, and flips
     the sign once per element of S greater than e.  That costs about
     2^(m+1) (m+1) products instead of (m+1)! (2m+1).
+
+    The m powers of y0 are products in y0's own type.  On matrices (probes
+    of y0's ring and size) the recursion multiplies the integer numerators
+    of the component forms by component_product: every term of partial[S]
+    holds y0^e for each e in S and r_1 .. r_(|S| - 1) once, so all share one
+    denominator and sum as numerators, reduced once at the end over the
+    product of the 2m + 1 denominators.  A scalar (int, Fraction or
+    Quaternion) runs the same recursion with its own products and sums.
     """
     m = len(probes)
     if m < 1:
@@ -543,21 +559,27 @@ def algebraicity_polynomial(y0, probes: Sequence):
     powers = [y0**0]
     for _ in range(m):
         powers.append(powers[-1] * y0)
+    mul, den = operator.mul, None
+    if isinstance(y0, GenericMatrix):
+        forms = [x.component_form() for x in powers + [y0._same_shape(r) for r in probes]]
+        den = math.prod(d for _, d in forms)
+        powers, probes = [p for p, _ in forms[:m + 1]], [p for p, _ in forms[m + 1:]]
+        mul = component_product
     full = (1 << (m + 1)) - 1
     partial = {1 << e: powers[e] for e in range(m + 1)}
     # every subset is larger than those it extends, so counting up finishes
     # each partial[S] before it is extended
     for subset in range(1, full):
-        prefix = partial.pop(subset) * probes[subset.bit_count() - 1]
+        prefix = mul(partial.pop(subset), probes[subset.bit_count() - 1])
         for e in range(m + 1):
             if subset >> e & 1:
                 continue
-            term = prefix * powers[e] if e else prefix
+            term = mul(prefix, powers[e]) if e else prefix
             if (subset >> (e + 1)).bit_count() % 2:
                 term = -term
             grown = subset | 1 << e
             partial[grown] = partial[grown] + term if grown in partial else term
-    return partial[full]
+    return partial[full] if den is None else GenericMatrix._of_parts(y0.ring, partial[full], den)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 
 from .matrix import HQ, QQ, GenericMatrix
-from .poly import Polynomial
 from .quat import Quaternion
 
 
@@ -25,17 +24,14 @@ def np_stream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode())])
 
 
-def rational(rng: random.Random, bound: int = 3, denominators=(1, 1, 1, 2, 3)):
-    num = rng.randint(-bound, bound)
-    den = rng.choice(denominators)
-    return num if den == 1 else Fraction(num, den)
-
-
 def rational_matrix(rng, n: int, bound: int = 3, denominators=(1,)) -> GenericMatrix:
-    return GenericMatrix(
-        QQ,
-        [[rational(rng, bound, denominators) for _ in range(n)] for _ in range(n)],
-    )
+    """Entries drawn row-major, each as rng.randint(-bound, bound) over
+    rng.choice(denominators), in that order: the draw order is part of the
+    contract, as probes and sweeps are replayed from the seed."""
+    return GenericMatrix._of_ratios(QQ, [
+        [(rng.randint(-bound, bound), rng.choice(denominators)) for _ in range(n)]
+        for _ in range(n)
+    ])
 
 
 def exact_quaternion(rng, bound: int = 3) -> Quaternion:
@@ -43,15 +39,12 @@ def exact_quaternion(rng, bound: int = 3) -> Quaternion:
 
 
 def quaternion_matrix(rng, n: int, bound: int = 2) -> GenericMatrix:
-    return GenericMatrix(
-        HQ, [[exact_quaternion(rng, bound) for _ in range(n)] for _ in range(n)]
-    )
-
-
-def exact_polynomial(rng, degree: int, bound: int = 3) -> Polynomial:
-    coeffs = [rng.randint(-bound, bound) for _ in range(degree)]
-    lead = rng.choice([c for c in range(-bound, bound + 1) if c != 0])
-    return Polynomial(coeffs + [lead])
+    """Entries drawn row-major, each as four rng.randint(-bound, bound), w to
+    z: the draws of exact_quaternion, in the order that is the contract."""
+    return GenericMatrix._of_ratios(HQ, [
+        [[(rng.randint(-bound, bound), 1) for _ in range(4)] for _ in range(n)]
+        for _ in range(n)
+    ])
 
 
 def complex_gaussian_matrix(gen: np.random.Generator, n: int) -> np.ndarray:

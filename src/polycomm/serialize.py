@@ -44,25 +44,29 @@ def encode_scalar(x):
     raise TypeError(f"cannot encode scalar of type {type(x).__name__}")
 
 
-def _rational(token: str) -> Fraction:
-    """Fraction of a token that matches _RATIONAL_RE."""
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise DecodeError(f"zero denominator in {token!r}") from None
-
-
-def decode_rational(v) -> Fraction:
+def _ratio(v) -> tuple:
+    """(num, den) of a rational token, den > 0 and not reduced, without a
+    Fraction: a JSON int, or a string that matches _RATIONAL_RE once
+    stripped.  Any other token, or a zero den, is a DecodeError."""
     if isinstance(v, bool):
         raise DecodeError("expected a rational, got a boolean")
     if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str) and _RATIONAL_RE.match(v.strip()):
-        return _rational(v.strip())
-    raise DecodeError(
-        f"expected an integer or 'num/den' string, got {v!r}"
-        " (floats need the complex or quaternion-float backend)"
-    )
+        return int(v), 1
+    token = v.strip() if isinstance(v, str) else ""
+    if not _RATIONAL_RE.match(token):
+        raise DecodeError(
+            f"expected an integer or 'num/den' string, got {v!r}"
+            " (floats need the complex or quaternion-float backend)"
+        )
+    num, _, den = token.partition("/")
+    num, den = int(num), int(den or 1)
+    if not den:
+        raise DecodeError(f"zero denominator in {token!r}")
+    return num, den
+
+
+def decode_rational(v) -> Fraction:
+    return Fraction(*_ratio(v))
 
 
 def decode_float(v) -> float:
@@ -108,7 +112,7 @@ def polynomial_from_text(text: str) -> Polynomial:
     if not tokens or any(not t for t in tokens):
         raise DecodeError(f"bad coefficient list {text!r}")
     if all(_RATIONAL_RE.match(t) for t in tokens):
-        return Polynomial([_rational(t) for t in tokens])
+        return Polynomial([decode_rational(t) for t in tokens])
     try:
         coeffs = [float(t) for t in tokens]
     except ValueError as exc:
@@ -120,9 +124,14 @@ def encode_quaternion(q: Quaternion) -> list:
     return [encode_scalar(v) for v in (q.w, q.x, q.y, q.z)]
 
 
-def decode_quaternion(v, exact=None) -> Quaternion:
+def _quaternion_array(v):
     if not isinstance(v, (list, tuple)) or len(v) != 4:
         raise DecodeError(f"a quaternion is a [w, x, y, z] array, got {v!r}")
+    return v
+
+
+def decode_quaternion(v, exact=None) -> Quaternion:
+    _quaternion_array(v)
     if exact is None:
         exact = all(isinstance(c, (int, str)) and not isinstance(c, bool) for c in v)
     if exact:
@@ -131,12 +140,14 @@ def decode_quaternion(v, exact=None) -> Quaternion:
 
 
 def _decode_entry(ring_name: str, v):
+    """A matrix entry: its (num, den) on the rational ring and its four on
+    the exact quaternions (_ratio), else a ring element."""
     if ring_name == "rational":
-        return decode_rational(v)
+        return _ratio(v)
     if ring_name == "complex":
         return decode_complex(v)
     if ring_name == "quaternion":
-        return decode_quaternion(v, exact=True)
+        return [_ratio(c) for c in _quaternion_array(v)]
     if ring_name == "quaternion-float":
         return decode_quaternion(v, exact=False)
     raise DecodeError(f"unknown ring {ring_name!r}")
@@ -167,6 +178,10 @@ def encode_matrix(m: GenericMatrix) -> dict:
 
 
 def decode_matrix(v) -> GenericMatrix:
+    """A ring-tagged matrix.  The exact rings read each token once as
+    (num, den) (_decode_entry) and build the component form over one lcm,
+    with no Fraction or Quaternion per entry; the first bad row or entry in
+    row-major order raises its DecodeError."""
     if not isinstance(v, dict) or "ring" not in v or "entries" not in v:
         raise DecodeError("a matrix is an object with 'ring' and 'entries'")
     name = v["ring"]
@@ -175,13 +190,13 @@ def decode_matrix(v) -> GenericMatrix:
     entries = v["entries"]
     if not isinstance(entries, list) or not entries:
         raise DecodeError("matrix entries must be a nonempty list of rows")
-    n = len(entries)
+    n, ring = len(entries), RINGS[name]
     rows = []
     for row in entries:
         if not isinstance(row, list) or len(row) != n:
             raise DecodeError("matrix entries must be square")
         rows.append([_decode_entry(name, x) for x in row])
-    return GenericMatrix(RINGS[name], rows)
+    return GenericMatrix._of_ratios(ring, rows) if ring.exact else GenericMatrix(ring, rows)
 
 
 def encode_witness(w: RealizationWitness) -> dict:

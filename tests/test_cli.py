@@ -1185,6 +1185,48 @@ def test_shared_parser_answers_like_fresh_processes(capsys, monkeypatch):
         assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
+# Every argparse outcome: a valid call of each subcommand, then each kind of
+# argparse refusal, help request and unnamed subcommand.
+_PROBE = ("probe-degree", "--input", "[1,2,3,4]")
+DISPATCH_CORPUS = [
+    ("solve-quat", "--poly", "0,1", "--input", "[0,0,0,2]"),
+    ("factor-quat", "--poly", "0,1", "--input", "[1,2,0,0]"),
+    ("realize-matrix", "--poly", "0,1", "--input",
+     '{"ring": "rational", "entries": [["0", "1/2"], ["2", "0"]]}'),
+    ("realize-traceless", "--poly", "0,0,1", "--input",
+     '{"ring": "rational", "entries": [["1", "2"], ["3", "-1"]]}'),
+    ("trace-witness", "--poly", "0,0,1", "--n", "2"),
+    _PROBE,
+    ("verify-bounds", "--poly", "0,1", "--n", "2", "--trials", "1", "--format", "csv"),
+    ("sphere-avg", "--input", "[[1,0],[0,1]]", "--samples", "1000"),
+    ("sweep-constants", "--poly", "0,1", "--n", "2", "--trials", "2"),
+    ("verify-telescope", "--poly", "0,1", "--n", "2", "--trials", "1"),
+    ("realize-matrix", "--poly", "0,1"),  # a required option missing
+    (*_PROBE, "--seed", "x"),  # a bad int
+    ("solve-quat", "--poly", "0,1", "--input", "[0,0,0,2]", "--tolerance", "x"),  # a bad float
+    ("verify-bounds", "--poly", "0,1", "--n", str(cli.MAX_N + 1)),
+    (*_PROBE, "--bogus", "1"),  # an unknown option
+    (*_PROBE, "stray"),  # an extra positional
+    (*_PROBE, "--"),
+    ("probe-degree", "-h"),
+    ("--help",),
+    ("no-such-command", "--input", "[1,0,0,0]"),
+    (),
+    ("verify-telescope", "--pol=0,1", "--n", "2", "--trials", "1"),  # an abbreviation
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "empty")
+def test_main_answers_like_a_full_parse(capsys, monkeypatch, argv):
+    """main parses argv once, by the named subcommand's parser; the answer
+    is that of build_parser().parse_args, which also reads argv at the top
+    level: the same exit code, stdout and stderr."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    answer = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    assert answer == run_cli(capsys, *argv)
+
+
 def polycomm_command():
     """The argv prefix that runs the ``polycomm`` console script.
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_quat import exact_polynomial
 
 from polycomm import matrix
 from polycomm.matrix import (
@@ -23,7 +24,6 @@ from polycomm.matrix import (
 from polycomm.poly import Polynomial, eval_poly, poly_commutator
 from polycomm.quat import QI, QJ, QK, Quaternion
 from polycomm.sampling import (
-    exact_polynomial,
     np_stream,
     quaternion_matrix,
     rational_matrix,
@@ -1054,3 +1054,50 @@ def test_telescope_sides_are_finite_or_refused(seed, n, coeffs):
         return
     for side in (report.lhs, report.rhs):
         assert np.isfinite(side.component_form()[0]).all()
+
+
+def rational_matrix_by_entry(rng, n, bound, denominators):
+    """rational_matrix as it was written: per entry, randint then choice."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            num = rng.randint(-bound, bound)
+            row.append(Fraction(num, rng.choice(denominators)))
+        rows.append(row)
+    return GenericMatrix.from_rows(QQ, rows)
+
+
+def quaternion_matrix_by_entry(rng, n, bound):
+    """quaternion_matrix as it was written: four randints per entry."""
+    return GenericMatrix.from_rows(HQ, [
+        [Quaternion.exact(*(rng.randint(-bound, bound) for _ in range(4))) for _ in range(n)]
+        for _ in range(n)
+    ])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("denominators", [(1,), (1, 2, 3), (1, 1, 2, 3), (6, 4)])
+def test_samplers_keep_their_draw_order(n, denominators):
+    """The samplers take the draws of the per-entry loops, in their order,
+    and no more: the same matrices, then the same next value of the stream."""
+    label = f"draw-order-{n}-{denominators}"
+    ours, theirs = stream(SEED, label), stream(SEED, label)
+    for bound in (1, 3, 9):
+        got, expected = (rational_matrix(ours, n, bound, denominators),
+                         rational_matrix_by_entry(theirs, n, bound, denominators))
+        assert got == expected and got.rows == expected.rows
+        got, expected = quaternion_matrix(ours, n, bound), quaternion_matrix_by_entry(theirs, n, bound)
+        assert got == expected and got.rows == expected.rows
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("ring", [QQ, CC, HQ, HF], ids=lambda ring: ring.name)
+def test_identity_is_the_diagonal_of_ones(ring, n):
+    got, expected = GenericMatrix.identity(ring, n), GenericMatrix.diagonal(ring, [ring.one()] * n)
+    (parts, den), (e_parts, e_den) = got.component_form(), expected.component_form()
+    assert den == e_den and parts.dtype == e_parts.dtype and (parts == e_parts).all()
+    assert got.rows == expected.rows and got ** 0 == got
+    with pytest.raises(ValueError):
+        GenericMatrix.identity(ring, 0)

@@ -19,9 +19,17 @@ from polycomm.quat import (
     poly_commutator,
     solve_poly_commutator,
 )
-from polycomm.sampling import exact_polynomial, exact_quaternion, stream
+from polycomm.sampling import exact_quaternion, stream
 
 SEED = 20240
+
+
+def exact_polynomial(rng, degree: int, bound: int = 3) -> Polynomial:
+    """Random integer polynomial of the given degree, coefficients in
+    [-bound, bound] and a nonzero leading one."""
+    coeffs = [rng.randint(-bound, bound) for _ in range(degree)]
+    lead = rng.choice([c for c in range(-bound, bound + 1) if c != 0])
+    return Polynomial(coeffs + [lead])
 
 
 def test_multiplication_table():

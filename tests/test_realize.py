@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_quat import exact_polynomial
 
 from polycomm import matrix, realize
 from polycomm.matrix import CC, HF, HQ, QQ, GenericMatrix, SingularMatrixError
@@ -25,7 +26,6 @@ from polycomm.realize import (
     triangular_diagonalize,
 )
 from polycomm.sampling import (
-    exact_polynomial,
     exact_quaternion,
     quaternion_matrix,
     rational_matrix,
@@ -425,6 +425,14 @@ ALGEBRAICITY_RINGS = {
     "qq2": (lambda r: rational_matrix(r, 2), GenericMatrix.identity(QQ, 2)),
     "qq3": (lambda r: rational_matrix(r, 3), GenericMatrix.identity(QQ, 3)),
     "hq2": (lambda r: quaternion_matrix(r, 2), GenericMatrix.identity(HQ, 2)),
+    # y0 and the probes over denominators, so that the recursion's one
+    # shared denominator is checked against the literal sum
+    "qq2-den": (lambda r: rational_matrix(r, 2, denominators=(1, 2, 3)),
+                GenericMatrix.identity(QQ, 2)),
+    "qq3-den": (lambda r: rational_matrix(r, 3, denominators=(1, 2, 3)),
+                GenericMatrix.identity(QQ, 3)),
+    "hq3-den": (lambda r: Fraction(1, r.choice((1, 2, 3))) * quaternion_matrix(r, 3),
+                GenericMatrix.identity(HQ, 3)),
 }
 
 
@@ -442,23 +450,28 @@ def test_algebraicity_matches_permutation_sum(kind):
 
 
 def test_algebraicity_product_count(monkeypatch):
-    """The subset recursion needs at most 2^(m+1) (m+1) matrix products;
-    the permutation sum took about (m+1)! (2m+1)."""
-    calls = 0
-    multiply = GenericMatrix.__mul__
+    """The subset recursion makes at most 2^(m+1) (m+1) products of numerator
+    stacks (component_product); the permutation sum took about
+    (m+1)! (2m+1).  The m powers of y0 are the only GenericMatrix products."""
+    calls = {"stack": 0, "matrix": 0}
 
-    def counting(self, other):
-        nonlocal calls
-        calls += 1
-        return multiply(self, other)
+    def counting(kind, fn):
+        def counted(*args):
+            calls[kind] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(GenericMatrix, "__mul__", counting)
+        return counted
+
+    monkeypatch.setattr(realize, "component_product",
+                        counting("stack", realize.component_product))
+    monkeypatch.setattr(GenericMatrix, "__mul__", counting("matrix", GenericMatrix.__mul__))
     r = stream(SEED, "alg-cost")
     m = 6
     y = rational_matrix(r, 2)
     probes = [rational_matrix(r, 2) for _ in range(m)]
     algebraicity_polynomial(y, probes)
-    assert m < calls <= 2 ** (m + 1) * (m + 1)
+    assert m < calls["stack"] <= 2 ** (m + 1) * (m + 1)
+    assert calls["matrix"] == m
 
 
 def test_algebraicity_guards():
@@ -868,8 +881,9 @@ def test_products_per_realization(monkeypatch, degree):
     g1 p(d) and g2 p(d) are column scalings, not products, and p(d) is
     Horner's rule on d's diagonal.  A
     conjugator adds 10 (g^-1 a g, g a1 g^-1, g b1 g^-1, g g1, g g2 and
-    M = g^-1 target g); a traceless n x n input adds 2 n - 2 for its change
-    of basis and 2 for the reduction."""
+    M = g^-1 target g).  A traceless n x n input makes 2 n - 2 for its
+    change of basis and 2 for the reduction A' = P^-1 A P, which the
+    realization reuses instead of its own g^-1 a g: 16 + 2 n."""
     r = stream(SEED, f"product-count-{degree}")
     p = Polynomial([1] * degree + [2])
     cases = []
@@ -877,7 +891,7 @@ def test_products_per_realization(monkeypatch, degree):
         for ring in (QQ, HQ):
             a, g = conjugated_target(r, ring, n)
             cases += [(random_entries(r, ring, n, zero_diagonal=True), None, 8), (a, g, 18)]
-        cases.append((traceless_matrix(r, n), "traceless", 18 + 2 * n))
+        cases.append((traceless_matrix(r, n), "traceless", 16 + 2 * n))
     products = []
     mul = GenericMatrix.__mul__
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -384,3 +385,142 @@ def test_witness_is_written_from_the_component_form(ring):
     with no_ring_element_built():
         doc = encode_witness(w)
     assert decode_witness(doc) == w
+
+
+def rational_by_fraction(v):
+    """decode_rational as it was written: the Fraction of a JSON int or of
+    a token matching the rational pattern once stripped."""
+    if isinstance(v, bool):
+        raise DecodeError("expected a rational, got a boolean")
+    if isinstance(v, int):
+        return Fraction(v)
+    if isinstance(v, str) and re.match(r"^[+-]?\d+(/\d+)?$", v.strip()):
+        try:
+            return Fraction(v.strip())
+        except ZeroDivisionError:
+            raise DecodeError(f"zero denominator in {v.strip()!r}") from None
+    raise DecodeError(
+        f"expected an integer or 'num/den' string, got {v!r}"
+        " (floats need the complex or quaternion-float backend)"
+    )
+
+
+def decode_matrix_by_entry(v):
+    """decode_matrix of an exact ring as it was written: one Fraction or
+    Quaternion per entry, row by row, then GenericMatrix of the rows."""
+    name, entries = v["ring"], v["entries"]
+    rows = []
+    for row in entries:
+        if not isinstance(row, list) or len(row) != len(entries):
+            raise DecodeError("matrix entries must be square")
+        rows.append([rational_by_fraction(x) if name == "rational" else quaternion_by_fraction(x)
+                     for x in row])
+    return GenericMatrix(RINGS[name], rows)
+
+
+def quaternion_by_fraction(v):
+    if not isinstance(v, (list, tuple)) or len(v) != 4:
+        raise DecodeError(f"a quaternion is a [w, x, y, z] array, got {v!r}")
+    return Quaternion.exact(*map(rational_by_fraction, v))
+
+
+def assert_decodes_like_entry_by_entry(doc):
+    """decode_matrix(doc) has the component form of the per-entry decoding,
+    or raises the DecodeError message it raises."""
+    try:
+        expected = decode_matrix_by_entry(doc)
+    except DecodeError as exc:
+        with pytest.raises(DecodeError) as got:
+            decode_matrix(doc)
+        assert str(got.value) == str(exc)
+        return
+    got = decode_matrix(doc)
+    (parts, den), (e_parts, e_den) = got.component_form(), expected.component_form()
+    assert got.ring is expected.ring and den == e_den
+    assert parts.shape == e_parts.shape and (parts == e_parts).all()
+
+
+_ENTRY_CASES = [
+    [[1, -2], [3, 10**30]],
+    [["4/6", "-2/4"], ["+3", " 5/10 "]],
+    [["\t-7/3\n", "0/5"], ["-0", "12345678901234567890/15"]],
+    [["1/0", True]],
+    [[True, "1/0"]],
+    [[" 0/0 "]],
+    [[1.5, 0], [0, 1]],
+    [[None]],
+    [["1/2/3"]],
+    [["x"]],
+    [[1, 2], [3]],
+    [[1, 2], "x"],
+    [[1], [2]],
+]
+_QUATERNION_CASES = [
+    [[[1, "1/2", "-3/4", " 2/6 "]]],
+    [[[0, 0, 0, 0], ["4/6", 1, "+2", "-1/3"]], [[3, 0, 0, 0], [0, 0, "1/7", 0]]],
+    [[[1, 2, 3]]],
+    [[[1, 2, 3, 4, 5]]],
+    [[1]],
+    [[[1, 2, 3, "1/0"], [0, 0, 0, 0]], [[True, 0, 0, 0], [0, 0, 0, 0]]],
+    [[[1, "1/0", 0, 0], [1, 2, 3]], [[0, 0, 0, 0], [0, 0, 0, 0]]],
+    [[[1, 2, 3], [1, "1/0", 0, 0]], [[0, 0, 0, 0], [0, 0, 0, 0]]],
+    [[[0, 0, 0, 0], [1, 2, 3]], [[0, 0, 0, 0]]],
+    [[[1.5, 0, 0, 0]]],
+    [[[None, 0, 0, 0]]],
+    [[[False, 0, 0, 0]]],
+]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"ring": "rational", "entries": e} for e in _ENTRY_CASES]
+    + [{"ring": "quaternion", "entries": e} for e in _QUATERNION_CASES]
+    # a rational token where a quaternion is due, and the reverse
+    + [{"ring": "quaternion", "entries": e} for e in _ENTRY_CASES]
+    + [{"ring": "rational", "entries": e} for e in _QUATERNION_CASES],
+)
+def test_exact_decode_matches_entry_by_entry(doc):
+    assert_decodes_like_entry_by_entry(doc)
+
+
+_SIGNS = st.sampled_from(["", "+", "-"])
+_SPACE = st.sampled_from(["", " ", "\t", " \n"])
+_GOOD_TOKENS = st.integers(-(10**30), 10**30) | st.builds(
+    lambda space, sign, num, den: f"{space}{sign}{num}{den}{space}",
+    _SPACE, _SIGNS, st.integers(0, 10**30),
+    st.sampled_from(["", "/1"]) | st.integers(1, 10**30).map(lambda d: f"/{d}"),
+)
+_BAD_TOKENS = st.sampled_from([True, False, None, 1.5, "1/0", "x", "1/-2", [1], {}])
+
+
+@st.composite
+def exact_matrix_documents(draw, tokens, lengths=st.just(4)):
+    """A square exact matrix document of the tokens, quaternion entries of
+    the drawn lengths."""
+    ring = draw(st.sampled_from(["rational", "quaternion"]))
+    n = draw(st.integers(1, 4))
+
+    def entry():
+        if ring == "rational":
+            return draw(tokens)
+        return [draw(tokens) for _ in range(draw(lengths))]
+
+    return {"ring": ring, "entries": [[entry() for _ in range(n)] for _ in range(n)]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=exact_matrix_documents(_GOOD_TOKENS))
+def test_well_formed_exact_decode_matches_entry_by_entry(doc):
+    assert_decodes_like_entry_by_entry(doc)
+    # and read without a Fraction or Quaternion per entry
+    with no_ring_element_built(), mock.patch(
+        "polycomm.serialize.Fraction", side_effect=AssertionError("a Fraction was built")
+    ):
+        decode_matrix(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=exact_matrix_documents(_GOOD_TOKENS | _GOOD_TOKENS | _BAD_TOKENS,
+                                  st.sampled_from([4, 4, 4, 4, 3, 5])))
+def test_first_bad_token_decodes_like_entry_by_entry(doc):
+    assert_decodes_like_entry_by_entry(doc)
