@@ -186,9 +186,6 @@ class Quaternion:
             self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
         )
 
-    def approx_eq(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
-
 
 def _quat(w, x, y, z) -> Quaternion:
     """Quaternion(w, x, y, z) with each integral Fraction component an int."""

@@ -27,7 +27,10 @@ M = G^-1 A G the target holds exactly when diag(M) = 0,
 shapes has its target evaluated directly.
 
 Traceless matrices over the rationals reduce to the zero-diagonal case by
-a recursive change of basis, so every traceless rational matrix is a
+a change of basis along the longest Krylov chain (Fillmore, Amer. Math.
+Monthly 76, 1969): a cyclic vector turns A into its companion matrix,
+whose diagonal is 0 but for the trace, and a shorter chain recurses on a
+smaller traceless block.  So every traceless rational matrix is a
 p-commutator for every nonconstant p.  The trace obstruction is the only
 one over a field, but not over the quaternions: nonzero_trace_witness
 builds diagonal quaternion pairs whose p-commutator has nonzero trace.
@@ -75,10 +78,21 @@ def _integer_coefficients(p: Polynomial):
     return [c.numerator * (e // c.denominator) for c in reversed(coeffs)], e
 
 
+def _horner(q, t, f=1):
+    """(h, f^m) with q(t / f) = h / f^m for integer coefficients q, leading
+    first, of degree m: Horner's rule on integers, t an integer or an
+    object array of them."""
+    acc, scale = q[0], 1
+    for c in q[1:]:
+        scale *= f
+        acc = acc * t + c * scale
+    return acc, scale
+
+
 def _distinct_preimages(p: Polynomial, n: int):
     """(preimages, values) of pick_distinct_preimages, values[i] = p(preimages[i]).
 
-    The scan runs Horner's rule on integers (_integer_coefficients), so
+    The scan runs Horner's rule on integers (_horner), so
     each candidate's value is an integer over e and only the n values kept
     become Fractions."""
     if p.is_constant():
@@ -90,10 +104,7 @@ def _distinct_preimages(p: Polynomial, n: int):
     candidate = 0
     step = 0
     while len(found) < n:
-        value = 0
-        for c in scaled:
-            value = value * candidate + c
-        found.setdefault(value, candidate)
+        found.setdefault(_horner(scaled, candidate)[0], candidate)
         if candidate > 0:
             candidate = -candidate
         else:
@@ -230,15 +241,11 @@ def _nonzero_diagonal(m: GenericMatrix):
 
 def _eval_on_diagonal(p: Polynomial, d: GenericMatrix) -> GenericMatrix:
     """eval_poly(p, d) for an exact p and a central diagonal d, by Horner's
-    rule on integers: with d's diagonal numerators t over f and p's integer
-    coefficients q over e (_integer_coefficients), the diagonal of p(d) is
-    sum_k q_k t^k f^(m - k) over e f^m at degree m."""
+    rule on integers (_horner) at d's diagonal numerators over their
+    denominator."""
     q, e = _integer_coefficients(p)
     parts, f = d.component_form()
-    t, acc, scale = parts[0].diagonal(), q[0], 1
-    for c in q[1:]:
-        scale *= f
-        acc = acc * t + c * scale
+    acc, scale = _horner(q, parts[0].diagonal(), f)
     out = np.zeros_like(parts)
     out[0, range(d.n), range(d.n)] = acc
     return GenericMatrix._of_parts(d.ring, out, e * scale)
@@ -398,43 +405,16 @@ def _moving_vector(a: GenericMatrix):
     return None
 
 
-def _block_one_plus(q: GenericMatrix) -> GenericMatrix:
-    parts, den = q.component_form()
-    out = np.zeros((len(parts), q.n + 1, q.n + 1), dtype=object)
-    out[0, 0, 0] = den
-    out[:, 1:, 1:] = parts
-    return GenericMatrix._of_parts(q.ring, out, den)
-
-
-def _trailing_block(ap: GenericMatrix, v, w, e, r: int, s: int) -> GenericMatrix:
-    """Rows and columns 1.. of P^-1 (A P) for the columns P = [v, w / e, e_k
-    for k outside r and s].
-
-    In P x = y every e_k vanishes on rows r and s, a 2x2 system for the
-    coordinates along v and w / e with determinant delta / e; each other
-    coordinate is then read off its own row, so P is never inverted.  All
-    of it runs on the integer numerators y of A P over its denominator f,
-    and the block comes out over f delta."""
-    y, f = ap.component_form()
-    y = y[0, :, 1:]
-    delta = v[r] * w[s] - v[s] * w[r]
-    along_v = y[r] * w[s] - y[s] * w[r]
-    along_w = v[r] * y[s] - v[s] * y[r]
-    std = [k for k in range(ap.n) if k not in (r, s)]
-    rest = [delta * y[k] - v[k] * along_v - w[k] * along_w for k in std]
-    sign = 1 if delta > 0 else -1
-    block = np.array([[e * along_w, *rest]], dtype=object) * sign
-    return GenericMatrix._of_parts(ap.ring, block, sign * f * delta)
-
-
 def _zero_diag_change(a: GenericMatrix) -> GenericMatrix:
-    """Change of basis P = [v, A v, e_k ..] (block_one_plus Q) with
-    P^-1 A P of zero diagonal, Q the same for the trailing block.
-
-    The e_k are every standard vector but e_r and e_s, for the last pair
-    r < s (s descending, then r descending) whose 2x2 minor of [v, A v] is
-    nonzero: the complement of the basis a greedy pass over e_0, e_1, ..
-    would keep (the dual matroid's greedy basis)."""
+    """P with P^-1 A P of zero diagonal for a traceless A: the Krylov chain
+    v, A v, .., A^(k-1) v from _moving_vector's v while it stays
+    independent, each column divided by its content, completed greedily by
+    e_0, e_1, ...  A takes each chain column to a multiple of the next, so
+    the first k - 1 diagonal entries vanish.  A cyclic v (k = n) leaves a
+    diagonal similarity of A's companion matrix, whose last diagonal entry
+    is the trace, 0.  A shorter chain spans an invariant subspace, so the block
+    from index k - 1 on is traceless, of size n - k + 1 < n (k >= 2), and
+    its own change Q gives P diag(I_(k-1), Q)."""
     n = a.n
     if a.is_zero():
         return GenericMatrix.identity(a.ring, n)
@@ -442,26 +422,36 @@ def _zero_diag_change(a: GenericMatrix) -> GenericMatrix:
     if v is None:
         # scalar and traceless over a char-0 field means zero, handled above
         raise ValueError("matrix is a nonzero scalar; it cannot be traceless")
-    parts, den = a.component_form()
-    w = (parts[0] @ np.array(v, dtype=object)).tolist()  # A v = w / den
-    r, s = next((r, s) for s in range(n - 1, 0, -1) for r in range(s - 1, -1, -1)
-                if v[r] * w[s] != v[s] * w[r])
-    cols = np.zeros((1, n, n), dtype=object)
-    cols[0, :, 0], cols[0, :, 1] = [den * x for x in v], w
-    cols[0, [k for k in range(n) if k not in (r, s)], range(2, n)] = den
-    p = GenericMatrix._of_parts(a.ring, cols, den)
-    q = _zero_diag_change(_trailing_block(a * p, v, w, den, r, s))
-    return p * _block_one_plus(q)
+    m = a.component_form()[0][0]
+    rows, cols = [], []
+    while len(cols) < n and _reduce(rows, v, []) is None:
+        cols.append(v)
+        w = (m @ np.array(v, dtype=object)).tolist()
+        v = [x // (math.gcd(*w) or 1) for x in w]
+    k = len(cols)
+    cols += [e for e in np.eye(n, dtype=int).tolist() if k < n and _reduce(rows, e, []) is None]
+    p = GenericMatrix._of_parts(a.ring, np.array(cols, dtype=object).T[np.newaxis])
+    if k == n:
+        return p
+    parts, den = (p.inverse() * a * p).component_form()
+    q, q_den = _zero_diag_change(
+        GenericMatrix._of_parts(a.ring, parts[:, k - 1:, k - 1:], den)).component_form()
+    block = np.identity(n, dtype=object)[np.newaxis] * q_den  # diag(I_(k-1), Q)
+    block[:, k - 1:, k - 1:] = q
+    return p * GenericMatrix._of_parts(a.ring, block, q_den)
 
 
 def traceless_to_zero_diagonal(a: GenericMatrix):
     """Change of basis (P, A') with A' = P^-1 A P of zero diagonal.
 
-    Works over the rational backend for traceless input.  At every level
-    some vector moves off its own line (else the matrix is scalar, hence
-    zero by tracelessness in characteristic 0), and sending it to the
-    first basis vector zeroes the leading diagonal entry; recursion
-    handles the trailing block, whose trace is again zero.
+    Works over the rational backend for traceless input.  Some vector v
+    moves off its own line (else the matrix is scalar, hence zero by
+    tracelessness in characteristic 0), and P starts with its Krylov
+    chain v, A v, .. (_zero_diag_change): for a cyclic v, A' is a diagonal
+    similarity of A's companion matrix, whose one possibly nonzero
+    diagonal entry is the trace; a shorter chain recurses on the traceless
+    trailing block.  P is inverted here, its one elimination (a shorter
+    chain adds one per level).
     """
     if a.ring is not QQ:
         raise ValueError("traceless reduction runs on the rational backend")
@@ -624,38 +614,47 @@ def _coordinates(x):
     return parts.transpose(1, 2, 0).ravel().tolist(), den
 
 
+def _reduce(rows: list, work: list, combo: list):
+    """Fraction-free reduction of the integer vector work, which equals the
+    integer combination combo of the inputs, against rows, the kept
+    (pivot, row, combination) triples.  A nonzero result is kept, divided
+    by its content, and gives None; a zero one returns its combo."""
+    for pivot, row, row_combo in rows:
+        f = work[pivot]
+        if f:
+            g = row[pivot]
+            work = [g * w - f * r for w, r in zip(work, row)]
+            combo = [g * c - f * rc for c, rc in zip(combo, row_combo)]
+    pivot = next((idx for idx, w in enumerate(work) if w), None)
+    if pivot is None:
+        return combo
+    content = math.gcd(*work, *combo)
+    rows.append((pivot, [w // content for w in work], [c // content for c in combo]))
+    return None
+
+
 def _annihilator(a, m_max: int):
     """Powers a^0..a^d and the coefficients of the monic q of least degree d
     with q(a) = 0, constant first.
 
-    Each power's coordinates, scaled to integers, are reduced against the
-    rows kept from the earlier powers by fraction-free elimination (cross
-    multiplication, then division by the content).  Every kept row carries
-    the integer combination of the powers' coordinates it equals, so the
-    first power that reduces to zero gives the dependence, and thus q,
-    directly.  Raises DegreeNotBoundedError when a^0..a^m_max are
-    independent.
+    Each power's coordinates, scaled to integers, are reduced against those
+    of the earlier powers (_reduce), carrying the combination of the powers
+    each equals, so the first power that reduces to zero gives the
+    dependence, and thus q, directly.  Raises DegreeNotBoundedError when
+    a^0..a^m_max are independent.
     """
     powers = [a**0]
-    rows: list = []  # (pivot, integer row, its combination of the powers)
+    rows: list = []
     for k in range(m_max + 1):
         if k:
             powers.append(powers[-1] * a)
         work, den = _coordinates(powers[k])
         combo = [0] * (m_max + 1)
         combo[k] = den
-        for pivot, row, row_combo in rows:
-            f = work[pivot]
-            if f:
-                g = row[pivot]
-                work = [g * w - f * r for w, r in zip(work, row)]
-                combo = [g * c - f * rc for c, rc in zip(combo, row_combo)]
-        pivot = next((idx for idx, w in enumerate(work) if w), None)
-        if pivot is None:
+        combo = _reduce(rows, work, combo)
+        if combo is not None:
             # sum combo[j] a^j = 0, and combo[k] is den times nonzero pivots
             return powers, [Fraction(c, combo[k]) for c in combo[: k + 1]]
-        content = math.gcd(*work, *combo)
-        rows.append((pivot, [w // content for w in work], [c // content for c in combo]))
     raise DegreeNotBoundedError(m_max, {m: False for m in range(1, m_max + 1)})
 
 

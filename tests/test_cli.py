@@ -1104,7 +1104,9 @@ PINNED_OUTPUTS = [
     ("f933c624265f8207c40f9a5783e99d156311ef3064040829d8b4b2f1a352bbdd",
      "realize-matrix", "--poly", "0,0,1",
      "--input", '{"ring": "rational", "entries": [[0, 1], [0, 0]]}'),
-    ("8e36eb3b700f63af472684bd6aded1eb17972bf39077e32cb52fcb790881923e",
+    # g is the Krylov basis of the cyclic e_0: columns e_0, (2, 1, 8) and
+    # (2, 3, 12), the directions of A e_0 and A^2 e_0 with content 1
+    ("1c1cec3815e02b8d3fdb99a212d7dc97aff26de39cc8ac880a58705fa08e08a5",
      "realize-traceless", "--poly", "0,1,1",
      "--input",
      '{"ring": "rational", "entries": [[1, 2, 0], ["1/2", -3, 1], [4, 0, 2]]}'),

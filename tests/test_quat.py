@@ -32,6 +32,10 @@ def exact_polynomial(rng, degree: int, bound: int = 3) -> Polynomial:
     return Polynomial(coeffs + [lead])
 
 
+def approx_eq(q: Quaternion, other: Quaternion, tol: float) -> bool:
+    return (q - other).norm() <= tol
+
+
 def test_multiplication_table():
     assert QI * QI == -ONE
     assert QJ * QJ == -ONE
@@ -243,7 +247,7 @@ def test_solver_frozen_square():
 def test_solver_frozen_quartic():
     sol = solve_poly_commutator(Polynomial([0, 0, 0, 0, 1]), 3 * QJ)
     assert sol.t == 0.5
-    assert sol.a.approx_eq(Quaternion.of_floats(0, -1, 0, 0.5), 1e-15)
+    assert approx_eq(sol.a, Quaternion.of_floats(0, -1, 0, 0.5), 1e-15)
     assert sol.b == QI.to_float()
     assert sol.residual <= 1e-15
 
@@ -282,9 +286,9 @@ def test_factor_frozen_real_one():
     (a1, b1), (a2, b2) = factor_into_two_commutators(Polynomial([0, 1]), ONE).pairs
     d1 = poly_commutator(Polynomial([0, 1]), a1, b1)
     d2 = poly_commutator(Polynomial([0, 1]), a2, b2)
-    assert d1.approx_eq(QJ.to_float(), 1e-12)
-    assert d2.approx_eq(-QJ.to_float(), 1e-12)
-    assert (d1 * d2).approx_eq(ONE.to_float(), 1e-12)
+    assert approx_eq(d1, QJ.to_float(), 1e-12)
+    assert approx_eq(d2, -QJ.to_float(), 1e-12)
+    assert approx_eq(d1 * d2, ONE.to_float(), 1e-12)
 
 
 def test_factor_frozen_imaginary_unit():
@@ -292,9 +296,9 @@ def test_factor_frozen_imaginary_unit():
     (a1, b1), (a2, b2) = factor_into_two_commutators(p, QI).pairs
     d1 = poly_commutator(p, a1, b1)
     d2 = poly_commutator(p, a2, b2)
-    assert d1.approx_eq(QJ.to_float(), 1e-12)
-    assert d2.approx_eq(QK.to_float(), 1e-12)
-    assert (d1 * d2).approx_eq(QI.to_float(), 1e-12)
+    assert approx_eq(d1, QJ.to_float(), 1e-12)
+    assert approx_eq(d2, QK.to_float(), 1e-12)
+    assert approx_eq(d1 * d2, QI.to_float(), 1e-12)
 
 
 def test_factor_zero_alpha():

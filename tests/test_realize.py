@@ -594,22 +594,19 @@ def test_probe_guards():
         algebraic_degree_probe(QJ, trials=0)
 
 
-@st.composite
-def similar_companion_blocks(draw):
-    """S C S^-1 over QQ, n = 1..4: C is block diagonal with companion blocks
-    of small monic polynomials, S a product of integer unitriangular
-    matrices (so invertible)."""
-    n = draw(st.integers(1, 4))
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    start = 0
-    while start < n:
-        size = draw(st.integers(1, n - start))
-        tail = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
-        block = companion(tail).rows
-        for i in range(size):
-            for j in range(size):
-                rows[start + i][start + j] = block[i][j]
-        start += size
+def block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(b)] = row
+        at += len(b)
+    return rows
+
+
+def unimodular(draw, n):
+    """S = L U for L lower and U upper unitriangular with entries in -2..2:
+    det S = 1, so S is invertible over the integers."""
     def unitriangular(below):
         entries = st.integers(-2, 2)
         return qq([
@@ -617,8 +614,22 @@ def similar_companion_blocks(draw):
             for i in range(n)
         ])
 
-    s = unitriangular(True) * unitriangular(False)
-    return s * qq(rows) * s.inverse()
+    return unitriangular(True) * unitriangular(False)
+
+
+@st.composite
+def similar_companion_blocks(draw):
+    """S C S^-1 over QQ, n = 1..4: C is block diagonal with companion blocks
+    of small monic polynomials, S a product of integer unitriangular
+    matrices (so invertible)."""
+    n = draw(st.integers(1, 4))
+    blocks = []
+    while sum(len(b) for b in blocks) < n:
+        size = draw(st.integers(1, n - sum(len(b) for b in blocks)))
+        tail = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        blocks.append(companion(tail).rows)
+    s = unimodular(draw, n)
+    return s * qq(block_diagonal(blocks)) * s.inverse()
 
 
 small_quaternions = st.builds(
@@ -817,9 +828,9 @@ def test_realization_inverts_only_a_given_conjugator(monkeypatch, ring, n):
 
 
 def test_traceless_realization_inverts_only_its_change_of_basis(monkeypatch):
-    """The change of basis is built without an inverse (each level reads
-    its trailing block off a 2x2 solve), then inverted once by the
-    reduction, once by realize_zero_diagonal and once in verify()."""
+    """The change of basis of these (cyclic) inputs is their Krylov basis,
+    built without an inverse, then inverted once by the reduction, once by
+    realize_zero_diagonal and once in verify()."""
     r = stream(SEED, "traceless-inverse-count")
     for n in (2, 3, 4, 5):
         a = traceless_matrix(r, n)
@@ -881,17 +892,21 @@ def test_products_per_realization(monkeypatch, degree):
     g1 p(d) and g2 p(d) are column scalings, not products, and p(d) is
     Horner's rule on d's diagonal.  A
     conjugator adds 10 (g^-1 a g, g a1 g^-1, g b1 g^-1, g g1, g g2 and
-    M = g^-1 target g).  A traceless n x n input makes 2 n - 2 for its
-    change of basis and 2 for the reduction A' = P^-1 A P, which the
-    realization reuses instead of its own g^-1 a g: 16 + 2 n."""
+    M = g^-1 target g).  A traceless input with a cyclic moving vector
+    (every random one here) makes none for its change of basis, its
+    Krylov basis, and 2 for the reduction A' = P^-1 A P, which the
+    realization reuses instead of its own g^-1 a g: 18 at every n.  Each
+    level of a chain that stops short adds 3, P^-1 A P for its trailing
+    block and P diag(I, Q): diag(1, 1, -2) has one such level (the chain
+    of e_0 + e_2 has length 2), then a cyclic block, so 21."""
     r = stream(SEED, f"product-count-{degree}")
     p = Polynomial([1] * degree + [2])
-    cases = []
+    cases = [(qq([[1, 0, 0], [0, 1, 0], [0, 0, -2]]), "traceless", 21)]
     for n in (2, 3, 4, 5, 6):
         for ring in (QQ, HQ):
             a, g = conjugated_target(r, ring, n)
             cases += [(random_entries(r, ring, n, zero_diagonal=True), None, 8), (a, g, 18)]
-        cases.append((traceless_matrix(r, n), "traceless", 16 + 2 * n))
+        cases.append((traceless_matrix(r, n), "traceless", 18))
     products = []
     mul = GenericMatrix.__mul__
 
@@ -1032,10 +1047,35 @@ def reference_extend_to_basis(vectors, n):
     return basis
 
 
+def primitive(vec):
+    """The integer multiple of a nonzero rational vector with content 1."""
+    scale = math.lcm(*(Fraction(c).denominator for c in vec))
+    ints = [int(c * scale) for c in vec]
+    return [c // math.gcd(*ints) for c in ints]
+
+
+def reference_krylov_chain(a, v):
+    """v, A v, A^2 v, .. on Fraction rows, each after v made primitive,
+    for as long as the chain stays independent."""
+    n, chain = a.n, [v]
+    while len(chain) < n:
+        image = [sum((a[r, k] * chain[-1][k] for k in range(n)), Fraction(0)) for r in range(n)]
+        if not any(image):
+            break
+        try:
+            reference_extend_to_basis([*chain, primitive(image)], n)
+        except ValueError:
+            break
+        chain.append(primitive(image))
+    return chain
+
+
 def reference_zero_diag_change(a):
-    """The change of basis of traceless_to_zero_diagonal on row entries:
-    the greedy basis [v, A v, e_k ..], and the trailing block of
-    P^-1 A P through an inverse."""
+    """The change of basis of traceless_to_zero_diagonal on Fraction rows:
+    the Krylov chain of the first moving vector completed greedily by
+    e_0, e_1, .., and for a chain of length k < n the same for the block
+    of P^-1 A P from index k - 1, through an inverse, embedded as
+    diag(I_(k-1), Q)."""
     n = a.n
     if a.is_zero():
         return GenericMatrix.identity(QQ, n)
@@ -1045,11 +1085,15 @@ def reference_zero_diag_change(a):
     else:
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if a[i, i] != a[j, j])
         v = [int(k in (i, j)) for k in range(n)]
-    av = [sum((a[r, k] * v[k] for k in range(n)), Fraction(0)) for r in range(n)]
-    p = GenericMatrix(QQ, [list(col) for col in zip(*reference_extend_to_basis([v, av], n))])
+    chain = reference_krylov_chain(a, v)
+    k = len(chain)
+    p = GenericMatrix(QQ, [list(col) for col in zip(*reference_extend_to_basis(chain, n))])
+    if k == n:
+        return p
     moved = p.inverse() * a * p
-    q = reference_zero_diag_change(GenericMatrix(QQ, [row[1:] for row in moved.rows[1:]]))
-    block = [[1] + [0] * (n - 1)] + [[0, *row] for row in q.rows]
+    q = reference_zero_diag_change(GenericMatrix(QQ, [row[k - 1:] for row in moved.rows[k - 1:]]))
+    block = [[int(i == j) for j in range(n)] for i in range(k - 1)]
+    block += [[0] * (k - 1) + list(row) for row in q.rows]
     return p * GenericMatrix.from_rows(QQ, block)
 
 
@@ -1100,15 +1144,84 @@ sparse_entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(2, 7), data=st.data())
 def test_zero_diagonal_change_matches_the_greedy_basis(n, data):
-    """The pair (r, s) read off the minors of [v, A v] picks the standard
-    vectors the greedy elimination keeps, so the change of basis (which
-    every traceless witness prints as g) is the same matrix.  Mostly-zero
-    entries make v and A v sparse, so many minors vanish."""
+    """The fraction-free chain and completion keep the vectors that
+    elimination on Fractions keeps, so the change of basis (which every
+    traceless witness prints as g) is the reference's matrix.  Mostly-zero
+    entries stop many Krylov chains short, so the recursion runs too."""
     rows = [data.draw(st.lists(sparse_entry, min_size=n, max_size=n)) for _ in range(n)]
     rows[n - 1][n - 1] = -sum(rows[i][i] for i in range(n - 1))
     a = GenericMatrix.from_rows(QQ, rows)
     change = realize._zero_diag_change(a)
     assert change == reference_zero_diag_change(a)
+    assert all(x == 0 for x in (change.inverse() * a * change).diagonal_entries())
+
+
+@st.composite
+def structured_traceless(draw, n):
+    """A traceless n x n rational matrix S M S^-1 - (tr M / n) I for a
+    unimodular S and M of one kind: repeated companion blocks, nilpotent Jordan blocks,
+    a diagonal of repeated values plus a strictly upper part, or random
+    sparse entries.  The first three are mostly derogatory, with no cyclic
+    vector; the scalar shift keeps that."""
+    kind = draw(st.sampled_from(["companion", "jordan", "diagonal-plus-nilpotent", "random"]))
+    small = st.integers(-2, 2)
+    if kind == "companion":
+        d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        block = companion(draw(st.lists(small, min_size=d, max_size=d))).rows
+        rows = block_diagonal([block] * (n // d))
+    elif kind == "jordan":
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(draw(st.integers(1, n - sum(sizes))))
+        rows = block_diagonal([companion([0] * k).rows for k in sizes])
+    elif kind == "diagonal-plus-nilpotent":
+        diagonal = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+        rows = [[diagonal[i] if i == j else (draw(sparse_entry) if j > i else 0)
+                 for j in range(n)] for i in range(n)]
+    else:
+        rows = [draw(st.lists(sparse_entry, min_size=n, max_size=n)) for _ in range(n)]
+    m, s = qq(rows), unimodular(draw, n)
+    return s * m * s.inverse() - GenericMatrix.diagonal(QQ, [m.trace() / n] * n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_structured_traceless_inputs_reach_zero_diagonal(n, data):
+    """Derogatory and random inputs alike: P^-1 A P has zero diagonal, P is
+    the Fraction reference's, and the realization verifies exactly."""
+    a = data.draw(structured_traceless(n))
+    change, a_prime = traceless_to_zero_diagonal(a)
+    assert all(x == 0 for x in (change.inverse() * a * change).diagonal_entries())
+    assert a_prime == change.inverse() * a * change
+    assert change == reference_zero_diag_change(a)
+    p = Polynomial(data.draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3)) + [1])
+    w = realize_traceless(p, a)
+    assert w.verify() and w.target == a and w.g == change
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_cyclic_change_of_basis_is_its_krylov_basis(monkeypatch, n):
+    """When the moving vector is cyclic the change of basis is its Krylov
+    basis, one level: no product and no elimination.  The companion matrix
+    of A is then P^-1 A P up to a diagonal similarity, with zero diagonal
+    as the trace is 0."""
+    r = stream(SEED, f"cyclic-change-{n}")
+    a = traceless_matrix(r, n)
+    chain = reference_krylov_chain(a, [int(k == 0) for k in range(n)])
+    assert len(chain) == n  # e_0 is the moving vector, and it is cyclic
+    products, seen = [], count_eliminations(monkeypatch)
+    mul = GenericMatrix.__mul__
+
+    def counted(*args):
+        products.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(GenericMatrix, "__mul__", counted)
+    change = realize._zero_diag_change(a)
+    assert products == [] and seen == []
+    monkeypatch.undo()
+    assert change == GenericMatrix(QQ, [list(col) for col in zip(*chain)])
     assert all(x == 0 for x in (change.inverse() * a * change).diagonal_entries())
 
 
