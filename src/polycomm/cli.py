@@ -190,7 +190,7 @@ def _solve_quat(args) -> dict:
     sol = solve_poly_commutator(p, v, tol=args.tolerance)
     return {
         "polynomial": encode_polynomial(p),
-        "target": encode_quaternion(v.to_float()),
+        "target": encode_quaternion(v),
         "a": encode_quaternion(sol.a),
         "b": encode_quaternion(sol.b),
         "t": sol.t,
@@ -203,7 +203,7 @@ def _solve_quat(args) -> dict:
 def _factor_quat(args) -> dict:
     """write any quaternion as a product of two p-differences"""
     p = polynomial_from_text(args.poly)
-    alpha = decode_quaternion(_load_json(args.input), exact=False).to_float()
+    alpha = decode_quaternion(_load_json(args.input), exact=False)
     fac = factor_into_two_commutators(p, alpha, tol=args.tolerance)
     return {
         "polynomial": encode_polynomial(p),
@@ -400,9 +400,8 @@ def _telescope_pairs(ring: str, n: int, trials: int, seed: int):
     if ring == "complex":
         gen = np_stream(seed, "telescope")
         for _ in range(trials):
-            a = GenericMatrix.from_rows(CC, complex_gaussian_matrix(gen, n).tolist())
-            b = GenericMatrix.from_rows(CC, complex_gaussian_matrix(gen, n).tolist())
-            yield a, b
+            yield (GenericMatrix._of_parts(CC, complex_gaussian_matrix(gen, n)[None]),
+                   GenericMatrix._of_parts(CC, complex_gaussian_matrix(gen, n)[None]))
         return
     rng = stream(seed, "telescope")
     for _ in range(trials):

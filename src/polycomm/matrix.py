@@ -10,8 +10,8 @@ solves chi(m), fraction-free on the exact rings and in numpy on the
 float ones.
 
 A base-field scalar c acts centrally: c * m scales every entry and m + c
-adds c to the diagonal, so poly.eval_poly, poly.poly_commutator and
-poly.poly_difference serve matrices too.
+adds c to the diagonal, so poly.eval_poly and poly.poly_difference serve
+matrices too.
 
 in_double_range guards every float report (telescoping_expand here, the
 norms reports too): one that left the double range is a ValueError.
@@ -141,8 +141,8 @@ class GenericMatrix:
     positive den in lowest terms, gcd(den, every numerator) = 1: den is then
     the lcm of the entry denominators and the form is unique, so ==
     compares den and the arrays.  CC keeps complex128
-    and HF float64 parts, over den = 1.  A matrix built from rows converts
-    them to this form at once and keeps only it; rows, m[i, j] and
+    and HF float64 parts, over den = 1.  A matrix built from rows coerces
+    each entry (ring.coerce) and keeps only this form; rows, m[i, j] and
     diagonal_entries build Fraction(v, den), exact quaternions (int
     components where integral), float quaternions or Python-number entries
     from the parts on each read.  The parts are never written in place.  The
@@ -158,7 +158,7 @@ class GenericMatrix:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("rows must form a nonempty square matrix")
-        parts, den = _pack(ring, [x for row in rows for x in row])
+        parts, den = _pack(ring, [ring.coerce(x) for row in rows for x in row])
         self.ring, self.n, self._parts, self._den = ring, n, parts.reshape(-1, n, n), den
         self._inverse = None
 
@@ -180,10 +180,6 @@ class GenericMatrix:
     def component_form(self):
         """(parts, den) of the class docstring, parts of shape (c, n, n)."""
         return self._parts, self._den
-
-    @classmethod
-    def from_rows(cls, ring: ScalarRing, rows: Sequence[Sequence]) -> "GenericMatrix":
-        return cls(ring, [[ring.coerce(v) for v in row] for row in rows])
 
     @classmethod
     def _of_ratios(cls, ring: ScalarRing, rows) -> "GenericMatrix":

@@ -99,7 +99,8 @@ def eval_poly(p: Polynomial, x):
 
 
 def poly_commutator(p: Polynomial, a, b):
-    """p(ab) - p(ba) over any ring eval_poly serves, as the witnesses define it."""
+    """p(ab) - p(ba) by two Horner values: the float quaternion witness checks,
+    until they are judged exactly, and the names bench/tracer.py resolves."""
     return eval_poly(p, a * b) - eval_poly(p, b * a)
 
 

@@ -49,9 +49,12 @@ from typing import Sequence
 import numpy as np
 
 from .matrix import QQ, HQ, GenericMatrix, component_product
-from .poly import Polynomial, eval_poly, poly_commutator
+from .poly import Polynomial, eval_poly, poly_difference
 from .quat import ONE, QI, QJ, QK, Quaternion, VerificationError
 from .sampling import exact_quaternion, probe_like, stream
+
+
+_M_MAX = 7  # the largest degree algebraic_degree_probe reports
 
 
 class DegreeNotBoundedError(ArithmeticError):
@@ -335,7 +338,7 @@ class RealizationWitness:
                 t * f == _times_diagonal(f, p_d) for t, f in zip(_lifts(m, p_d), (self.g1, self.g2))
             )
         else:
-            held = poly_commutator(self.p, self.a1, self.b1) == self.target
+            held = poly_difference(self.p, self.a1 * self.b1, self.b1 * self.a1) == self.target
         return None if held else "p(a1 b1) - p(b1 a1) == target"
 
 
@@ -497,12 +500,12 @@ def nonzero_trace_witness(p: Polynomial, n: int, seed: int = 0, attempts: int = 
     rng = stream(seed, "trace-witness")
     draws = ((exact_quaternion(rng), exact_quaternion(rng)) for _ in range(attempts))
     for alpha, beta in chain(_TRACE_CANDIDATES, draws):
-        delta = poly_commutator(p, alpha, beta)
+        delta = poly_difference(p, alpha * beta, beta * alpha)
         if delta.is_zero():
             continue
         a = GenericMatrix.diagonal(HQ, [1] * (n - 1) + [alpha])
         b = GenericMatrix.diagonal(HQ, [1] * (n - 1) + [beta])
-        trace = poly_commutator(p, a, b).trace()
+        trace = poly_difference(p, a * b, b * a).trace()
         if trace != delta:
             raise VerificationError("diagonal trace identity failed")
         return a, b, trace
@@ -633,7 +636,7 @@ def _reduce(rows: list, work: list, combo: list):
     return None
 
 
-def _annihilator(a, m_max: int):
+def _annihilator(a):
     """Powers a^0..a^d and the coefficients of the monic q of least degree d
     with q(a) = 0, constant first.
 
@@ -641,27 +644,25 @@ def _annihilator(a, m_max: int):
     of the earlier powers (_reduce), carrying the combination of the powers
     each equals, so the first power that reduces to zero gives the
     dependence, and thus q, directly.  Raises DegreeNotBoundedError when
-    a^0..a^m_max are independent.
+    a^0..a^_M_MAX are independent.
     """
     powers = [a**0]
     rows: list = []
-    for k in range(m_max + 1):
+    for k in range(_M_MAX + 1):
         if k:
             powers.append(powers[-1] * a)
         work, den = _coordinates(powers[k])
-        combo = [0] * (m_max + 1)
+        combo = [0] * (_M_MAX + 1)
         combo[k] = den
         combo = _reduce(rows, work, combo)
         if combo is not None:
             # sum combo[j] a^j = 0, and combo[k] is den times nonzero pivots
             return powers, [Fraction(c, combo[k]) for c in combo[: k + 1]]
-    raise DegreeNotBoundedError(m_max, {m: False for m in range(1, m_max + 1)})
+    raise DegreeNotBoundedError(_M_MAX, {m: False for m in range(1, _M_MAX + 1)})
 
 
-def algebraic_degree_probe(
-    a, m_max: int = 7, trials: int = 8, seed: int = 0
-) -> DegreeProbeResult:
-    """Exact algebraic degree d <= m_max of an exact element over the centre.
+def algebraic_degree_probe(a, trials: int = 8, seed: int = 0) -> DegreeProbeResult:
+    """Exact algebraic degree d <= 7 (_M_MAX) of an exact element over the centre.
 
     The algebraicity sum with m probes vanishes identically exactly when the
     degree is at most m.  The upper side is exact: the first linear
@@ -671,11 +672,9 @@ def algebraic_degree_probe(
     at most `trials` trials; if every trial vanishes the two sides disagree
     and VerificationError names the level.
     """
-    if m_max < 1 or m_max > 7:
-        raise ValueError("m_max must be between 1 and 7")
     if trials < 1:
         raise ValueError("need at least one trial")
-    powers, q = _annihilator(a, m_max)
+    powers, q = _annihilator(a)
     d = len(q) - 1
     residue = powers[d]
     for c, power in zip(q[:d], powers):

@@ -11,6 +11,7 @@ bytes, without the pure-Python encoder json falls back to when indenting.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -130,10 +131,8 @@ def _quaternion_array(v):
     return v
 
 
-def decode_quaternion(v, exact=None) -> Quaternion:
+def decode_quaternion(v, exact: bool) -> Quaternion:
     _quaternion_array(v)
-    if exact is None:
-        exact = all(isinstance(c, (int, str)) and not isinstance(c, bool) for c in v)
     if exact:
         return Quaternion.exact(*(decode_rational(c) for c in v))
     return Quaternion.of_floats(*(decode_float(c) for c in v))
@@ -141,7 +140,7 @@ def decode_quaternion(v, exact=None) -> Quaternion:
 
 def _decode_entry(ring_name: str, v):
     """A matrix entry: its (num, den) on the rational ring and its four on
-    the exact quaternions (_ratio), else a ring element."""
+    the exact quaternions (_ratio), else what GenericMatrix coerces."""
     if ring_name == "rational":
         return _ratio(v)
     if ring_name == "complex":
@@ -149,7 +148,7 @@ def _decode_entry(ring_name: str, v):
     if ring_name == "quaternion":
         return [_ratio(c) for c in _quaternion_array(v)]
     if ring_name == "quaternion-float":
-        return decode_quaternion(v, exact=False)
+        return [decode_float(c) for c in _quaternion_array(v)]
     raise DecodeError(f"unknown ring {ring_name!r}")
 
 
@@ -199,37 +198,30 @@ def decode_matrix(v) -> GenericMatrix:
     return GenericMatrix._of_ratios(ring, rows) if ring.exact else GenericMatrix(ring, rows)
 
 
+# (field, JSON key, encoder, decoder) of each RealizationWitness field, in
+# field order: p travels as "polynomial", every other field is a matrix
+_WITNESS_FIELDS = tuple(
+    (f.name, "polynomial", encode_polynomial, decode_polynomial) if f.name == "p"
+    else (f.name, f.name, encode_matrix, decode_matrix)
+    for f in dataclasses.fields(RealizationWitness)
+)
+
+
 def encode_witness(w: RealizationWitness) -> dict:
-    return {
-        "polynomial": encode_polynomial(w.p),
-        "a1": encode_matrix(w.a1),
-        "b1": encode_matrix(w.b1),
-        "g": encode_matrix(w.g),
-        "g1": encode_matrix(w.g1),
-        "g2": encode_matrix(w.g2),
-        "d": encode_matrix(w.d),
-        "target": encode_matrix(w.target),
-    }
+    return {key: encode(getattr(w, name)) for name, key, encode, _ in _WITNESS_FIELDS}
 
 
-def decode_witness(v, verify: bool = True) -> RealizationWitness:
+def decode_witness(v) -> RealizationWitness:
+    """The witness v describes, fields decoded in field order, and verified."""
     if not isinstance(v, dict):
         raise DecodeError("a realization witness is a JSON object")
     try:
-        w = RealizationWitness(
-            p=decode_polynomial(v["polynomial"]),
-            a1=decode_matrix(v["a1"]),
-            b1=decode_matrix(v["b1"]),
-            g=decode_matrix(v["g"]),
-            g1=decode_matrix(v["g1"]),
-            g2=decode_matrix(v["g2"]),
-            d=decode_matrix(v["d"]),
-            target=decode_matrix(v["target"]),
-        )
+        w = RealizationWitness(**{name: decode(v[key]) for name, key, _, decode in _WITNESS_FIELDS})
     except KeyError as exc:
         raise DecodeError(f"witness is missing field {exc.args[0]!r}") from exc
-    if verify and not w.verify():
-        raise VerificationError(f"decoded witness failed verification: {w.failed_identity()}")
+    failed = w.failed_identity()
+    if failed is not None:
+        raise VerificationError(f"decoded witness failed verification: {failed}")
     return w
 
 

@@ -64,7 +64,7 @@ def rand_qq(rng, n, zero_diag=False):
     if zero_diag:
         for i in range(n):
             rows[i][i] = Fraction(0)
-    return GenericMatrix.from_rows(QQ, rows)
+    return GenericMatrix(QQ, rows)
 
 
 def rand_quat(rng, lo=-4, hi=4):
@@ -74,7 +74,7 @@ def rand_quat(rng, lo=-4, hi=4):
 
 
 def rand_hq(rng, n, lo=-2, hi=2):
-    return GenericMatrix.from_rows(
+    return GenericMatrix(
         HQ, [[rand_quat(rng, lo, hi) for _ in range(n)] for _ in range(n)]
     )
 
@@ -217,8 +217,8 @@ def _strict_triangles(m):
     lower = [[m[i, j] if i > j else zero for j in range(n)] for i in range(n)]
     upper = [[m[i, j] if i < j else zero for j in range(n)] for i in range(n)]
     return (
-        GenericMatrix.from_rows(m.ring, lower),
-        GenericMatrix.from_rows(m.ring, upper),
+        GenericMatrix(m.ring, lower),
+        GenericMatrix(m.ring, upper),
     )
 
 
@@ -264,13 +264,13 @@ def test_criterion_06_traceless_realization_and_converse():
         degree = rng.randint(1, 4)
         rows = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
         rows[n - 1][n - 1] = -sum(rows[i][i] for i in range(n - 1))
-        a = GenericMatrix.from_rows(QQ, rows)
+        a = GenericMatrix(QQ, rows)
         if all(
             a[i, j] == (a[0, 0] if i == j else 0)
             for i in range(n)
             for j in range(n)
         ):
-            a = a + GenericMatrix.from_rows(
+            a = a + GenericMatrix(
                 QQ,
                 [
                     [Fraction(1) if (i, j) == (0, 1) else Fraction(0) for j in range(n)]
@@ -327,10 +327,10 @@ def test_criterion_07_nonzero_trace_witnesses():
 
 
 def test_criterion_08_similarity_counterexample():
-    a = GenericMatrix.from_rows(HQ, [[QI, QJ], [-QJ, QI]])
-    g = GenericMatrix.from_rows(HQ, [[QJ, Quaternion(0)], [QI, Quaternion(1)]])
+    a = GenericMatrix(HQ, [[QI, QJ], [-QJ, QI]])
+    g = GenericMatrix(HQ, [[QJ, Quaternion(0)], [QI, Quaternion(1)]])
     conjugated = g.inverse() * a * g
-    e12 = GenericMatrix.from_rows(HQ, [[0, 1], [0, 0]])
+    e12 = GenericMatrix(HQ, [[0, 1], [0, 0]])
     ok = conjugated == e12
     report(
         8,
@@ -387,7 +387,7 @@ def _companion(tail):
             row[i - 1] = Fraction(1)
         row[m - 1] = Fraction(-tail[i])
         rows.append(row)
-    return GenericMatrix.from_rows(QQ, rows)
+    return GenericMatrix(QQ, rows)
 
 
 def test_criterion_09_algebraicity_probe():
@@ -413,7 +413,7 @@ def test_criterion_09_algebraicity_probe():
         rows = [
             [Fraction(case_rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)
         ]
-        cases.append(GenericMatrix.from_rows(QQ, rows))
+        cases.append(GenericMatrix(QQ, rows))
     for value in (0, 1, -2):
         for n in (2, 3, 4):
             cases.append(
@@ -421,20 +421,20 @@ def test_criterion_09_algebraicity_probe():
             )
     cases.append(GenericMatrix.diagonal(QQ, [Fraction(1), Fraction(2)]))
     cases.append(GenericMatrix.diagonal(QQ, [Fraction(0), Fraction(3), Fraction(3)]))
-    cases.append(GenericMatrix.from_rows(QQ, [[0, 1], [0, 0]]))
-    cases.append(GenericMatrix.from_rows(QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+    cases.append(GenericMatrix(QQ, [[0, 1], [0, 0]]))
+    cases.append(GenericMatrix(QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
     cases.append(_companion([2, 0, 0]))
     cases.append(_companion([1, 1]))
     cases.append(_companion([-1, 0, 0, 0]))
     cases.append(
-        GenericMatrix.from_rows(
+        GenericMatrix(
             QQ, [[2, 0, 0], [0, 0, -1], [0, 1, 0]]
         )
     )
-    cases.append(GenericMatrix.from_rows(QQ, [[1, 1], [0, 1]]))
+    cases.append(GenericMatrix(QQ, [[1, 1], [0, 1]]))
     cases.append(_companion([3, 1, 0, 2]))
     cases.append(
-        GenericMatrix.from_rows(
+        GenericMatrix(
             QQ,
             [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
         )

@@ -208,7 +208,7 @@ def test_realize_matrix_matches_library(capsys):
     assert doc["verified"] is True
     expected = encode_witness(
         realize_zero_diagonal(
-            Polynomial([0, 0, 1]), GenericMatrix.from_rows(QQ, [[0, 1], [0, 0]])
+            Polynomial([0, 0, 1]), GenericMatrix(QQ, [[0, 1], [0, 0]])
         )
     )
     assert doc["witness"] == expected

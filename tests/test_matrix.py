@@ -39,7 +39,7 @@ X2 = Polynomial([0, 0, 1])
 def cc_matrix(gen, n):
     from polycomm.sampling import complex_gaussian_matrix
 
-    return GenericMatrix.from_rows(CC, complex_gaussian_matrix(gen, n).tolist())
+    return GenericMatrix(CC, complex_gaussian_matrix(gen, n).tolist())
 
 
 def hf_matrix(gen, n):
@@ -49,7 +49,7 @@ def hf_matrix(gen, n):
 
 def e12(ring, n=2):
     rows = [[1 if (i, j) == (0, 1) else 0 for j in range(n)] for i in range(n)]
-    return GenericMatrix.from_rows(ring, rows)
+    return GenericMatrix(ring, rows)
 
 
 def test_ring_registry():
@@ -61,40 +61,50 @@ def test_ring_registry():
 
 def test_construction_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        GenericMatrix.from_rows(QQ, [[1, 2], [3]])
+        GenericMatrix(QQ, [[1, 2], [3]])
     with pytest.raises(ValueError):
-        GenericMatrix.from_rows(QQ, [[1, 2]])
+        GenericMatrix(QQ, [[1, 2]])
     with pytest.raises(ValueError):
-        GenericMatrix.from_rows(QQ, [])
+        GenericMatrix(QQ, [])
 
 
 def test_coercion_per_ring():
-    m = GenericMatrix.from_rows(QQ, [["1/2", 1], [0, 2]])
+    m = GenericMatrix(QQ, [["1/2", 1], [0, 2]])
     assert m[0, 0] == Fraction(1, 2)
     with pytest.raises(ValueError):
-        GenericMatrix.from_rows(QQ, [[0.5, 1], [0, 2]])
-    c = GenericMatrix.from_rows(CC, [[1, 1j], [0, 2.5]])
+        GenericMatrix(QQ, [[0.5, 1], [0, 2]])
+    c = GenericMatrix(CC, [[1, 1j], [0, 2.5]])
     assert c[0, 1] == 1j
-    q = GenericMatrix.from_rows(HQ, [[QI, 0], [1, QK]])
+    q = GenericMatrix(HQ, [[QI, 0], [1, QK]])
     assert q[0, 1] == Quaternion.exact()
     assert q[1, 0] == Quaternion.exact(1)
 
 
+def test_constructor_coerces_every_entry_on_the_rational_ring():
+    with pytest.raises(ValueError, match="the rational ring is exact"):
+        GenericMatrix(QQ, [[0.5]])
+
+
+def test_constructor_coerces_every_entry_on_the_exact_quaternions():
+    """An int and a [w, x, y, z] tuple are exact quaternion entries once coerced."""
+    assert GenericMatrix(HQ, [[1, 0], [0, (0, 1, 0, 0)]]) == GenericMatrix.diagonal(HQ, [1, QI])
+
+
 def test_indexing_and_shape():
-    m = GenericMatrix.from_rows(QQ, [[1, 2], [3, 4]])
+    m = GenericMatrix(QQ, [[1, 2], [3, 4]])
     assert m.n == 2
     assert m[1, 0] == 3
     assert m.transpose()[0, 1] == 3
     assert m.diagonal_entries() == (1, 4)
     assert m.trace() == 5
-    q = GenericMatrix.from_rows(HQ, [[QI, Fraction(1, 2)], [[1, 2, 3, 4], 0]])
+    q = GenericMatrix(HQ, [[QI, Fraction(1, 2)], [[1, 2, 3, 4], 0]])
     t = q.transpose()
     assert t.rows == ((QI, Quaternion(1, 2, 3, 4)), (Fraction(1, 2), 0))
     assert t.component_form()[1] == 2 and t.transpose() == q
 
 
 def test_arithmetic():
-    a = GenericMatrix.from_rows(QQ, [[1, 2], [3, 4]])
+    a = GenericMatrix(QQ, [[1, 2], [3, 4]])
     b = GenericMatrix.identity(QQ, 2)
     assert (a + b)[0, 0] == 2
     assert (a - a).is_zero()
@@ -108,10 +118,10 @@ def test_arithmetic():
 
 
 def test_quaternion_entries_multiply_noncommutatively():
-    a = GenericMatrix.from_rows(HQ, [[QI, 0], [0, 1]])
-    b = GenericMatrix.from_rows(HQ, [[QJ, 0], [0, 1]])
-    assert (a * b) == GenericMatrix.from_rows(HQ, [[QK, 0], [0, 1]])
-    assert (b * a) == GenericMatrix.from_rows(HQ, [[-QK, 0], [0, 1]])
+    a = GenericMatrix(HQ, [[QI, 0], [0, 1]])
+    b = GenericMatrix(HQ, [[QJ, 0], [0, 1]])
+    assert (a * b) == GenericMatrix(HQ, [[QK, 0], [0, 1]])
+    assert (b * a) == GenericMatrix(HQ, [[-QK, 0], [0, 1]])
 
 
 def test_scale_is_central_only():
@@ -126,7 +136,7 @@ def test_scale_is_central_only():
     (CC, 1.5), (HF, -2),
 ])
 def test_central_scalar_operators_match_the_scalar_matrix(ring, c):
-    m = GenericMatrix.from_rows(ring, [[1, 2, 0], [-3, 4, 1], [0, 5, -6]])
+    m = GenericMatrix(ring, [[1, 2, 0], [-3, 4, 1], [0, 5, -6]])
     if ring is HQ:
         m = m + GenericMatrix.diagonal(HQ, [QI, QJ, QK])
     ci = GenericMatrix.diagonal(ring, [ring.embed(c)] * 3)  # c I
@@ -139,8 +149,8 @@ def test_central_scalar_operators_match_the_scalar_matrix(ring, c):
 
 
 def test_exact_rings_refuse_float_and_noncentral_scalars():
-    m_qq = GenericMatrix.from_rows(QQ, [[1, 2], [3, 4]])
-    m_hq = GenericMatrix.from_rows(HQ, [[QI, 1], [0, QJ]])
+    m_qq = GenericMatrix(QQ, [[1, 2], [3, 4]])
+    m_hq = GenericMatrix(HQ, [[QI, 1], [0, QJ]])
     for bad in (
         lambda: 0.5 * m_qq,
         lambda: m_qq + 0.5,
@@ -266,8 +276,8 @@ def test_eval_poly_is_the_power_sum(ring_name, n, coeffs, data):
 
 
 def test_inverse_frozen_unitriangular():
-    m = GenericMatrix.from_rows(QQ, [[1, 1], [0, 1]])
-    assert m.inverse() == GenericMatrix.from_rows(QQ, [[1, -1], [0, 1]])
+    m = GenericMatrix(QQ, [[1, 1], [0, 1]])
+    assert m.inverse() == GenericMatrix(QQ, [[1, -1], [0, 1]])
 
 
 def test_inverse_roundtrip_rational():
@@ -311,7 +321,7 @@ def test_inverse_roundtrip_complex():
 
 
 def test_singular_matrix_reports_column():
-    m = GenericMatrix.from_rows(QQ, [[1, 2], [2, 4]])
+    m = GenericMatrix(QQ, [[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError) as info:
         m.inverse()
     assert info.value.column == 1
@@ -341,7 +351,7 @@ def test_inverse_is_kept_on_the_matrix(monkeypatch, ring):
     assert m.inverse() is inv and inv == fresh and len(eliminations) == 1
     derived = [-m, m * m, m + 1, 2 * m, m.transpose(), GenericMatrix(ring, m.rows), inv]
     assert all(d._inverse is None for d in derived)
-    singular = GenericMatrix.from_rows(ring, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    singular = GenericMatrix(ring, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
     for calls in (2, 3):
         with pytest.raises(SingularMatrixError, match="column 1"):
             singular.inverse()
@@ -375,14 +385,14 @@ def test_float_singular_matrix_reports_zero_column(ring, make):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_float_inverse_refuses_non_finite_entries(ring, bad):
     with pytest.raises(ValueError, match="finite"):
-        GenericMatrix.from_rows(ring, [[bad, 1], [1, 1]]).inverse()
+        GenericMatrix(ring, [[bad, 1], [1, 1]]).inverse()
 
 
 def test_poly_eval_frozen():
     assert eval_poly(X2, e12(QQ)).is_zero()
     d = GenericMatrix.diagonal(HQ, [QI, QJ])
     assert eval_poly(Polynomial([1, 0, 1]), d).is_zero()
-    m = GenericMatrix.from_rows(QQ, [[1, 2], [3, 4]])
+    m = GenericMatrix(QQ, [[1, 2], [3, 4]])
     assert eval_poly(Polynomial([7]), m) == 7 * GenericMatrix.identity(QQ, 2)
 
 
@@ -409,10 +419,10 @@ def test_similarity_frozen_quaternion_example():
     """A rank-one quaternion matrix with nonzero trace is similar to a
     nilpotent one: conjugation does not preserve the trace when the entries
     stop commuting."""
-    g = GenericMatrix.from_rows(HQ, [[QJ, 0], [QI, 1]])
-    a = GenericMatrix.from_rows(HQ, [[QI, QJ], [-QJ, QI]])
+    g = GenericMatrix(HQ, [[QJ, 0], [QI, 1]])
+    a = GenericMatrix(HQ, [[QI, QJ], [-QJ, QI]])
     g_inv = g.inverse()
-    assert g_inv == GenericMatrix.from_rows(HQ, [[-QJ, 0], [QK, 1]])
+    assert g_inv == GenericMatrix(HQ, [[-QJ, 0], [QK, 1]])
     conj = g_inv * a * g
     assert conj == e12(HQ)
     assert a.trace() == 2 * QI
@@ -482,8 +492,8 @@ def test_telescoping_float_complex():
 
 def test_telescoping_float_complex_at_tolerance_zero():
     # small integers keep every product exact, so both sides agree to the bit
-    a = GenericMatrix.from_rows(CC, [[1, 2j, 0], [-1, 3, 1], [2, 0, -2j]])
-    b = GenericMatrix.from_rows(CC, [[0, 1, -1], [2j, 1, 0], [1, -3, 2]])
+    a = GenericMatrix(CC, [[1, 2j, 0], [-1, 3, 1], [2, 0, -2j]])
+    b = GenericMatrix(CC, [[0, 1, -1], [2j, 1, 0], [1, -3, 2]])
     report = telescoping_expand(Polynomial([5, -1, 2, 1]), a, b, tol=0.0)
     assert not report.lhs.is_zero()
     assert report.max_entry_deviation == 0.0
@@ -491,7 +501,7 @@ def test_telescoping_float_complex_at_tolerance_zero():
 
 
 def test_telescoping_commuting_inputs_vanish():
-    a = GenericMatrix.from_rows(QQ, [[1, 2], [3, 4]])
+    a = GenericMatrix(QQ, [[1, 2], [3, 4]])
     p = Polynomial([1, 2, 0, 5])
     report = telescoping_expand(p, a, a * a)
     assert report.equal
@@ -499,8 +509,8 @@ def test_telescoping_commuting_inputs_vanish():
 
 
 def test_telescoping_degree_zero():
-    a = GenericMatrix.from_rows(QQ, [[1, 2], [3, 4]])
-    b = GenericMatrix.from_rows(QQ, [[0, 1], [1, 0]])
+    a = GenericMatrix(QQ, [[1, 2], [3, 4]])
+    b = GenericMatrix(QQ, [[0, 1], [1, 0]])
     report = telescoping_expand(Polynomial([3]), a, b)
     assert report.equal
     assert report.lhs.is_zero() and report.rhs.is_zero()
@@ -520,8 +530,8 @@ TELESCOPE_PRODUCTS = [
 def test_telescoping_makes_max_2_4d_minus_2_products(monkeypatch, ring, p, expected):
     # ab and ba, the d - 1 Horner products on each side, then per step i >= 2
     # u_i = (ab) u_{i-1} and t_{i-1} (ba)
-    a = GenericMatrix.from_rows(ring, [[1, 2, 0], [0, 1, 3], [2, 0, 1]])
-    b = GenericMatrix.from_rows(ring, [[0, 1, 1], [1, 0, 2], [3, 1, 0]])
+    a = GenericMatrix(ring, [[1, 2, 0], [0, 1, 3], [2, 0, 1]])
+    b = GenericMatrix(ring, [[0, 1, 1], [1, 0, 2], [3, 1, 0]])
     products = []
     multiply = GenericMatrix.__mul__
 
@@ -536,7 +546,7 @@ def test_telescoping_makes_max_2_4d_minus_2_products(monkeypatch, ring, p, expec
 
 
 def test_deviation_and_magnitude():
-    a = GenericMatrix.from_rows(CC, [[1, 2j], [0, -3]])
+    a = GenericMatrix(CC, [[1, 2j], [0, -3]])
     assert a.max_magnitude() == 3.0
     b = GenericMatrix.zeros(CC, 2)
     assert a.max_deviation(b) == 3.0
@@ -557,7 +567,7 @@ def test_deviation_and_magnitude():
 def test_quaternion_magnitude_spans_the_double_range(ring, q, expected):
     # no square of an in-range component overflows or underflows, and a
     # RuntimeWarning fails the test
-    assert GenericMatrix.from_rows(ring, [[0, q], [0, 0]]).max_magnitude() == expected
+    assert GenericMatrix(ring, [[0, q], [0, 0]]).max_magnitude() == expected
 
 
 @pytest.mark.parametrize("ring, bad", [(CC, math.nan), (HF, [0.0, math.nan, 0.0, 0.0])])
@@ -566,7 +576,7 @@ def test_max_magnitude_sees_a_nan_in_any_position(ring, bad, i, j):
     # Python's max skips a nan unless it comes first
     rows = [[1, 2], [3, 4]]
     rows[i][j] = bad
-    magnitude = GenericMatrix.from_rows(ring, rows).max_magnitude()
+    magnitude = GenericMatrix(ring, rows).max_magnitude()
     assert type(magnitude) is float and math.isnan(magnitude)
 
 
@@ -620,12 +630,12 @@ def random_rational(r, big=False):
 
 
 def random_qq(r, n, big=False):
-    return GenericMatrix.from_rows(QQ, [[random_rational(r, big) for _ in range(n)]
+    return GenericMatrix(QQ, [[random_rational(r, big) for _ in range(n)]
                                         for _ in range(n)])
 
 
 def random_hq(r, n, big=False):
-    return GenericMatrix.from_rows(
+    return GenericMatrix(
         HQ,
         [[Quaternion(*(random_rational(r, big) for _ in range(4))) for _ in range(n)]
          for _ in range(n)],
@@ -897,7 +907,7 @@ def test_rational_inverse_matches_fraction_gauss_jordan(n):
             rows = [list(row) for row in m.rows]
             for row in rows:
                 row[c] = sum((k * row[j] for k, j in enumerate(range(c), 2)), start=0)
-            m = GenericMatrix.from_rows(QQ, rows)
+            m = GenericMatrix(QQ, rows)
         try:
             expected = reference_inverse(m)
         except SingularMatrixError as exc:
@@ -922,7 +932,7 @@ def right_combination_column(r, m, c):
     rows = [list(row) for row in m.rows]
     for row in rows:
         row[c] = sum((row[k] * x for k, x in enumerate(xs)), start=Quaternion.exact())
-    return GenericMatrix.from_rows(HQ, rows)
+    return GenericMatrix(HQ, rows)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -1010,7 +1020,7 @@ def guarded(make):
 
 
 def test_in_double_range_returns_a_finite_report_as_it_is():
-    report = Report(1.5, side=GenericMatrix.from_rows(CC, [[math.inf]]))
+    report = Report(1.5, side=GenericMatrix(CC, [[math.inf]]))
     before = np.geterr()
     assert guarded(lambda: report)() is report
     assert np.geterr() == before
@@ -1065,12 +1075,12 @@ def rational_matrix_by_entry(rng, n, bound, denominators):
             num = rng.randint(-bound, bound)
             row.append(Fraction(num, rng.choice(denominators)))
         rows.append(row)
-    return GenericMatrix.from_rows(QQ, rows)
+    return GenericMatrix(QQ, rows)
 
 
 def quaternion_matrix_by_entry(rng, n, bound):
     """quaternion_matrix as it was written: four randints per entry."""
-    return GenericMatrix.from_rows(HQ, [
+    return GenericMatrix(HQ, [
         [Quaternion.exact(*(rng.randint(-bound, bound) for _ in range(4))) for _ in range(n)]
         for _ in range(n)
     ])

@@ -46,11 +46,11 @@ def gaussian_pair(gen, n):
 
 
 def test_as_complex_array_accepts_matrices_and_lists():
-    m = GenericMatrix.from_rows(QQ, [[Fraction(1, 2), 1], [0, -2]])
+    m = GenericMatrix(QQ, [[Fraction(1, 2), 1], [0, -2]])
     arr = as_complex_array(m)
     assert arr.dtype == np.complex128
     assert arr[0, 0] == 0.5 and arr[1, 1] == -2
-    c = GenericMatrix.from_rows(CC, [[1j, 0], [0, 1]])
+    c = GenericMatrix(CC, [[1j, 0], [0, 1]])
     assert as_complex_array(c)[0, 0] == 1j
     assert as_complex_array([[1, 2], [3, 4]]).shape == (2, 2)
 
@@ -72,7 +72,7 @@ def test_as_complex_array_rejects_non_finite():
         with pytest.raises(ValueError, match="non-finite input"):
             as_complex_array([[1.0, bad], [0.0, 1.0]])
     with pytest.raises(ValueError, match="non-finite input"):
-        as_complex_array(GenericMatrix.from_rows(CC, [[1, 0], [0, math.nan]]))
+        as_complex_array(GenericMatrix(CC, [[1, 0], [0, math.nan]]))
 
 
 def test_frobenius_norm_frozen():
@@ -180,7 +180,7 @@ def exact_poly_commutator(p, a, b):
     def image(m):
         m = np.asarray(m, dtype=np.complex128)
         rows = np.block([[m.real, -m.imag], [m.imag, m.real]]).tolist()
-        return GenericMatrix.from_rows(QQ, [[Fraction(v) for v in row] for row in rows])
+        return GenericMatrix(QQ, [[Fraction(v) for v in row] for row in rows])
 
     d = poly.poly_commutator(Polynomial.exact(p), image(a), image(b))
     return np.array([[complex(d[i, j], d[i + n, j]) for j in range(n)] for i in range(n)])
@@ -251,7 +251,7 @@ RATIONAL = st.builds(
 @given(n=st.integers(1, 5), data=st.data())
 def test_as_complex_array_matches_the_row_conversion(n, data):
     entries = data.draw(st.lists(RATIONAL, min_size=n * n, max_size=n * n))
-    m = GenericMatrix.from_rows(QQ, [entries[i * n:(i + 1) * n] for i in range(n)])
+    m = GenericMatrix(QQ, [entries[i * n:(i + 1) * n] for i in range(n)])
     try:
         expected = reference_complex_rows(m)
     except OverflowError as exc:

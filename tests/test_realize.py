@@ -41,7 +41,7 @@ X3 = Polynomial([0, 0, 0, 1])
 
 
 def qq(rows):
-    return GenericMatrix.from_rows(QQ, rows)
+    return GenericMatrix(QQ, rows)
 
 
 def zero_diagonal_matrix(rng, n: int, bound: int = 3) -> GenericMatrix:
@@ -102,7 +102,7 @@ def test_triangular_diagonalize_frozen():
 
 
 def test_triangular_diagonalize_quaternion_entries():
-    t = GenericMatrix.from_rows(HQ, [[0, 0, 0], [QI, 1, 0], [QJ, QK, 2]])
+    t = GenericMatrix(HQ, [[0, 0, 0], [QI, 1, 0], [QJ, QK, 2]])
     p = triangular_diagonalize(t, "lower")
     d = GenericMatrix.diagonal(HQ, [0, 1, 2])
     assert p.inverse() * t * p == d
@@ -118,12 +118,12 @@ def test_triangular_diagonalize_rejects():
         triangular_diagonalize(qq([[0, 1], [1, 1]]), "lower")
     with pytest.raises(ValueError):
         triangular_diagonalize(qq([[1, 0], [1, 1]]), "lower")
-    t = GenericMatrix.from_rows(HQ, [[QI, 0], [1, 1]])
+    t = GenericMatrix(HQ, [[QI, 0], [1, 1]])
     with pytest.raises(ValueError):
         triangular_diagonalize(t, "lower")
     for ring in (CC, HF):
         with pytest.raises(ValueError, match="exact backend"):
-            triangular_diagonalize(GenericMatrix.from_rows(ring, [[0, 0], [1, 1]]), "lower")
+            triangular_diagonalize(GenericMatrix(ring, [[0, 0], [1, 1]]), "lower")
 
 
 def test_triangular_diagonalize_random_sweep():
@@ -197,7 +197,7 @@ def test_realization_rejects_bad_input():
     with pytest.raises(ValueError):
         realize_zero_diagonal(Polynomial([5]), qq([[0, 1], [0, 0]]))
     with pytest.raises(ValueError):
-        realize_zero_diagonal(X2, GenericMatrix.from_rows(CC, [[0, 1], [0, 0]]))
+        realize_zero_diagonal(X2, GenericMatrix(CC, [[0, 1], [0, 0]]))
     with pytest.raises(ValueError):
         realize_zero_diagonal(X2, qq([[0]]))
 
@@ -249,7 +249,7 @@ def test_realization_quaternion_ring():
             [exact_quaternion(r, 2) if i != j else 0 for j in range(n)]
             for i in range(n)
         ]
-        a = GenericMatrix.from_rows(HQ, rows)
+        a = GenericMatrix(HQ, rows)
         w = realize_zero_diagonal(X3, a)
         check_witness(w, X3, a)
 
@@ -577,19 +577,15 @@ def test_probe_quaternion_matrix():
 
 
 def test_probe_reports_unbounded_degree():
-    quintic = companion([2, 0, 0, 0, 0])  # x^5 = 2
     with pytest.raises(DegreeNotBoundedError) as info:
-        algebraic_degree_probe(quintic, m_max=2)
-    assert info.value.m_max == 2
-    assert info.value.vanish_pattern == {1: False, 2: False}
-    assert algebraic_degree_probe(quintic, m_max=5, trials=2).estimated_degree == 5
+        algebraic_degree_probe(GenericMatrix.diagonal(QQ, range(8)))  # degree 8
+    assert info.value.m_max == 7
+    assert info.value.vanish_pattern == {m: False for m in range(1, 8)}
+    quintic = companion([2, 0, 0, 0, 0])  # x^5 = 2
+    assert algebraic_degree_probe(quintic, trials=2).estimated_degree == 5
 
 
 def test_probe_guards():
-    with pytest.raises(ValueError):
-        algebraic_degree_probe(QJ, m_max=0)
-    with pytest.raises(ValueError):
-        algebraic_degree_probe(QJ, m_max=8)
     with pytest.raises(ValueError):
         algebraic_degree_probe(QJ, trials=0)
 
@@ -701,8 +697,8 @@ def test_integral_quaternion_probe_multiplies_no_fractions(monkeypatch):
 def test_probe_rejects_a_corrupted_annihilator(monkeypatch):
     annihilator = realize._annihilator
 
-    def corrupted(a, m_max):
-        powers, q = annihilator(a, m_max)
+    def corrupted(a):
+        powers, q = annihilator(a)
         return powers, [q[0] + 1, *q[1:]]
 
     monkeypatch.setattr(realize, "_annihilator", corrupted)
@@ -723,8 +719,8 @@ def test_probe_names_the_level_when_the_lower_witness_fails(monkeypatch):
     [
         2.5,
         Quaternion.of_floats(0.0, 1.0, 0.0, 0.0),
-        GenericMatrix.from_rows(CC, [[1, 2], [3, 4]]),
-        GenericMatrix.from_rows(HF, [[1, 2], [3, 4]]),
+        GenericMatrix(CC, [[1, 2], [3, 4]]),
+        GenericMatrix(HF, [[1, 2], [3, 4]]),
     ],
     ids=["float", "float-quaternion", "complex-matrix", "float-quaternion-matrix"],
 )
@@ -786,7 +782,7 @@ def random_entries(r, ring, n, zero_diagonal=False):
             return exact_quaternion(r, 2)
         return Fraction(r.randint(-3, 3), r.choice([1, 1, 2]))
 
-    return GenericMatrix.from_rows(
+    return GenericMatrix(
         ring, [[0 if zero_diagonal and i == j else entry() for j in range(n)] for i in range(n)]
     )
 
@@ -931,7 +927,7 @@ def test_column_scaling_is_the_product_with_the_diagonal(ring, n, data):
     GenericMatrix.diagonal of t's central diagonal entries, in the same
     component form; t's other entries are not read."""
     entry = mixed_entry[ring.name]
-    m = GenericMatrix.from_rows(ring, [[data.draw(entry) for _ in range(n)] for _ in range(n)])
+    m = GenericMatrix(ring, [[data.draw(entry) for _ in range(n)] for _ in range(n)])
     diagonal = data.draw(st.lists(mixed_fraction, min_size=n, max_size=n))
     t = triangular_with(data.draw, ring, n, data.draw(st.sampled_from(["lower", "upper"])),
                         diagonal)
@@ -1094,7 +1090,7 @@ def reference_zero_diag_change(a):
     q = reference_zero_diag_change(GenericMatrix(QQ, [row[k - 1:] for row in moved.rows[k - 1:]]))
     block = [[int(i == j) for j in range(n)] for i in range(k - 1)]
     block += [[0] * (k - 1) + list(row) for row in q.rows]
-    return p * GenericMatrix.from_rows(QQ, block)
+    return p * GenericMatrix(QQ, block)
 
 
 def triangular_with(draw, ring, n, shape, diagonal):
@@ -1103,7 +1099,7 @@ def triangular_with(draw, ring, n, shape, diagonal):
              for j in range(n)] for i in range(n)]
     for i in range(n):
         rows[i][i] = diagonal[i]
-    return GenericMatrix.from_rows(ring, rows)
+    return GenericMatrix(ring, rows)
 
 
 mixed_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -1150,7 +1146,7 @@ def test_zero_diagonal_change_matches_the_greedy_basis(n, data):
     entries stop many Krylov chains short, so the recursion runs too."""
     rows = [data.draw(st.lists(sparse_entry, min_size=n, max_size=n)) for _ in range(n)]
     rows[n - 1][n - 1] = -sum(rows[i][i] for i in range(n - 1))
-    a = GenericMatrix.from_rows(QQ, rows)
+    a = GenericMatrix(QQ, rows)
     change = realize._zero_diag_change(a)
     assert change == reference_zero_diag_change(a)
     assert all(x == 0 for x in (change.inverse() * a * change).diagonal_entries())
@@ -1235,7 +1231,7 @@ def big_entries(r, ring, n, zero_diagonal=False):
     def entry():
         return Quaternion.exact(*(big() for _ in range(4))) if ring is HQ else big()
 
-    return GenericMatrix.from_rows(
+    return GenericMatrix(
         ring, [[0 if zero_diagonal and i == j else entry() for j in range(n)] for i in range(n)]
     )
 
@@ -1256,7 +1252,7 @@ def test_realizations_stay_exact_beyond_64_bits():
         upper = [[-a[i, j] if j > i else (p_d[i] if i == j else 0) for j in range(n)]
                  for i in range(n)]
         for got, rows, shape in ((w.g1, lower, "lower"), (w.g2, upper, "upper")):
-            t = GenericMatrix.from_rows(ring, rows)
+            t = GenericMatrix(ring, rows)
             assert got == reference_unitriangular_solve(t, shape, p_d)
             assert max(abs(v) for v in got.component_form()[0].flat) > BIG
     a = big_entries(r, QQ, 4)
@@ -1268,10 +1264,7 @@ def test_realizations_stay_exact_beyond_64_bits():
 
 
 def test_probe_accepts_its_smallest_settings():
-    """m_max = 1 and trials = 1 are the least values the guards allow."""
-    assert algebraic_degree_probe(Fraction(3), m_max=1).estimated_degree == 1
-    with pytest.raises(DegreeNotBoundedError):
-        algebraic_degree_probe(QJ, m_max=1)
+    """trials = 1 is the least value the guard allows."""
     result = algebraic_degree_probe(QJ, trials=1)
     assert (result.estimated_degree, result.trials_per_degree) == (2, 1)
     assert len(result.lower_probes) == 1
@@ -1324,18 +1317,18 @@ def test_target_certificate_agrees_with_the_direct_evaluation(
 def count_direct_targets(monkeypatch):
     """Record every direct evaluation of p(a1 b1) - p(b1 a1) in realize."""
     seen = []
-    direct = realize.poly_commutator
+    direct = realize.poly_difference
 
     def counted(*args):
         seen.append(args)
         return direct(*args)
 
-    monkeypatch.setattr(realize, "poly_commutator", counted)
+    monkeypatch.setattr(realize, "poly_difference", counted)
     return seen
 
 
 def unitriangular(r, ring, n, shape):
-    return GenericMatrix.from_rows(ring, [
+    return GenericMatrix(ring, [
         [1 if i == j else random_entries(r, ring, 1)[0, 0] if (j < i) == (shape == "lower")
          else 0 for j in range(n)] for i in range(n)])
 
@@ -1445,7 +1438,7 @@ def test_single_reduction_matches_the_per_row_reduction(ring, n):
             rows = [[diagonal[i] if i == j
                      else random_entries(r, ring, 1)[0, 0] if (j < i if shape == "lower" else j > i)
                      else 0 for j in range(n)] for i in range(n)]
-            m = GenericMatrix.from_rows(ring, rows)
+            m = GenericMatrix(ring, rows)
             x = realize._unitriangular_solve(m, shape, divide)
             expected = per_row_reduced_solve(m, shape, divide)
             assert x == expected and x.component_form()[1] == expected.component_form()[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from polycomm import matrix
 from polycomm.matrix import CC, HF, HQ, QQ, RINGS, GenericMatrix
 from polycomm.poly import Polynomial
 from polycomm.quat import QI, Quaternion, VerificationError
-from polycomm.realize import realize_zero_diagonal
+from polycomm.realize import RealizationWitness, realize_zero_diagonal
 from polycomm.serialize import (
     DecodeError,
     decode_complex,
@@ -78,7 +79,7 @@ def test_decode_float_rejects_non_finite():
     with pytest.raises(DecodeError, match="non-finite input"):
         decode_complex([0.0, json.loads("NaN")])
     with pytest.raises(DecodeError, match="non-finite input"):
-        decode_quaternion(json.loads("[0, Infinity, 0, 1]"))
+        decode_quaternion(json.loads("[0, Infinity, 0, 1]"), exact=False)
     with pytest.raises(DecodeError, match="non-finite input"):
         decode_polynomial([0.5, float("nan")])
 
@@ -129,10 +130,10 @@ def test_quaternion_roundtrip():
     q = Quaternion.exact(1, Fraction(-1, 3), 0, 2)
     encoded = encode_quaternion(q)
     assert encoded == ["1", "-1/3", "0", "2"]
-    back = decode_quaternion(encoded)
+    back = decode_quaternion(encoded, exact=True)
     assert back == q and back.is_exact()
     f = Quaternion.of_floats(0.5, -1.0, 0.0, 2.25)
-    back = decode_quaternion(encode_quaternion(f))
+    back = decode_quaternion(encode_quaternion(f), exact=False)
     assert back == f and not back.is_exact()
 
 
@@ -140,8 +141,8 @@ def test_exact_quaternion_decodes_integral_components_as_ints():
     q = decode_quaternion(["1", "2", "3", "4"], exact=True)
     assert q.components() == (1, 2, 3, 4)
     assert all(type(c) is int for c in q.components())
-    assert [type(c) for c in decode_quaternion(["6/3", "1/2", 0, -1]).components()] == [
-        int, Fraction, int, int]
+    q = decode_quaternion(["6/3", "1/2", 0, -1], exact=True)
+    assert [type(c) for c in q.components()] == [int, Fraction, int, int]
 
 
 def test_quaternion_decode_exact_override():
@@ -149,17 +150,17 @@ def test_quaternion_decode_exact_override():
     with pytest.raises(DecodeError):
         decode_quaternion([0.5, 0, 0, 0], exact=True)
     with pytest.raises(DecodeError):
-        decode_quaternion([1, 2, 3])
+        decode_quaternion([1, 2, 3], exact=True)
     with pytest.raises(DecodeError):
-        decode_quaternion("i+j")
+        decode_quaternion("i+j", exact=False)
 
 
 def test_matrix_roundtrip_all_rings():
     mats = [
-        GenericMatrix.from_rows(QQ, [[Fraction(1, 2), 1], [0, -2]]),
-        GenericMatrix.from_rows(CC, [[1 + 2j, 0], [0.5j, -1]]),
-        GenericMatrix.from_rows(HQ, [[QI, 0], [1, Quaternion.exact(0, 0, Fraction(1, 2), 0)]]),
-        GenericMatrix.from_rows(
+        GenericMatrix(QQ, [[Fraction(1, 2), 1], [0, -2]]),
+        GenericMatrix(CC, [[1 + 2j, 0], [0.5j, -1]]),
+        GenericMatrix(HQ, [[QI, 0], [1, Quaternion.exact(0, 0, Fraction(1, 2), 0)]]),
+        GenericMatrix(
             HF, [[QI.to_float(), Quaternion.of_floats()], [Quaternion.of_floats(0.5), Quaternion.of_floats(1)]]
         ),
     ]
@@ -172,7 +173,7 @@ def test_matrix_roundtrip_all_rings():
 
 
 def test_matrix_roundtrip_through_json_text():
-    m = GenericMatrix.from_rows(QQ, [[Fraction(1, 3), 2], [-1, 0]])
+    m = GenericMatrix(QQ, [[Fraction(1, 3), 2], [-1, 0]])
     text = dumps_canonical(encode_matrix(m))
     assert decode_matrix(json.loads(text)) == m
 
@@ -192,7 +193,7 @@ def test_matrix_decode_guards():
 
 def test_witness_roundtrip():
     p = Polynomial([0, 0, 1])
-    a = GenericMatrix.from_rows(QQ, [[0, 1], [2, 0]])
+    a = GenericMatrix(QQ, [[0, 1], [2, 0]])
     w = realize_zero_diagonal(p, a)
     d = encode_witness(w)
     assert set(d) == {"polynomial", "a1", "b1", "g", "g1", "g2", "d", "target"}
@@ -203,24 +204,40 @@ def test_witness_roundtrip():
 
 def test_witness_decode_detects_tampering():
     p = Polynomial([0, 0, 1])
-    a = GenericMatrix.from_rows(QQ, [[0, 1], [2, 0]])
+    a = GenericMatrix(QQ, [[0, 1], [2, 0]])
     d = encode_witness(realize_zero_diagonal(p, a))
     d["target"]["entries"][0][1] = "5"
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match=re.escape("p(a1 b1) - p(b1 a1) == target")):
         decode_witness(d)
-    tampered = decode_witness(d, verify=False)
-    assert not tampered.verify()
 
 
 def test_witness_decode_missing_field():
     p = Polynomial([0, 0, 1])
-    a = GenericMatrix.from_rows(QQ, [[0, 1], [2, 0]])
+    a = GenericMatrix(QQ, [[0, 1], [2, 0]])
     d = encode_witness(realize_zero_diagonal(p, a))
     del d["g1"]
     with pytest.raises(DecodeError, match="g1"):
         decode_witness(d)
     with pytest.raises(DecodeError):
         decode_witness("not an object")
+
+
+def test_witness_document_has_one_key_per_field():
+    """encode_witness writes "polynomial" and each matrix field of
+    RealizationWitness; a document without one of them is a DecodeError
+    naming it, and the first missing one in field order is named."""
+    fields = dataclasses.fields(RealizationWitness)
+    matrices = [f.name for f in fields if f.type == "GenericMatrix"]
+    assert fields[0].name == "p" and len(matrices) == len(fields) - 1
+    w = realize_zero_diagonal(Polynomial([0, 0, 1]), GenericMatrix(QQ, [[0, 1], [2, 0]]))
+    doc = encode_witness(w)
+    keys = ["polynomial", *matrices]
+    assert sorted(doc) == sorted(keys)
+    for i, key in enumerate(keys):
+        with pytest.raises(DecodeError, match=f"missing field '{key}'"):
+            decode_witness({k: v for k, v in doc.items() if k != key})
+        with pytest.raises(DecodeError, match=f"missing field '{key}'"):
+            decode_witness({k: doc[k] for k in keys[:i]})
 
 
 def test_dumps_canonical_stable_and_strict():
@@ -236,13 +253,13 @@ def test_dumps_canonical_stable_and_strict():
 
 
 def test_negative_zero_entries_encode_identically():
-    m1 = GenericMatrix.from_rows(CC, [[0.0, 0], [0, 1]])
-    m2 = GenericMatrix.from_rows(CC, [[-0.0, 0], [0, 1]])
+    m1 = GenericMatrix(CC, [[0.0, 0], [0, 1]])
+    m2 = GenericMatrix(CC, [[-0.0, 0], [0, 1]])
     assert dumps_canonical(encode_matrix(m1)) == dumps_canonical(encode_matrix(m2))
 
 
 def test_zero_denominators_are_decode_errors():
-    for decode in (decode_rational, lambda v: decode_quaternion([0, v, 0, 0])):
+    for decode in (decode_rational, lambda v: decode_quaternion([0, v, 0, 0], exact=True)):
         with pytest.raises(DecodeError, match="zero denominator in '1/0'"):
             decode(" 1/0 ")
     with pytest.raises(DecodeError, match="zero denominator in '-3/0'"):
@@ -250,7 +267,7 @@ def test_zero_denominators_are_decode_errors():
     with pytest.raises(DecodeError, match="zero denominator in '1/0'"):
         decode_matrix({"ring": "rational", "entries": [["1/0"]]})
     p = Polynomial([0, 0, 1])
-    a = GenericMatrix.from_rows(QQ, [[0, 1], [2, 0]])
+    a = GenericMatrix(QQ, [[0, 1], [2, 0]])
     for field in ("polynomial", "g"):
         d = encode_witness(realize_zero_diagonal(p, a))
         if field == "polynomial":
@@ -380,7 +397,7 @@ def test_witness_is_written_from_the_component_form(ring):
     # no Fraction or Quaternion entry is built to print any of the seven
     # matrices, each written from its component form
     p = Polynomial([0, 1, 1])
-    a = GenericMatrix.from_rows(ring, [[0, 1, Fraction(-1, 2)], [2, 0, 3], [1, Fraction(1, 3), 0]])
+    a = GenericMatrix(ring, [[0, 1, Fraction(-1, 2)], [2, 0, 3], [1, Fraction(1, 3), 0]])
     w = realize_zero_diagonal(p, a)
     with no_ring_element_built():
         doc = encode_witness(w)
